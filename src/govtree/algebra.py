@@ -41,9 +41,10 @@ from .governance import (
     govern,
     interpret_governed,
     interpret_ungoverned,
+    rewrap,
     stage_of,
 )
-from .itree import ITree, Fuel, Ret, Tau, Vis, ret, spin, vis
+from .itree import Fuel, Vis, ret, spin, vis
 from .trace import IoEntry
 from .gen import gen_input, gen_program_ast, gen_register_program
 from .category import translate_register_program
@@ -59,25 +60,6 @@ class GovernanceOperator:
 BUNDLED_OPERATOR = GovernanceOperator("bundled", govern)
 
 
-def _rewrap(h: Handler, on_vis) -> GovernedHandler:
-    """Build a governed handler whose tree transform maps each directive
-    node through ``on_vis(directive, continuation, recurse)``."""
-
-    def transform(t: ITree) -> ITree:
-        def step():
-            node = t.step()
-            kind = type(node)
-            if kind is Ret:
-                return node
-            if kind is Tau:
-                return Tau(transform(node.rest))
-            return on_vis(node.event, node.cont, transform)
-
-        return ITree(step)
-
-    return GovernedHandler(base=h, transform=transform)
-
-
 def no_check_operator() -> GovernanceOperator:
     """Forwards I/O without inserting any checks; violates G1."""
 
@@ -85,7 +67,7 @@ def no_check_operator() -> GovernanceOperator:
         def on_vis(d, cont, rec):
             return Vis(Io(d), lambda x: rec(cont(x)))
 
-        return _rewrap(h, on_vis)
+        return rewrap(h, on_vis)
 
     return GovernanceOperator("no-check", make)
 
@@ -106,7 +88,7 @@ def result_mangling_operator() -> GovernanceOperator:
 
             return Vis(Gov(GovCheck(stage_of(d), d)), after_check)
 
-        return _rewrap(h, on_vis)
+        return rewrap(h, on_vis)
 
     return GovernanceOperator("mangle-results", make)
 
@@ -129,7 +111,7 @@ def fingerprinting_operator() -> GovernanceOperator:
 
             return Vis(Gov(GovCheck(stage, d)), after_check)
 
-        return _rewrap(h, on_vis)
+        return rewrap(h, on_vis)
 
     return GovernanceOperator("fingerprint", make)
 

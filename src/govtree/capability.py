@@ -46,6 +46,7 @@ from .itree import (
     Ret,
     bind,
     combine_verdicts,
+    explore,
     fails,
     holds,
     skip_taus,
@@ -90,7 +91,7 @@ def within_caps_check(
     """Every directive in the tree requires a capability in ``caps`` or
     none at all. Continuations are explored on sampled answers."""
 
-    def go(t: ITree, fuel: Fuel, path: tuple) -> BoundedVerdict:
+    def expand(t: ITree, fuel: Fuel):
         node, fuel, looped = skip_taus(t, fuel)
         if looped:
             return holds()
@@ -101,16 +102,13 @@ def within_caps_check(
         d = node.event
         needed = capability_for_directive(d)
         if needed is not None and needed not in caps:
-            return fails(path + (f"{directive_tag(d)} needs {needed.value}",))
+            return fails((f"{directive_tag(d)} needs {needed.value}",))
         if fuel <= 0:
             return unknown("fuel-exhausted")
-        results = [
-            go(node.cont(x), fuel - 1, path + (directive_tag(d),))
-            for x in sampler.answers(d)
-        ]
-        return combine_verdicts(results)
+        label = ("{}", directive_tag(d))
+        return [(label, node.cont(x), fuel - 1) for x in sampler.answers(d)]
 
-    return go(t, fuel, ())
+    return explore(t, fuel, expand)
 
 
 def sample_returns(t: ITree, fuel: Fuel, sampler: ResponseSampler, limit: int = 16) -> list:
@@ -118,21 +116,20 @@ def sample_returns(t: ITree, fuel: Fuel, sampler: ResponseSampler, limit: int = 
     limit; used to instantiate continuations in compositional checks."""
     found: list = []
 
-    def go(t: ITree, fuel: Fuel):
+    def expand(t: ITree, fuel: Fuel):
         if len(found) >= limit:
-            return
+            return []
         node, fuel, looped = skip_taus(t, fuel)
         if node is None or looped:
-            return
+            return []
         if type(node) is Ret:
             found.append(node.value)
-            return
+            return []
         if fuel <= 0:
-            return
-        for x in sampler.answers(node.event):
-            go(node.cont(x), fuel - 1)
+            return []
+        return [(None, node.cont(x), fuel - 1) for x in sampler.answers(node.event)]
 
-    go(t, fuel)
+    explore(t, fuel, expand)
     return found
 
 
@@ -169,27 +166,7 @@ def no_ambient_effects_check(
 ) -> BoundedVerdict:
     """A tree within the empty capability set emits only capability-free
     directives (observability-class bookkeeping)."""
-
-    def go(t: ITree, fuel: Fuel, path: tuple) -> BoundedVerdict:
-        node, fuel, looped = skip_taus(t, fuel)
-        if looped:
-            return holds()
-        if node is None:
-            return unknown("fuel-exhausted")
-        if type(node) is Ret:
-            return holds()
-        d = node.event
-        if capability_for_directive(d) is not None:
-            return fails(path + (f"ambient effect {directive_tag(d)}",))
-        if fuel <= 0:
-            return unknown("fuel-exhausted")
-        results = [
-            go(node.cont(x), fuel - 1, path + (directive_tag(d),))
-            for x in sampler.answers(d)
-        ]
-        return combine_verdicts(results)
-
-    return go(t, fuel, ())
+    return within_caps_check(cap_empty(), t, fuel, sampler)
 
 
 class TrustLevel(Enum):
@@ -199,10 +176,6 @@ class TrustLevel(Enum):
     REVIEWED = 3
     STDLIB = 4
     SYSTEM = 5
-
-
-def trust_value(t: TrustLevel) -> int:
-    return t.value
 
 
 def trust_le(t1: TrustLevel, t2: TrustLevel) -> bool:

@@ -17,7 +17,7 @@ on both answers; I/O answers are sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Union
+from typing import Any, Callable, Iterable
 
 from .directives import (
     DirectiveEvent,
@@ -33,7 +33,7 @@ from .itree import (
     Ret,
     Tau,
     Vis,
-    combine_verdicts,
+    explore,
     fails,
     holds,
     ret,
@@ -64,9 +64,6 @@ class Gov:
 @dataclass(frozen=True, slots=True)
 class Io:
     directive: DirectiveEvent
-
-
-GovernedEvent = Union[Gov, Io]
 
 
 def stage_of(d: DirectiveEvent) -> GovernanceStage:
@@ -115,14 +112,10 @@ class GovernedHandler:
     transform: Callable[[ITree], ITree]
 
 
-def govern(h: Handler) -> GovernedHandler:
-    """Wrap a base handler so every directive is check-gated.
-
-    For each directive ``d`` in the source tree the governed tree emits
-    ``Gov(GovCheck(stage, d))``; on a true answer it emits ``Io(d)`` and
-    continues the source continuation with the I/O answer, on false it
-    diverges. Ret and Tau pass through.
-    """
+def rewrap(h: Handler, on_vis) -> GovernedHandler:
+    """The per-event tree transformer: a governed handler whose transform
+    maps each directive node through ``on_vis(directive, continuation,
+    recurse)``. Ret and Tau pass through."""
 
     def transform(t: ITree) -> ITree:
         def step():
@@ -132,19 +125,31 @@ def govern(h: Handler) -> GovernedHandler:
                 return node
             if kind is Tau:
                 return Tau(transform(node.rest))
-            d = node.event
-            cont = node.cont
-
-            def after_check(approved: bool) -> ITree:
-                if not approved:
-                    return spin()
-                return vis(Io(d), lambda x: transform(cont(x)))
-
-            return Vis(Gov(GovCheck(stage_of(d), d)), after_check)
+            return on_vis(node.event, node.cont, transform)
 
         return ITree(step)
 
     return GovernedHandler(base=h, transform=transform)
+
+
+def _check_gate(d: DirectiveEvent, cont, rec):
+    def after_check(approved: bool) -> ITree:
+        if not approved:
+            return spin()
+        return vis(Io(d), lambda x: rec(cont(x)))
+
+    return Vis(Gov(GovCheck(stage_of(d), d)), after_check)
+
+
+def govern(h: Handler) -> GovernedHandler:
+    """Wrap a base handler so every directive is check-gated.
+
+    For each directive ``d`` in the source tree the governed tree emits
+    ``Gov(GovCheck(stage, d))``; on a true answer it emits ``Io(d)`` and
+    continues the source continuation with the I/O answer, on false it
+    diverges. Ret and Tau pass through.
+    """
+    return rewrap(h, _check_gate)
 
 
 @dataclass(frozen=True)
@@ -242,7 +247,8 @@ def gov_safe_check(
     fuel running out anywhere else yields unknown.
     """
 
-    def go(t: ITree, approved: bool, fuel: Fuel, path: tuple) -> BoundedVerdict:
+    def expand(state, fuel: Fuel):
+        t, approved = state
         node, fuel, looped = skip_taus(t, fuel)
         if looped:
             return holds()
@@ -255,38 +261,24 @@ def gov_safe_check(
             if fuel <= 0:
                 return unknown("fuel-exhausted")
             stage = ev.check.stage
-            on_true = go(node.cont(True), True, fuel - 1, path + (f"check({stage})=true",))
-            if on_true.is_fails:
-                return on_true
-            on_false = go(node.cont(False), False, fuel - 1, path + (f"check({stage})=false",))
-            return combine_verdicts((on_true, on_false))
+            return [
+                (("check({})=true", stage), (node.cont(True), True), fuel - 1),
+                (("check({})=false", stage), (node.cont(False), False), fuel - 1),
+            ]
         if type(ev) is Io:
             tag = directive_tag(ev.directive)
             if not approved:
-                return fails(path + (f"io({tag}) without approval",))
+                return fails((f"io({tag}) without approval",))
             if fuel <= 0:
                 return unknown("fuel-exhausted")
-            results = [
-                go(node.cont(x), False, fuel - 1, path + (f"io({tag}) answered",))
+            label = ("io({}) answered", tag)
+            return [
+                (label, (node.cont(x), False), fuel - 1)
                 for x in sampler.answers(ev.directive)
             ]
-            return combine_verdicts(results)
         raise TypeError(f"not a governed event: {ev!r}")
 
-    return go(t, approved, fuel, ())
-
-
-@dataclass(frozen=True)
-class GovernedSampler:
-    """Answer sampling over governed events: checks are booleans, I/O
-    events delegate to the wrapped directive sampler."""
-
-    inner: ResponseSampler
-
-    def answers(self, event: GovernedEvent) -> tuple:
-        if type(event) is Gov:
-            return (True, False)
-        return self.inner.answers(event.directive)
+    return explore((t, approved), fuel, expand)
 
 
 def bare_io(d: DirectiveEvent) -> ITree:

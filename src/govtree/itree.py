@@ -19,6 +19,9 @@ three-valued ``BoundedVerdict``:
 * ``holds``   -- the reachable region was exhausted with no discrepancy.
 * ``unknown`` -- fuel or sampling ran out before the question resolved.
 
+Every bounded checker is a per-node rule run by :func:`explore`, one
+depth-first search with an explicit stack.
+
 The one place we go beyond plain bounded unfolding is the canonical
 divergent tree built by :func:`spin`: it is a self-referential Tau loop,
 which the tau-skipping loop recognizes by object identity. Callers can
@@ -220,6 +223,41 @@ def combine_verdicts(verdicts) -> BoundedVerdict:
     return pending if pending is not None else holds()
 
 
+def explore(root, fuel: Fuel, expand) -> BoundedVerdict:
+    """Depth-first bounded search with an explicit stack.
+
+    ``expand(state, fuel)`` judges one node: it returns a verdict for a
+    leaf, or a list of children ``(label, state, fuel)`` to visit in
+    order. Children are searched depth first, so the result is the first
+    ``fails`` in depth-first order, else the first ``unknown``, else
+    ``holds``. The search stops at the first ``fails``.
+
+    A label is a tuple ``(fmt, *args)``. Labels stay on parent links and
+    are formatted (``fmt.format(*args)``) only to build a ``fails``
+    witness: the labels from the root down to the failing node, then the
+    failing leaf's own witness. Path length is bounded by fuel alone,
+    not by Python's recursion limit.
+    """
+    stack = [(root, fuel, None)]
+    pending = None
+    while stack:
+        state, fuel, link = stack.pop()
+        out = expand(state, fuel)
+        if type(out) is list:
+            for label, child, child_fuel in reversed(out):
+                stack.append((child, child_fuel, (label, link)))
+        elif out.status == FAILS:
+            labels = []
+            while link is not None:
+                label, link = link
+                labels.append(label[0].format(*label[1:]))
+            labels.reverse()
+            return fails(tuple(labels) + out.witness)
+        elif out.status == UNKNOWN and pending is None:
+            pending = out
+    return pending if pending is not None else holds()
+
+
 def eutt_bounded(t1: ITree, t2: ITree, fuel: Fuel, sampler) -> BoundedVerdict:
     """Bounded equivalence up to taus.
 
@@ -233,39 +271,38 @@ def eutt_bounded(t1: ITree, t2: ITree, fuel: Fuel, sampler) -> BoundedVerdict:
     ``sampler`` is any object with ``answers(event) -> sequence``.
     """
 
-    def go(a: ITree, b: ITree, fuel: Fuel, path: tuple) -> BoundedVerdict:
-        n1, fuel, loop1 = skip_taus(a, fuel)
-        n2, fuel, loop2 = skip_taus(b, fuel)
+    def expand(pair, fuel: Fuel):
+        n1, fuel, loop1 = skip_taus(pair[0], fuel)
+        n2, fuel, loop2 = skip_taus(pair[1], fuel)
         if loop1 or loop2:
             if loop1 and loop2:
                 return holds()
             if n1 is None and n2 is None:
                 return unknown("fuel-exhausted")
             side = "left" if loop1 else "right"
-            return fails(path + (f"{side} side diverges, other side does not",))
+            return fails((f"{side} side diverges, other side does not",))
         if n1 is None or n2 is None:
             return unknown("fuel-exhausted")
         k1, k2 = type(n1), type(n2)
         if k1 is Ret and k2 is Ret:
             if n1.value == n2.value:
                 return holds()
-            return fails(path + (f"Ret {n1.value!r} != Ret {n2.value!r}",))
+            return fails((f"Ret {n1.value!r} != Ret {n2.value!r}",))
         if k1 is Vis and k2 is Vis:
             if n1.event != n2.event:
-                return fails(path + (f"events differ: {n1.event!r} != {n2.event!r}",))
+                return fails((f"events differ: {n1.event!r} != {n2.event!r}",))
             if fuel <= 0:
                 return unknown("fuel-exhausted")
             answers = sampler.answers(n1.event)
             if not answers:
                 return unknown("sample-limited")
-            results = [
-                go(n1.cont(x), n2.cont(x), fuel - 1, path + (f"{n1.event!r} answered {x!r}",))
+            return [
+                (("{!r} answered {!r}", n1.event, x), (n1.cont(x), n2.cont(x)), fuel - 1)
                 for x in answers
             ]
-            return combine_verdicts(results)
-        return fails(path + (f"node shapes differ: {k1.__name__} vs {k2.__name__}",))
+        return fails((f"node shapes differ: {k1.__name__} vs {k2.__name__}",))
 
-    return go(t1, t2, fuel, ())
+    return explore((t1, t2), fuel, expand)
 
 
 def run_pure(t: ITree, fuel: Fuel) -> "tuple[bool, Any]":

@@ -57,11 +57,6 @@ def well_governed(trace: Iterable[TraceEvent], reset_after_io: bool = True) -> b
     return True
 
 
-def trace_of_run(outcome) -> Trace:
-    """The trace recorded by a governed run (see ``interpret_governed``)."""
-    return outcome.trace
-
-
 def check_trace_of_bind(t, k, policy, handler, fuel: int) -> BoundedVerdict:
     """Check that sequential composition concatenates traces.
 
@@ -100,7 +95,7 @@ def format_trace(trace: Iterable[TraceEvent]) -> str:
 
 def parse_trace(text: str) -> Trace:
     events: list[TraceEvent] = []
-    for line_no, line in enumerate(text.splitlines(), 1):
+    for line_no, line in enumerate(text.split("\n"), 1):
         if not line:
             continue
         if line.startswith("GOV "):

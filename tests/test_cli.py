@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, files, and report commands."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,16 @@ from govtree.ledger import parse_ledger, ledger_valid
 from govtree.trace import parse_trace
 
 PROGRAMS = Path(__file__).resolve().parents[1] / "programs"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*argv):
+    """``python -m govtree`` in a child process that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "govtree", *argv], capture_output=True, text=True, env=env
+    )
 
 
 def run_cli(*argv):
@@ -128,20 +139,11 @@ def test_seed_env_var_default(tmp_path, monkeypatch):
 
 
 def test_module_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "govtree", "run", str(PROGRAMS / "pure.json")],
-        capture_output=True, text=True,
-    )
+    result = run_module("run", str(PROGRAMS / "pure.json"))
     assert result.returncode == 0
     assert result.stdout.strip() == "42"
 
 
 def test_reports_byte_identical_across_runs():
-    result = [
-        subprocess.run(
-            [sys.executable, "-m", "govtree", "boundary", "--trials", "20", "--seed", "3"],
-            capture_output=True, text=True,
-        ).stdout
-        for _ in range(2)
-    ]
-    assert result[0] == result[1]
+    result = [run_module("boundary", "--trials", "20", "--seed", "3").stdout for _ in range(2)]
+    assert result[0] and result[0] == result[1]

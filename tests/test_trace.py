@@ -21,7 +21,6 @@ from govtree.trace import (
     check_trace_of_bind,
     format_trace,
     parse_trace,
-    trace_of_run,
     well_governed,
 )
 
@@ -65,7 +64,7 @@ def test_prepending_checks_preserves_well_governedness(seed):
 
 def test_trace_of_pure_run_is_empty():
     out = interpret_governed(govern(mock_handler(0)), PERMISSIVE, ret(1), 100)
-    assert trace_of_run(out) == ()
+    assert out.trace == ()
 
 
 def test_trace_of_permitted_llm_call():
@@ -73,7 +72,7 @@ def test_trace_of_permitted_llm_call():
     out = interpret_governed(
         govern(mock_handler(0)), PERMISSIVE, vis(d, lambda x: ret(None)), 1000
     )
-    assert trace_of_run(out) == (GovEntry("LLMCall", True), IoEntry(encode_directive(d)))
+    assert out.trace == (GovEntry("LLMCall", True), IoEntry(encode_directive(d)))
 
 
 def test_trace_of_denied_file_op():
@@ -81,7 +80,7 @@ def test_trace_of_denied_file_op():
     out = interpret_governed(
         govern(mock_handler(0)), DENYING, vis(d, lambda x: ret(None)), 1000
     )
-    assert trace_of_run(out) == (GovEntry("FileOp", False),)
+    assert out.trace == (GovEntry("FileOp", False),)
 
 
 def test_io_entry_tag():
@@ -137,6 +136,11 @@ def test_format_parse_round_trip():
     rng = random.Random(1)
     for _ in range(100):
         trace = gen_trace(rng, rng.randrange(8))
+        assert parse_trace(format_trace(trace)) == trace
+    # the format is LF-only: other line breaks inside a field stay in it
+    for sep in ("\r", "\x1c", "\x85", "\u2028"):
+        d = LLMCall("m", f"one{sep}two")
+        trace = (GovEntry("LLMCall", True), IoEntry(encode_directive(d)))
         assert parse_trace(format_trace(trace)) == trace
 
 
