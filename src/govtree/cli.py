@@ -7,7 +7,9 @@ bounds, and the campaign drivers ``coherence``, ``conformance``,
 ``--seed`` (default: the ``GOVTREE_SEED`` environment variable, else 0).
 
 Exit codes: 0 success / value produced, 1 verification or suite failure,
-2 governance denial, 3 fuel exhausted.
+2 governance denial, 3 fuel exhausted, 64 usage error (bad arguments),
+65 input error (unreadable or malformed program file, unknown policy).
+An input error prints one ``govtree: error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .directives import ResponseSampler, derive_rng, mock_handler
 from .gen import gen_input, gen_policy, gen_program_ast
 from .governance import gov_safe_check, govern, interpret_governed, policy_by_name
 from .ledger import format_ledger, ledger_valid, parse_ledger, trace_to_ledger
-from .program import format_value, parse_program
+from .program import ProgramError, format_value, parse_program
 from .reference import run_reference
 from .trace import format_trace
 
@@ -33,6 +35,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_DENIED = 2
 EXIT_FUEL = 3
+EXIT_USAGE = 64  # sysexits EX_USAGE
+EXIT_INPUT = 65  # sysexits EX_DATAERR
 
 DEFAULT_FUEL = 100_000
 
@@ -101,7 +105,10 @@ def diff_campaign(trials: int, seed: int, fuel: int, bug: str | None = None) -> 
 
 def _cmd_run(args) -> int:
     program = parse_program(_read(args.program))
-    policy = policy_by_name(args.policy)
+    try:
+        policy = policy_by_name(args.policy)
+    except ValueError as e:
+        return _input_error(e)
     gh = govern(mock_handler(args.handler_seed))
     outcome = interpret_governed(gh, policy, program.compile()(program.input_value), args.fuel)
     if args.trace_out:
@@ -189,6 +196,11 @@ def _cmd_diff(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
+def _input_error(e: Exception) -> int:
+    print(f"govtree: error: {e}", file=sys.stderr)
+    return EXIT_INPUT
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as f:
         return f.read()
@@ -204,8 +216,16 @@ def _add_common(p, fuel_default=DEFAULT_FUEL):
     p.add_argument("--fuel", type=int, default=fuel_default)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on their own exit code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="govtree", description="governed interaction-tree runtime"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -258,7 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ProgramError, OSError) as e:
+        return _input_error(e)
 
 
 if __name__ == "__main__":

@@ -48,11 +48,11 @@ from .category import (
     code,
     memory,
     reason,
-    seq_compose,
     tensor,
     translate_register_program,
 )
 from .directives import Capability, CallMachine, LLMCall, MemoryOp
+from .itree import bind
 
 
 class ProgramError(ValueError):
@@ -278,11 +278,15 @@ def compile_ast(node: dict) -> Morphism:
             lambda ans: eval_expr(extract, _answer_value(ans)),
         )
     if kind == "seq":
-        morphs = [compile_ast(s) for s in node["steps"]]
-        composed = morphs[0]
-        for m in morphs[1:]:
-            composed = seq_compose(composed, m)
-        return composed
+        first, *rest = [compile_ast(s) for s in node["steps"]]
+
+        def run_seq(a):
+            t = first(a)
+            for m in rest:
+                t = bind(t, m)
+            return t
+
+        return run_seq
     if kind == "tensor":
         return tensor(compile_ast(node["left"]), compile_ast(node["right"]))
     if kind == "branch":
@@ -350,14 +354,16 @@ class Program:
 def parse_program(text: str) -> Program:
     try:
         doc = json.loads(text)
+        if not isinstance(doc, dict) or doc.get("version") != 1:
+            raise ProgramError("program document must have version 1")
+        if "body" not in doc:
+            raise ProgramError("program document needs a body")
+        validate_ast(doc["body"])
+        return Program(_value_from_json(doc.get("input")), doc["body"])
     except json.JSONDecodeError as e:
         raise ProgramError(f"not valid JSON: {e}") from None
-    if not isinstance(doc, dict) or doc.get("version") != 1:
-        raise ProgramError("program document must have version 1")
-    if "body" not in doc:
-        raise ProgramError("program document needs a body")
-    validate_ast(doc["body"])
-    return Program(_value_from_json(doc.get("input")), doc["body"])
+    except RecursionError:
+        raise ProgramError("program document nested too deeply") from None
 
 
 def serialize_program(program: Program) -> str:

@@ -1,12 +1,26 @@
 """End-to-end CLI behavior: exit codes, files, and report commands."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from govtree.cli import EXIT_DENIED, EXIT_FAIL, EXIT_FUEL, EXIT_OK, main
+import pytest
+
+from govtree.cli import (
+    EXIT_DENIED,
+    EXIT_FAIL,
+    EXIT_FUEL,
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
+from govtree.governance import PERMISSIVE
 from govtree.ledger import parse_ledger, ledger_valid
+from govtree.program import format_value
+from govtree.reference import run_reference
 from govtree.trace import parse_trace
 
 PROGRAMS = Path(__file__).resolve().parents[1] / "programs"
@@ -147,3 +161,85 @@ def test_module_entry_point():
 def test_reports_byte_identical_across_runs():
     result = [run_module("boundary", "--trials", "20", "--seed", "3").stdout for _ in range(2)]
     assert result[0] and result[0] == result[1]
+
+
+def write_program(path, body, input_value=0):
+    path.write_text(json.dumps({"version": 1, "input": input_value, "body": body}))
+    return str(path)
+
+
+def deep_pipeline(n):
+    """A seq of n steps cycling reason, memory and call, each step's
+    directive built from the previous step's answer."""
+    answer_content = {"op": "snd", "args": [{"op": "input"}]}
+    kinds = (
+        {"kind": "reason", "model": "m", "prompt": {"op": "input"}, "extract": answer_content},
+        {"kind": "memory", "mop": "put", "key": {"op": "str", "value": "k"},
+         "value": {"op": "input"}, "extract": answer_content},
+        {"kind": "call", "machine": "calc", "payload": {"op": "input"}, "extract": answer_content},
+    )
+    return {"kind": "seq", "steps": [kinds[i % 3] for i in range(n)]}
+
+
+def test_run_deep_seq_matches_reference(tmp_path, capsys):
+    body = deep_pipeline(5_000)
+    trace_file = tmp_path / "t.trace"
+    code = run_cli("run", write_program(tmp_path / "p.json", body), "--trace-out", str(trace_file))
+    assert code == EXIT_OK
+    ref = run_reference(body, 0, PERMISSIVE, 0)
+    assert ref.completed
+    assert capsys.readouterr().out == format_value(ref.value) + "\n"
+    assert parse_trace(trace_file.read_text()) == ref.trace
+    assert len(ref.trace) == 10_000
+
+
+@pytest.mark.parametrize("mode", ["safety", "caps"])
+def test_check_deep_seq_of_code_steps_holds(tmp_path, capsys, mode):
+    step = {"kind": "code", "expr": {"op": "add", "args": [{"op": "input"}, {"op": "int", "value": 1}]}}
+    program = write_program(tmp_path / "p.json", {"kind": "seq", "steps": [step] * 500})
+    assert run_cli("check", program, "--mode", mode) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.rstrip("\n").endswith(": holds")
+
+
+def assert_one_line_error(result, exit_code):
+    assert result.returncode == exit_code
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("govtree: error: ")
+    assert result.stdout == ""
+
+
+def test_missing_program_file_is_an_input_error(tmp_path):
+    result = run_module("run", str(tmp_path / "missing.json"))
+    assert_one_line_error(result, EXIT_INPUT)
+
+
+def test_bad_json_is_an_input_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert_one_line_error(run_module("check", str(bad)), EXIT_INPUT)
+
+
+def test_unknown_node_kind_is_an_input_error(tmp_path):
+    program = write_program(tmp_path / "p.json", {"kind": "teleport"})
+    assert_one_line_error(run_module("run", program), EXIT_INPUT)
+
+
+def test_unknown_policy_is_an_input_error():
+    result = run_module("run", str(PROGRAMS / "pure.json"), "--policy", "bogus")
+    assert_one_line_error(result, EXIT_INPUT)
+
+
+def test_over_deep_json_is_an_input_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"version": 1, "input": ' + "[" * 100_000 + "]" * 100_000 + ', "body": {}}')
+    assert_one_line_error(run_module("run", str(deep)), EXIT_INPUT)
+
+
+def test_usage_error_has_its_own_exit_code():
+    result = run_module("check", str(PROGRAMS / "pure.json"), "--mode", "bogus")
+    assert result.returncode == EXIT_USAGE
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1].startswith("govtree check: error: ")
+    assert result.stdout == ""

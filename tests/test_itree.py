@@ -6,6 +6,8 @@ equivalence checker. The enumeration is the oracle; it shares no code
 with eutt_bounded.
 """
 
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import hypothesis.strategies as st
@@ -21,10 +23,12 @@ from govtree.itree import (
     observe,
     ret,
     run_pure,
+    skip_taus,
     spin,
     tau,
     vis,
 )
+from govtree.program import compile_ast
 
 
 @dataclass(frozen=True)
@@ -200,3 +204,82 @@ def test_run_pure_values_and_failures():
     assert run_pure(tau(ret(4)), 10) == (True, 4)
     assert run_pure(spin(), 10)[0] is False
     assert run_pure(vis(Evt(1), ret), 10)[0] is False
+
+
+@contextmanager
+def shallow_stack(margin=100):
+    """Lower the recursion limit to the current stack depth plus ``margin``."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + margin)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def drive_events(t, fuel):
+    """Answer every event with 0; returns (value, events seen)."""
+    events = []
+    while True:
+        node, fuel, looped = skip_taus(t, fuel)
+        assert node is not None and not looped
+        if type(node) is Ret:
+            return node.value, events
+        events.append(node.event)
+        t = node.cont(0)
+
+
+def test_left_nested_bind_chain_drives_at_constant_stack_depth():
+    n = 20_000
+    t = ret(0)
+    for _ in range(n):
+        t = bind(t, lambda x: vis(Evt(x), lambda a: ret(x + 1)))
+    with shallow_stack():
+        value, events = drive_events(t, 10)
+    assert value == n
+    assert events == [Evt(i) for i in range(n)]
+
+
+def test_seq_of_code_steps_runs_at_constant_stack_depth():
+    step = {"kind": "code", "expr": {"op": "add", "args": [{"op": "input"}, {"op": "int", "value": 1}]}}
+    morph = compile_ast({"kind": "seq", "steps": [step] * 5_000})
+    with shallow_stack():
+        assert run_pure(morph(0), 10) == (True, 5_000)
+
+
+def test_spin_through_reassociated_bind_is_detected():
+    node, _, looped = skip_taus(bind(bind(ret(1), ret), lambda _: spin()), 10)
+    assert node is None and looped
+
+
+def test_reassociated_bind_is_memoized():
+    t = bind(bind(bind(tau(ret(2)), lambda x: tau(ret(x * 2))), ret), lambda x: ret(x + 1))
+    first = observe(t, 10)
+    second = observe(t, 10)
+    assert first == Ret(5)
+    assert first is second
+    assert t.step() is t.step()
+
+
+def test_bind_leaves_the_inner_bind_unchanged():
+    k = lambda x: vis(Evt(x), lambda a: ret(x + a))
+    inner = bind(ret(1), k)
+    outer = bind(inner, lambda y: ret(("outer", y)))
+    assert drive_events(outer, 10) == (("outer", 1), [Evt(1)])
+    assert drive_events(inner, 10) == (1, [Evt(1)])
+
+
+def test_left_and_right_nested_binds_step_through_the_same_nodes():
+    f = lambda x: tau(vis(Evt(x), lambda a: ret(x + a)))
+    g = lambda y: tau(tau(ret(y * 10)))
+    shapes = []
+    for t in (bind(bind(tau(ret(1)), f), g), bind(tau(ret(1)), lambda x: bind(f(x), g))):
+        kinds, node = [], t.step()
+        while type(node) is not Ret:
+            kinds.append(type(node).__name__)
+            node = node.rest.step() if type(node) is Tau else node.cont(2).step()
+        shapes.append((kinds, node.value))
+    assert shapes[0] == shapes[1] == (["Tau", "Tau", "Vis", "Tau", "Tau"], 30)
