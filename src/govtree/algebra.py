@@ -37,6 +37,7 @@ from .governance import (
     GovCheck,
     GovernedHandler,
     Io,
+    check_gate,
     gov_safe_check,
     govern,
     interpret_governed,
@@ -44,7 +45,7 @@ from .governance import (
     rewrap,
     stage_of,
 )
-from .itree import Fuel, Vis, ret, spin, vis
+from .itree import Fuel, Vis, ret
 from .trace import IoEntry
 from .gen import gen_input, gen_program_ast, gen_register_program
 from .category import translate_register_program
@@ -81,12 +82,7 @@ def result_mangling_operator() -> GovernanceOperator:
 
     def make(h: Handler) -> GovernedHandler:
         def on_vis(d, cont, rec):
-            def after_check(approved):
-                if not approved:
-                    return spin()
-                return vis(Io(d), lambda x: rec(cont(mangle(x))))
-
-            return Vis(Gov(GovCheck(stage_of(d), d)), after_check)
+            return check_gate(d, lambda x: cont(mangle(x)), rec)
 
         return rewrap(h, on_vis)
 
@@ -102,14 +98,8 @@ def fingerprinting_operator() -> GovernanceOperator:
         token = tokens.setdefault(id(h), len(tokens))
 
         def on_vis(d, cont, rec):
-            stage = f"{stage_of(d)}#h{token}"
-
-            def after_check(approved):
-                if not approved:
-                    return spin()
-                return vis(Io(d), lambda x: rec(cont(x)))
-
-            return Vis(Gov(GovCheck(stage, d)), after_check)
+            gate = check_gate(d, cont, rec)
+            return Vis(Gov(GovCheck(f"{stage_of(d)}#h{token}", d)), gate.cont)
 
         return rewrap(h, on_vis)
 

@@ -37,6 +37,7 @@ from .directives import (
 from .governance import (
     PERMISSIVE,
     GovernancePolicy,
+    drive,
     govern,
     interpret_governed,
 )
@@ -295,23 +296,14 @@ def reference_register_run(p: RegisterProgram, fuel: int) -> "tuple[tuple, list]
 
 
 def register_tree_steps(p: RegisterProgram, fuel: int, drive_fuel: int) -> "list | None":
-    """The (pc, registers) log read off the translated tree by a direct
-    walk, or None if the walk did not complete."""
-    from .itree import skip_taus
-
-    tree = translate_register_program(p, fuel)
-    steps = []
-    while True:
-        node, drive_fuel, looped = skip_taus(tree, drive_fuel)
-        if node is None or looped:
-            return None
-        if type(node) is Ret:
-            return steps
-        if drive_fuel <= 0:
-            return None
-        drive_fuel -= 1
-        steps.append(parse_step_message(node.event.message))
-        tree = node.cont(None)
+    """The (pc, registers) log read off the translated tree by driving it
+    with unit answers, or None if the run did not complete."""
+    out = drive(
+        translate_register_program(p, fuel),
+        drive_fuel,
+        lambda d: (parse_step_message(d.message), ret(None)),
+    )
+    return list(out.trace) if out.completed else None
 
 
 def enumerate_register_programs(

@@ -18,7 +18,6 @@ import random
 
 from .category import DecJz, Halt, Inc, RegisterProgram
 from .directives import (
-    DIRECTIVE_TYPES,
     Broadcast,
     CallMachine,
     DBOp,
@@ -255,11 +254,6 @@ def gen_directive(rng: random.Random, tag: str | None = None) -> DirectiveEvent:
     if tag is None:
         tag = rng.choice(tuple(builders))
     return builders[tag]()
-
-
-EFFECTFUL_TAGS = tuple(
-    t.__name__ for t in DIRECTIVE_TYPES if t.__name__ not in ("RecordStep", "Observability")
-)
 
 
 def gen_trace_event(rng: random.Random):

@@ -8,6 +8,14 @@ divergence. Denial therefore never produces a wrong value, it produces
 no value, and the driver reports it operationally (a detected Tau
 self-loop, or fuel running out after a deny).
 
+``drive`` is the one driver loop: it runs a tree to its Ret, answering
+each event by a given rule (in the manner of the handler-parameterised
+``interp`` of Interaction Trees). Governance is only a tree
+transformation, so ``interpret_governed`` is ``drive`` over the
+governed image with the policy answering checks and the base handler
+answering I/O, and ``interpret_ungoverned`` is ``drive`` over the
+source tree with the base handler answering every directive.
+
 ``gov_safe_check`` is the bounded safety checker over governed trees:
 an I/O node is legal only under an approval flag that is set by a passing
 check and cleared again after every I/O node. Check events are explored
@@ -132,7 +140,11 @@ def rewrap(h: Handler, on_vis) -> GovernedHandler:
     return GovernedHandler(base=h, transform=transform)
 
 
-def _check_gate(d: DirectiveEvent, cont, rec):
+def check_gate(d: DirectiveEvent, cont, rec):
+    """The check-before-effect node for ``d``: a check event whose true
+    answer releases ``Io(d)`` and continues with ``rec(cont(answer))``,
+    and whose false answer diverges."""
+
     def after_check(approved: bool) -> ITree:
         if not approved:
             return spin()
@@ -149,7 +161,7 @@ def govern(h: Handler) -> GovernedHandler:
     continues the source continuation with the I/O answer, on false it
     diverges. Ret and Tau pass through.
     """
-    return rewrap(h, _check_gate)
+    return rewrap(h, check_gate)
 
 
 @dataclass(frozen=True)
@@ -163,11 +175,41 @@ class RunOutcome:
     denied: bool
 
 
-def _drive_answer_tree(t: ITree, fuel: Fuel) -> "tuple[bool, Any, Fuel]":
-    node, fuel, looped = skip_taus(t, fuel)
-    if node is None or looped or type(node) is not Ret:
-        return False, None, fuel
-    return True, node.value, fuel
+def drive(
+    t: ITree, fuel: Fuel, answer: Callable[[Any], "tuple[Any, ITree]"]
+) -> RunOutcome:
+    """Drive ``t`` to its Ret, answering each event with ``answer``.
+
+    ``answer(event)`` returns ``(entry, reply)``: ``reply`` is the answer
+    tree, driven on the same fuel down to its Ret, whose value the
+    continuation receives; ``entry`` is appended to the trace once that
+    answer has arrived. Every Tau and every event costs one fuel. The run
+    is incomplete if fuel runs out, a Tau self-loop is detected, or a
+    reply emits an event of its own; it is ``denied`` when it is
+    incomplete and its trace holds a failing check.
+    """
+    events: list = []
+    while True:
+        node, fuel, looped = skip_taus(t, fuel)
+        if node is None or looped:
+            break
+        if type(node) is Ret:
+            return RunOutcome(True, node.value, tuple(events), False)
+        if fuel <= 0:
+            break
+        fuel -= 1
+        entry, reply = answer(node.event)
+        reply, fuel, _ = skip_taus(reply, fuel)
+        if type(reply) is not Ret:
+            break
+        events.append(entry)
+        t = node.cont(reply.value)
+    denied = any(type(e) is GovEntry and not e.passed for e in events)
+    return RunOutcome(False, None, tuple(events), denied)
+
+
+# The two check answers: a forced tree never changes, so every run shares them.
+_VERDICTS = (ret(False), ret(True))
 
 
 def interpret_governed(
@@ -176,59 +218,28 @@ def interpret_governed(
     """Drive the governed image of ``t``, recording a trace.
 
     Check events are answered by the policy, I/O events by the base
-    handler. Every Tau, check, and I/O step costs one fuel. The run is
-    ``denied`` when it failed to complete after at least one denying
-    answer (divergence is detected early for the canonical spin loop).
+    handler; any other event is a ``TypeError``. A run that does not
+    complete after a denying answer is ``denied`` (divergence is detected
+    early for the canonical spin loop).
     """
-    tree = gh.transform(t)
-    events: list = []
-    deny_seen = False
-    while True:
-        node, fuel, looped = skip_taus(tree, fuel)
-        if node is None or looped:
-            break
-        if type(node) is Ret:
-            return RunOutcome(True, node.value, tuple(events), False)
-        ev = node.event
-        if fuel <= 0:
-            break
-        fuel -= 1
+
+    def answer(ev):
         if type(ev) is Gov:
-            answer = bool(policy.decide(ev.check.stage, ev.check.directive))
-            events.append(GovEntry(ev.check.stage, answer))
-            deny_seen = deny_seen or not answer
-            tree = node.cont(answer)
-        elif type(ev) is Io:
+            stage = ev.check.stage
+            allowed = bool(policy.decide(stage, ev.check.directive))
+            return GovEntry(stage, allowed), _VERDICTS[allowed]
+        if type(ev) is Io:
             d = ev.directive
-            ok, answer, fuel = _drive_answer_tree(gh.base(d), fuel)
-            if not ok:
-                break
-            events.append(IoEntry(encode_directive(d)))
-            tree = node.cont(answer)
-        else:
-            raise TypeError(f"not a governed event: {ev!r}")
-    return RunOutcome(False, None, tuple(events), deny_seen)
+            return IoEntry(encode_directive(d)), gh.base(d)
+        raise TypeError(f"not a governed event: {ev!r}")
+
+    return drive(gh.transform(t), fuel, answer)
 
 
 def interpret_ungoverned(h: Handler, t: ITree, fuel: Fuel) -> RunOutcome:
     """Drive a directive tree directly through the base handler, with no
     checks inserted; records only I/O entries."""
-    events: list = []
-    while True:
-        node, fuel, looped = skip_taus(t, fuel)
-        if node is None or looped:
-            return RunOutcome(False, None, tuple(events), False)
-        if type(node) is Ret:
-            return RunOutcome(True, node.value, tuple(events), False)
-        if fuel <= 0:
-            return RunOutcome(False, None, tuple(events), False)
-        fuel -= 1
-        d = node.event
-        ok, answer, fuel = _drive_answer_tree(h(d), fuel)
-        if not ok:
-            return RunOutcome(False, None, tuple(events), False)
-        events.append(IoEntry(encode_directive(d)))
-        t = node.cont(answer)
+    return drive(t, fuel, lambda d: (IoEntry(encode_directive(d)), h(d)))
 
 
 def gov_safe_check(

@@ -66,7 +66,7 @@ class ITree:
 
     ``step()`` forces and memoizes exactly one node. The constructor takes
     a thunk producing that node; use the module-level helpers (``ret``,
-    ``tau``, ``vis``, ``defer``) rather than calling this directly.
+    ``tau``, ``vis``) rather than calling this directly.
     """
 
     __slots__ = ("_thunk", "_node")
@@ -100,11 +100,6 @@ def tau(rest: ITree) -> ITree:
 
 def vis(event: Any, cont: Callable[[Any], ITree]) -> ITree:
     return _of_node(Vis(event, cont))
-
-
-def defer(thunk: Callable[[], ITree]) -> ITree:
-    """A tree equal to ``thunk()`` but not built until observed."""
-    return ITree(lambda: thunk().step())
 
 
 def spin() -> ITree:

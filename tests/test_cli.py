@@ -27,13 +27,15 @@ PROGRAMS = Path(__file__).resolve().parents[1] / "programs"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_module(*argv):
-    """``python -m govtree`` in a child process that imports this checkout."""
+def run_child(*argv):
+    """A Python child process that imports this checkout's govtree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "govtree", *argv], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def run_module(*argv):
+    return run_child("-m", "govtree", *argv)
 
 
 def run_cli(*argv):
@@ -243,3 +245,18 @@ def test_usage_error_has_its_own_exit_code():
     assert "Traceback" not in result.stderr
     assert result.stderr.splitlines()[-1].startswith("govtree check: error: ")
     assert result.stdout == ""
+
+
+def test_make_programs_writes_runnable_programs(tmp_path):
+    from govtree.program import parse_program
+
+    script = SRC.parent / "scripts" / "make_programs.py"
+    made = run_child(str(script), "--count", "5", "--seed", "1", "--out", str(tmp_path))
+    assert made.returncode == 0, made.stderr
+    files = sorted(tmp_path.glob("*.json"))
+    assert len(files) == 5
+    for path in files:
+        parse_program(path.read_text(encoding="utf-8"))
+        result = run_module("run", str(path))
+        assert result.returncode in (EXIT_OK, EXIT_DENIED, EXIT_FUEL), result.stderr
+        assert "Traceback" not in result.stderr

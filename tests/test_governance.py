@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from govtree.directives import (
     FileOp,
     LLMCall,
@@ -18,8 +20,10 @@ from govtree.governance import (
     PERMISSIVE,
     Gov,
     GovCheck,
+    GovernedHandler,
     Io,
     bare_io,
+    drive,
     gov_safe_check,
     govern,
     interpret_governed,
@@ -27,7 +31,7 @@ from govtree.governance import (
     policy_by_name,
     tag_filter,
 )
-from govtree.itree import Ret, Vis, bind, eutt_bounded, ret, spin, vis
+from govtree.itree import Ret, Vis, bind, eutt_bounded, ret, spin, tau, vis
 from govtree.program import compile_ast
 from govtree.trace import GovEntry, IoEntry
 
@@ -204,3 +208,66 @@ def test_goal_preservation_on_permissive_policy():
         plain = interpret_ungoverned(h, compile_ast(ast)(x), 100000)
         assert governed.completed and plain.completed
         assert governed.value == plain.value
+
+
+# The driver's edge cases, on a program that returns its one LLM answer.
+
+ONE_CALL = LLMCall("m", "p")
+CALL_PASSED = GovEntry("LLMCall", True)
+CALL_IO = IoEntry(encode_directive(ONE_CALL))
+
+
+def one_call():
+    return vis(ONE_CALL, ret)
+
+
+@pytest.mark.parametrize(
+    "fuel, completed, value, trace",
+    [(3, True, 7, (CALL_PASSED, CALL_IO)), (2, False, None, (CALL_PASSED,))],
+)
+def test_governed_answer_tree_taus_cost_fuel(fuel, completed, value, trace):
+    gh = govern(lambda d: tau(ret(7)))
+    out = interpret_governed(gh, PERMISSIVE, one_call(), fuel)
+    assert (out.completed, out.value, out.trace, out.denied) == (
+        completed, value, trace, False
+    )
+
+
+@pytest.mark.parametrize(
+    "reply", [spin, lambda: vis(ONE_CALL, ret)], ids=["spin", "vis"]
+)
+def test_answer_tree_that_never_returns_ends_the_run(reply):
+    gh = govern(lambda d: reply())
+    out = interpret_governed(gh, PERMISSIVE, one_call(), 1000)
+    assert not out.completed and not out.denied
+    assert out.trace == (CALL_PASSED,)
+
+
+@pytest.mark.parametrize(
+    "fuel, completed, trace", [(2, True, (CALL_IO,)), (1, False, ())]
+)
+def test_ungoverned_answer_tree_taus_cost_fuel(fuel, completed, trace):
+    out = interpret_ungoverned(lambda d: tau(ret(7)), one_call(), fuel)
+    assert (out.completed, out.trace, out.denied) == (completed, trace, False)
+
+
+def test_identity_transform_is_not_governed():
+    gh = GovernedHandler(base=mock_handler(0), transform=lambda t: t)
+    with pytest.raises(TypeError):
+        interpret_governed(gh, PERMISSIVE, one_call(), 1000)
+
+
+def test_denial_after_a_permitted_call():
+    tree = vis(ONE_CALL, lambda x: vis(FileOp("read", "/tmp/x"), ret))
+    gh = govern(mock_handler(0))
+    out = interpret_governed(gh, tag_filter(["LLMCall"]), tree, 1000)
+    assert out.denied and not out.completed
+    assert out.trace[-1] == GovEntry("FileOp", False)
+
+
+@pytest.mark.parametrize("passed", [True, False])
+def test_drive_reads_denial_off_the_trace(passed):
+    # an incomplete run is denied exactly when its trace holds a failing check
+    out = drive(vis("e", lambda x: spin()), 10, lambda e: (GovEntry(e, passed), ret(None)))
+    assert out.trace == (GovEntry("e", passed),)
+    assert not out.completed and out.denied is not passed
