@@ -6,18 +6,32 @@ per-run latency for a few program shapes under both interpreters, then
 a scaling table: ``seq`` pipelines of 500 to 4000 steps driven by
 ``interpret_ungoverned`` with a constant-answer handler (so the mock
 handler's hashing does not hide the tree's cost), with the ratio of each
-row's time to the previous row's. Linear growth reads about 2.0.
+row's time to the previous row's. Linear growth reads about 2.0. Last,
+a per-event table: microseconds per call of ``encode_directive`` and of
+``mock_answer`` on a unit-answered and on a record-answered directive,
+and microseconds per entry to build, format, parse and verify the ledger
+of a 2,000-event trace.
 
     PYTHONPATH=src python scripts/bench_overhead.py
 """
 
 import argparse
+import random
 import statistics
 import time
 
-from govtree.directives import ANSWER_TYPES, mock_handler
+from govtree.directives import (
+    ANSWER_TYPES,
+    LLMCall,
+    Observability,
+    encode_directive,
+    mock_answer,
+    mock_handler,
+)
+from govtree.gen import gen_trace
 from govtree.governance import PERMISSIVE, govern, interpret_governed, interpret_ungoverned
 from govtree.itree import ret
+from govtree.ledger import format_ledger, ledger_valid, parse_ledger, trace_to_ledger
 from govtree.program import compile_ast
 
 SHAPES = {
@@ -42,6 +56,10 @@ SHAPES = {
 SCALING_STEPS = (500, 1000, 2000, 4000)
 SCALING_REPEATS = 5
 
+PER_EVENT_CALLS = 20_000
+PER_EVENT_REPEATS = 5
+LEDGER_ENTRIES = 2_000
+
 
 def constant_handler():
     """Answers every directive with one fixed record per directive type."""
@@ -58,6 +76,36 @@ def bench(fn, iterations, warmup):
         fn(i)
         samples.append(time.perf_counter() - t0)
     return statistics.median(samples) * 1e6
+
+
+def per_call_us(fn, arg, calls):
+    """Median over repeats of the microseconds one call of ``fn(arg)`` takes,
+    timed in batches of ``calls`` calls."""
+    samples = []
+    for _ in range(PER_EVENT_REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn(arg)
+        samples.append((time.perf_counter() - t0) / calls)
+    return statistics.median(samples) * 1e6
+
+
+def per_event_rows():
+    """(label, unit, microseconds) for the per-event table."""
+    record = LLMCall("m1", "summarize: the quarterly report, part 7")
+    unit = Observability("pc=3;regs=1,0,2")
+    trace = gen_trace(random.Random(0), LEDGER_ENTRIES)
+    ledger = trace_to_ledger(trace)
+    text = format_ledger(ledger)
+    return [
+        ("encode_directive", "call", per_call_us(encode_directive, record, PER_EVENT_CALLS)),
+        ("mock_answer, unit", "call", per_call_us(lambda d: mock_answer(0, d), unit, PER_EVENT_CALLS)),
+        ("mock_answer, record", "call", per_call_us(lambda d: mock_answer(0, d), record, PER_EVENT_CALLS)),
+        ("ledger build", "entry", per_call_us(trace_to_ledger, trace, 1) / LEDGER_ENTRIES),
+        ("ledger format", "entry", per_call_us(format_ledger, ledger, 1) / LEDGER_ENTRIES),
+        ("ledger parse", "entry", per_call_us(parse_ledger, text, 1) / LEDGER_ENTRIES),
+        ("ledger verify", "entry", per_call_us(ledger_valid, ledger, 1) / LEDGER_ENTRIES),
+    ]
 
 
 def main():
@@ -93,6 +141,11 @@ def main():
         ratio = f"{ms / previous:>11.2f}" if previous else f"{'':>11}"
         print(f"{n:>10} {ms:>14.2f} {ratio}")
         previous = ms
+
+    print()
+    print(f"{'per event':<20} {'us':>8}")
+    for label, unit, us in per_event_rows():
+        print(f"{label:<20} {us:>8.2f}  per {unit}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,13 @@ This module also owns the canonical textual encoding used by traces,
 ledger entries, and seeded answer generation: ``TAG{field=value,...}``
 with fields in declaration order and no added whitespace. Delimiter
 characters and backslashes inside string values are backslash-escaped so
-the encoding stays injective.
+the encoding stays injective. The layout of each variant (its template
+and field names) is read once, from ``DIRECTIVE_TYPES``, at import.
+
+Mock answers and checker samples come from ``random.Random`` generators
+seeded with a SHA-256 digest of the seed and the directive's encoding.
+Unit-answered directives (``RecordStep``, ``Broadcast``, ``EmitEvent``,
+``Observability``) have the one answer ``None`` and draw nothing.
 """
 
 from __future__ import annotations
@@ -234,41 +240,46 @@ def capability_for_directive(d: DirectiveEvent) -> Capability | None:
     return _CAPABILITY_FOR[type(d)]
 
 
-_ESCAPES = {
-    "\\": "\\\\",
-    "{": "\\{",
-    "}": "\\}",
-    ",": "\\,",
-    "=": "\\=",
-    "\n": "\\n",
+# Per directive type: a ``TAG{name=%s,...}`` template with the fields in
+# declaration order, and the field names.
+_LAYOUTS: dict[type, tuple[str, tuple[str, ...]]] = {
+    t: (
+        t.__name__ + "{" + ",".join(f"{f.name}=%s" for f in fields(t)) + "}",
+        tuple(f.name for f in fields(t)),
+    )
+    for t in DIRECTIVE_TYPES
 }
 
 
-def _escape(s: str) -> str:
-    if not any(c in s for c in _ESCAPES):
-        return s
-    return "".join(_ESCAPES.get(c, c) for c in s)
-
-
 def encode_directive(d: DirectiveEvent) -> str:
-    """Canonical text form ``TAG{field=value,...}``; injective."""
-    parts = []
-    for f in fields(d):
-        v = getattr(d, f.name)
-        parts.append(f"{f.name}={_escape(v) if isinstance(v, str) else v}")
-    return f"{directive_tag(d)}{{{','.join(parts)}}}"
+    """Canonical text form ``TAG{field=value,...}``; injective.
+
+    Each string value is escaped character by character: a backslash goes
+    in front of ``\\``, ``{``, ``}``, ``,`` and ``=``, and a newline
+    becomes ``\\n``. Other values are written with ``format``.
+    """
+    template, names = _LAYOUTS[type(d)]
+    values = []
+    for name in names:
+        v = getattr(d, name)
+        if isinstance(v, str):
+            # Backslashes first, so that the ones added after stay single.
+            v = (v.replace("\\", "\\\\").replace("{", "\\{").replace("}", "\\}")
+                 .replace(",", "\\,").replace("=", "\\=").replace("\n", "\\n"))
+        else:
+            v = f"{v}"
+        values.append(v)
+    return template % tuple(values)
 
 
 def derive_rng(*parts) -> random.Random:
     """A deterministic RNG keyed by the given parts, stable across runs."""
-    key = "\x1f".join(str(p) for p in parts).encode("utf-8")
+    key = "\x1f".join(map(str, parts)).encode("utf-8")
     seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
     return random.Random(seed)
 
 
-def _make_answer(rng: random.Random, answer_type: type | None):
-    if answer_type is None:
-        return None
+def _make_answer(rng: random.Random, answer_type: type):
     return answer_type(
         status=rng.randrange(100, 600),
         content=f"{answer_type.__name__.lower()}-{rng.randrange(1_000_000)}",
@@ -276,10 +287,16 @@ def _make_answer(rng: random.Random, answer_type: type | None):
 
 
 def mock_answer(seed: int, d: DirectiveEvent):
-    """The deterministic answer a seeded mock environment gives ``d``."""
-    return _make_answer(
-        derive_rng("mock", seed, encode_directive(d)), ANSWER_TYPES[type(d)]
-    )
+    """The deterministic answer a seeded mock environment gives ``d``.
+
+    Unit-answered directives answer ``None`` without encoding ``d`` or
+    drawing from a generator; the others draw from ``derive_rng`` keyed by
+    the seed and the canonical encoding of ``d``.
+    """
+    answer_type = ANSWER_TYPES[type(d)]
+    if answer_type is None:
+        return None
+    return _make_answer(derive_rng("mock", seed, encode_directive(d)), answer_type)
 
 
 Handler = Callable[[DirectiveEvent], ITree]

@@ -1,9 +1,12 @@
 """Hash-chained, tamper-evident ledger over trace events.
 
-Every trace event has an injective byte encoding (one type byte, then
-length-prefixed UTF-8 fields in fixed order). A ledger entry stores the
-event, its encoding, the previous entry's hash, and
-``sha256(prev_hash || data)``. The chain is rooted at 32 zero bytes.
+Every trace event has an injective byte encoding: one type byte (1 for a
+governance check, 2 for an I/O entry), the big-endian 4-byte length of
+the UTF-8 text field, the text (stage or canonical directive), and for a
+check one more byte, 1 if it passed and 0 if not. A ledger entry is an
+immutable ``NamedTuple`` of the event, its encoding, the previous
+entry's hash, and ``sha256(prev_hash || data)``. The chain is rooted at
+32 zero bytes.
 
 An entry is well formed when its stored data matches its event's
 encoding and its stored hash satisfies the hash equation; a ledger is
@@ -13,16 +16,19 @@ up to SHA-256 collisions, which the tamper checker treats as unreachable
 at this scale.
 
 File format (UTF-8, LF): header line ``GOVLEDGER v1 sha256``, then one
-line per entry: ``hex(prev_hash) hex(hash) base64(data)``.
+line per entry: ``hex(prev_hash) hex(hash) base64(data)``. The base64
+field is read in strict mode, so a non-ASCII or non-base64 character or
+misplaced padding is a ``ValueError``, as is a hex field that is not
+hex or has odd length.
 """
 
 from __future__ import annotations
 
-import base64
-import hashlib
+import binascii
 import struct
 from dataclasses import dataclass
-from typing import Iterable
+from hashlib import sha256
+from typing import Iterable, NamedTuple
 
 from .trace import GovEntry, IoEntry, Trace, TraceEvent
 
@@ -30,47 +36,44 @@ GENESIS_HASH = bytes(32)
 
 _TYPE_GOV = 0x01
 _TYPE_IO = 0x02
-
-
-def _field(data: str) -> bytes:
-    raw = data.encode("utf-8")
-    return struct.pack(">I", len(raw)) + raw
+_HEAD = struct.Struct(">BI")  # type byte, UTF-8 length of the text field
 
 
 def encode_event(ev: TraceEvent) -> bytes:
     if type(ev) is GovEntry:
-        return bytes([_TYPE_GOV]) + _field(ev.stage) + bytes([1 if ev.passed else 0])
+        raw = ev.stage.encode("utf-8")
+        return _HEAD.pack(_TYPE_GOV, len(raw)) + raw + (b"\x01" if ev.passed else b"\x00")
     if type(ev) is IoEntry:
-        return bytes([_TYPE_IO]) + _field(ev.directive)
+        raw = ev.directive.encode("utf-8")
+        return _HEAD.pack(_TYPE_IO, len(raw)) + raw
     raise TypeError(f"not a trace event: {ev!r}")
 
 
 def decode_event(data: bytes) -> TraceEvent:
     if len(data) < 5:
         raise ValueError("truncated event data")
-    kind = data[0]
-    (n,) = struct.unpack(">I", data[1:5])
-    text = data[5:5 + n].decode("utf-8")
-    if len(data[5:5 + n]) != n:
+    kind, n = _HEAD.unpack_from(data)
+    end = 5 + n
+    raw = data[5:end]
+    text = raw.decode("utf-8")
+    if len(raw) != n:
         raise ValueError("truncated event field")
-    rest = data[5 + n:]
-    if kind == _TYPE_GOV:
-        if len(rest) != 1 or rest[0] not in (0, 1):
-            raise ValueError("malformed governance entry")
-        return GovEntry(text, rest[0] == 1)
     if kind == _TYPE_IO:
-        if rest:
+        if len(data) != end:
             raise ValueError("trailing bytes after io entry")
         return IoEntry(text)
+    if kind == _TYPE_GOV:
+        if len(data) != end + 1 or data[end] > 1:
+            raise ValueError("malformed governance entry")
+        return GovEntry(text, data[end] == 1)
     raise ValueError(f"unknown event type byte {kind:#x}")
 
 
 def entry_hash(prev_hash: bytes, data: bytes) -> bytes:
-    return hashlib.sha256(prev_hash + data).digest()
+    return sha256(prev_hash + data).digest()
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     event: TraceEvent
     data: bytes
     prev_hash: bytes
@@ -161,7 +164,7 @@ def format_ledger(ledger: Ledger) -> str:
     for e in ledger.entries:
         lines.append(
             f"{e.prev_hash.hex()} {e.hash.hex()} "
-            f"{base64.b64encode(e.data).decode('ascii')}"
+            f"{binascii.b2a_base64(e.data, newline=False).decode('ascii')}"
         )
     return "".join(line + "\n" for line in lines)
 
@@ -179,6 +182,6 @@ def parse_ledger(text: str) -> Ledger:
             raise ValueError(f"line {line_no}: malformed ledger entry")
         prev_hash = bytes.fromhex(parts[0])
         h = bytes.fromhex(parts[1])
-        data = base64.b64decode(parts[2], validate=True)
+        data = binascii.a2b_base64(parts[2], strict_mode=True)
         entries.append(LedgerEntry(decode_event(data), data, prev_hash, h))
     return Ledger(tuple(entries))

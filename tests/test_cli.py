@@ -111,6 +111,24 @@ def test_verify_rejects_garbage_file(tmp_path, capsys):
     assert run_cli("verify", str(bad)) == EXIT_FAIL
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda fields: [fields[0], fields[1], fields[2] + "é"],  # non-ASCII base64
+    lambda fields: [fields[0], fields[1], "*" + fields[2][1:]],  # not base64
+    lambda fields: [fields[0][:-1], fields[1], fields[2]],  # odd-length hex
+])
+def test_verify_malformed_entry_is_one_line(tmp_path, corrupt):
+    ledger_file = tmp_path / "m.ledger"
+    run_cli("run", str(PROGRAMS / "llm_pipeline.json"), "--ledger-out", str(ledger_file))
+    lines = ledger_file.read_text(encoding="utf-8").splitlines()
+    lines[1] = " ".join(corrupt(lines[1].split(" ")))
+    ledger_file.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    result = run_module("verify", str(ledger_file))
+    assert result.returncode == EXIT_FAIL
+    assert result.stdout == ""
+    stderr = result.stderr.splitlines()
+    assert len(stderr) == 1 and stderr[0].startswith("invalid ledger file: ")
+
+
 def test_check_safety_and_caps(capsys):
     assert run_cli("check", str(PROGRAMS / "llm_pipeline.json")) == EXIT_OK
     assert "safety: holds" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import hypothesis.strategies as st
 from hypothesis import given
@@ -145,3 +146,138 @@ def test_sampler_unit_answer_is_single_none():
     s = ResponseSampler(seed=0)
     assert s.answers(Observability("x")) == (None,)
     assert len(s.answers(LLMCall("m", "p"))) == 2
+
+
+# Every string field holds each escaped character and some non-ASCII text.
+NASTY = "a\\b{c}d,e=f\ng é→𝄞"
+
+
+def nasty_directives():
+    return [
+        t(*[f"{f.name}{i}:{NASTY}" for f in fields(t)]) for i, t in enumerate(DIRECTIVE_TYPES)
+    ]
+
+
+# Recorded from the implementation that encoded every directive and seeded
+# a generator for every answer: per variant, encode_directive(d),
+# mock_answer(11, d) and ResponseSampler(seed=3).answers(d), with each
+# answer record written as (status, content).
+PINNED = {
+    'LLMCall': (
+        'LLMCall{model=model0:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,prompt=prompt0:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
+        (405, 'llmresponse-58605'),
+        ((214, 'llmresponse-483583'), (509, 'llmresponse-914336')),
+    ),
+    'HTTPRequest': (
+        'HTTPRequest{method=method1:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,url=url1:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,body=body1:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
+        (471, 'httpresponse-576290'),
+        ((449, 'httpresponse-520776'), (260, 'httpresponse-410000')),
+    ),
+    'FileOp': (
+        'FileOp{op=op2:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,path=path2:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
+        (151, 'fileresult-29954'),
+        ((279, 'fileresult-56508'), (308, 'fileresult-91975')),
+    ),
+    'CallMachine': (
+        'CallMachine{machine=machine3:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,payload=payload3:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
+        (318, 'callmachineresult-879154'),
+        ((299, 'callmachineresult-839187'), (510, 'callmachineresult-48782')),
+    ),
+    'MemoryOp': (
+        'MemoryOp{op=op4:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,key=key4:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,value=value4:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
+        (280, 'memoryresult-59548'),
+        ((479, 'memoryresult-386206'), (598, 'memoryresult-34871')),
+    ),
+    'DBOp': (
+        'DBOp{query=query5:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
+        (241, 'dbresult-735788'),
+        ((386, 'dbresult-840224'), (158, 'dbresult-777388')),
+    ),
+    'ExecOp': (
+        'ExecOp{command=command6:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
+        (587, 'execresult-283430'),
+        ((247, 'execresult-453447'), (117, 'execresult-393746')),
+    ),
+    'RecordStep': (
+        'RecordStep{step=step7:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
+        None,
+        (None,),
+    ),
+    'Broadcast': (
+        'Broadcast{channel=channel8:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,message=message8:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
+        None,
+        (None,),
+    ),
+    'EmitEvent': (
+        'EmitEvent{name=name9:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,payload=payload9:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
+        None,
+        (None,),
+    ),
+    'GraphQLRequest': (
+        'GraphQLRequest{endpoint=endpoint10:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,query=query10:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
+        (305, 'httpresponse-708240'),
+        ((300, 'httpresponse-948902'), (111, 'httpresponse-767028')),
+    ),
+    'WebSocketOp': (
+        'WebSocketOp{op=op11:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,url=url11:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,message=message11:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
+        (214, 'websocketresult-409725'),
+        ((181, 'websocketresult-895031'), (572, 'websocketresult-380150')),
+    ),
+    'MCPCall': (
+        'MCPCall{server=server12:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,method=method12:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
+        (103, 'callmachineresult-487924'),
+        ((101, 'callmachineresult-777639'), (396, 'callmachineresult-866524')),
+    ),
+    'Observability': (
+        'Observability{message=message13:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
+        None,
+        (None,),
+    ),
+}
+
+
+def as_pair(answer):
+    return None if answer is None else (answer.status, answer.content)
+
+
+def test_answer_stream_is_pinned():
+    sampler = ResponseSampler(seed=3)
+    for d in nasty_directives():
+        encoding, mock, samples = PINNED[directive_tag(d)]
+        assert encode_directive(d) == encoding
+        answer = mock_answer(11, d)
+        assert as_pair(answer) == mock
+        assert tuple(as_pair(a) for a in sampler.answers(d)) == samples
+        if mock is not None:
+            assert type(answer) is ANSWER_TYPES[type(d)]
+
+
+def reference_encoding(d) -> str:
+    """The documented encoding, one character at a time."""
+    escapes = {"\\": "\\\\", "{": "\\{", "}": "\\}", ",": "\\,", "=": "\\=", "\n": "\\n"}
+    parts = []
+    for f in fields(d):
+        value = getattr(d, f.name)
+        parts.append(f.name + "=" + "".join(escapes.get(c, c) for c in value))
+    return type(d).__name__ + "{" + ",".join(parts) + "}"
+
+
+# Any text, or short text over the escaped characters, where collisions
+# between distinct directives would show.
+FIELD_TEXT = st.text() | st.text(alphabet="\\{},=\nn", max_size=4)
+
+
+@st.composite
+def unicode_directives(draw):
+    t = draw(st.sampled_from(DIRECTIVE_TYPES))
+    return t(*[draw(FIELD_TEXT) for _ in fields(t)])
+
+
+@given(unicode_directives())
+def test_encoding_is_the_documented_escape(d):
+    assert encode_directive(d) == reference_encoding(d)
+
+
+@given(unicode_directives(), unicode_directives())
+def test_encoding_injective_over_unicode(d1, d2):
+    assert (encode_directive(d1) == encode_directive(d2)) == (d1 == d2)

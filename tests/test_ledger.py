@@ -49,6 +49,8 @@ def test_decode_rejects_malformed():
         decode_event(b"\x07\x00\x00\x00\x01x")
     with pytest.raises(ValueError):
         decode_event(encode_event(GovEntry("s", True)) + b"junk")
+    with pytest.raises(ValueError):
+        decode_event(encode_event(IoEntry("DBOp{query=q}"))[:-1])
 
 
 def test_empty_trace_gives_valid_empty_ledger():
@@ -152,3 +154,40 @@ def test_well_governed_traces_produce_valid_ledgers():
         )
         assert well_governed(out.trace)
         assert ledger_valid(trace_to_ledger(out.trace)) == (True, None)
+
+
+trace_events = st.one_of(
+    st.builds(GovEntry, st.text(), st.booleans()),
+    st.builds(IoEntry, st.text()),
+)
+
+
+@given(trace_events)
+def test_encode_decode_round_trip_over_unicode(ev):
+    assert decode_event(encode_event(ev)) == ev
+
+
+@given(st.lists(trace_events, max_size=12))
+def test_file_format_round_trip_over_unicode(events):
+    ledger = trace_to_ledger(events)
+    assert parse_ledger(format_ledger(ledger)) == ledger
+    assert ledger_valid(ledger) == (True, None)
+
+
+def one_entry_ledger_text():
+    return format_ledger(trace_to_ledger((IoEntry("DBOp{query=q}"),)))
+
+
+@pytest.mark.parametrize("column, corrupt", [
+    (2, lambda data: data + "é"),  # non-ASCII in the base64 field
+    (2, lambda data: data[:4] + "*" + data[4:]),  # not a base64 digit
+    (2, lambda data: data[:-1]),  # an incomplete quad
+    (0, lambda hex_hash: hex_hash[:-1]),  # odd-length hex
+    (1, lambda hex_hash: "zz" + hex_hash[2:]),  # not a hex digit
+])
+def test_parse_rejects_malformed_fields(column, corrupt):
+    header, line = one_entry_ledger_text().splitlines()
+    fields = line.split(" ")
+    fields[column] = corrupt(fields[column])
+    with pytest.raises(ValueError):
+        parse_ledger(f"{header}\n{' '.join(fields)}\n")
