@@ -7,15 +7,20 @@ a scaling table: ``seq`` pipelines of 500 to 4000 steps driven by
 ``interpret_ungoverned`` with a constant-answer handler (so the mock
 handler's hashing does not hide the tree's cost), with the ratio of each
 row's time to the previous row's. Linear growth reads about 2.0. Last,
-a per-event table: microseconds per call of ``encode_directive`` and of
+a per-event table: microseconds per call of ``encode_directive``, of
 ``mock_answer`` on a unit-answered and on a record-answered directive,
-and microseconds per entry to build, format, parse and verify the ledger
-of a 2,000-event trace.
+and of ``ResponseSampler.answers`` on a record-answered directive cold
+(a new sampler each call) and warm (one the directive has already been
+through), and microseconds per entry to build, format, parse and verify
+the ledger of a 2,000-event trace. The directive rows alternate between
+two equal directive objects, so ``encode_directive``'s cache of the last
+directive it encoded never answers for them.
 
     PYTHONPATH=src python scripts/bench_overhead.py
 """
 
 import argparse
+import itertools
 import random
 import statistics
 import time
@@ -24,6 +29,7 @@ from govtree.directives import (
     ANSWER_TYPES,
     LLMCall,
     Observability,
+    ResponseSampler,
     encode_directive,
     mock_answer,
     mock_handler,
@@ -78,13 +84,13 @@ def bench(fn, iterations, warmup):
     return statistics.median(samples) * 1e6
 
 
-def per_call_us(fn, arg, calls):
-    """Median over repeats of the microseconds one call of ``fn(arg)`` takes,
-    timed in batches of ``calls`` calls."""
+def per_call_us(fn, args, calls):
+    """Median over repeats of the microseconds one call of ``fn`` takes,
+    timed in batches of ``calls`` calls on the items of ``args`` in turn."""
     samples = []
     for _ in range(PER_EVENT_REPEATS):
         t0 = time.perf_counter()
-        for _ in range(calls):
+        for _, arg in zip(range(calls), itertools.cycle(args)):
             fn(arg)
         samples.append((time.perf_counter() - t0) / calls)
     return statistics.median(samples) * 1e6
@@ -92,19 +98,24 @@ def per_call_us(fn, arg, calls):
 
 def per_event_rows():
     """(label, unit, microseconds) for the per-event table."""
-    record = LLMCall("m1", "summarize: the quarterly report, part 7")
-    unit = Observability("pc=3;regs=1,0,2")
+    prompt = "summarize: the quarterly report, part 7"
+    records = (LLMCall("m1", prompt), LLMCall("m1", prompt))
+    units = (Observability("pc=3;regs=1,0,2"), Observability("pc=3;regs=1,0,2"))
+    warm = ResponseSampler()
+    warm.answers(records[0])
     trace = gen_trace(random.Random(0), LEDGER_ENTRIES)
     ledger = trace_to_ledger(trace)
     text = format_ledger(ledger)
     return [
-        ("encode_directive", "call", per_call_us(encode_directive, record, PER_EVENT_CALLS)),
-        ("mock_answer, unit", "call", per_call_us(lambda d: mock_answer(0, d), unit, PER_EVENT_CALLS)),
-        ("mock_answer, record", "call", per_call_us(lambda d: mock_answer(0, d), record, PER_EVENT_CALLS)),
-        ("ledger build", "entry", per_call_us(trace_to_ledger, trace, 1) / LEDGER_ENTRIES),
-        ("ledger format", "entry", per_call_us(format_ledger, ledger, 1) / LEDGER_ENTRIES),
-        ("ledger parse", "entry", per_call_us(parse_ledger, text, 1) / LEDGER_ENTRIES),
-        ("ledger verify", "entry", per_call_us(ledger_valid, ledger, 1) / LEDGER_ENTRIES),
+        ("encode_directive", "call", per_call_us(encode_directive, records, PER_EVENT_CALLS)),
+        ("mock_answer, unit", "call", per_call_us(lambda d: mock_answer(0, d), units, PER_EVENT_CALLS)),
+        ("mock_answer, record", "call", per_call_us(lambda d: mock_answer(0, d), records, PER_EVENT_CALLS)),
+        ("sampler, cold", "call", per_call_us(lambda d: ResponseSampler().answers(d), records, PER_EVENT_CALLS)),
+        ("sampler, warm", "call", per_call_us(warm.answers, records, PER_EVENT_CALLS)),
+        ("ledger build", "entry", per_call_us(trace_to_ledger, (trace,), 1) / LEDGER_ENTRIES),
+        ("ledger format", "entry", per_call_us(format_ledger, (ledger,), 1) / LEDGER_ENTRIES),
+        ("ledger parse", "entry", per_call_us(parse_ledger, (text,), 1) / LEDGER_ENTRIES),
+        ("ledger verify", "entry", per_call_us(ledger_valid, (ledger,), 1) / LEDGER_ENTRIES),
     ]
 
 

@@ -202,7 +202,8 @@ def _input_error(e: Exception) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as f:
+    # newline="" keeps line endings as they are, so a CRLF ledger is refused
+    with open(path, "r", encoding="utf-8", newline="") as f:
         return f.read()
 
 

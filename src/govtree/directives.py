@@ -16,14 +16,16 @@ and field names) is read once, from ``DIRECTIVE_TYPES``, at import.
 Mock answers and checker samples come from ``random.Random`` generators
 seeded with a SHA-256 digest of the seed and the directive's encoding.
 Unit-answered directives (``RecordStep``, ``Broadcast``, ``EmitEvent``,
-``Observability``) have the one answer ``None`` and draw nothing.
+``Observability``) have the one answer ``None`` and draw nothing. A
+``ResponseSampler`` draws each directive's samples once and keeps them in
+a bounded table keyed by the directive's encoding.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Union
 
@@ -251,13 +253,31 @@ _LAYOUTS: dict[type, tuple[str, tuple[str, ...]]] = {
 }
 
 
+# The last directive encoded and its encoding, as one tuple so that
+# concurrent callers never pair one directive with another's encoding. A
+# governed step encodes its directive for the trace and then again for the
+# mock answer; directives are frozen, so one object has one encoding.
+_last_encoded: tuple = (object(), "")
+
+
 def encode_directive(d: DirectiveEvent) -> str:
     """Canonical text form ``TAG{field=value,...}``; injective.
 
     Each string value is escaped character by character: a backslash goes
     in front of ``\\``, ``{``, ``}``, ``,`` and ``=``, and a newline
-    becomes ``\\n``. Other values are written with ``format``.
+    becomes ``\\n``. Other values are written with ``format``. Encoding
+    the directive object just encoded again returns the same string.
     """
+    global _last_encoded
+    last = _last_encoded
+    if last[0] is d:
+        return last[1]
+    enc = _encode(d)
+    _last_encoded = (d, enc)
+    return enc
+
+
+def _encode(d: DirectiveEvent) -> str:
     template, names = _LAYOUTS[type(d)]
     values = []
     for name in names:
@@ -311,6 +331,11 @@ def mock_handler(seed: int) -> Handler:
     return lambda d: ret(mock_answer(seed, d))
 
 
+# Entries a sampler's answer table holds before it is cleared: one sampler
+# may serve a whole campaign, so the table must stay bounded.
+SAMPLER_TABLE_SIZE = 4096
+
+
 @dataclass(frozen=True)
 class ResponseSampler:
     """Finite, deterministic answer sampling for directive events.
@@ -318,17 +343,32 @@ class ResponseSampler:
     Unit-answered directives have exactly one answer. Record-answered
     directives get ``samples_per_event`` distinct seeded samples. Used by
     bounded checkers wherever a property quantifies over all answers.
+
+    The checkers ask for the answers of the same directive many times, so
+    each sampler keeps a table from a directive's canonical encoding to
+    its answers, cleared whenever it reaches ``SAMPLER_TABLE_SIZE``
+    entries. The key is the encoding, not the directive, because
+    directive equality takes ``1 == True`` while the encoding, and so the
+    answer stream, tells them apart. The table takes no part in equality,
+    hashing or ``repr``.
     """
 
     seed: int = 0
     samples_per_event: int = 2
+    _table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def answers(self, event: DirectiveEvent) -> tuple:
         answer_type = ANSWER_TYPES[type(event)]
         if answer_type is None:
             return (None,)
         enc = encode_directive(event)
-        return tuple(
-            _make_answer(derive_rng("sample", self.seed, i, enc), answer_type)
-            for i in range(self.samples_per_event)
-        )
+        table = self._table
+        found = table.get(enc)
+        if found is None:
+            if len(table) >= SAMPLER_TABLE_SIZE:
+                table.clear()
+            found = table[enc] = tuple(
+                _make_answer(derive_rng("sample", self.seed, i, enc), answer_type)
+                for i in range(self.samples_per_event)
+            )
+        return found

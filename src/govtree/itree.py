@@ -251,8 +251,12 @@ class BoundedVerdict:
         return "holds"
 
 
+# Verdicts are frozen, so every ``holds`` can be this one.
+_HOLDS = BoundedVerdict(HOLDS)
+
+
 def holds() -> BoundedVerdict:
-    return BoundedVerdict(HOLDS)
+    return _HOLDS
 
 
 def fails(witness: Sequence[str]) -> BoundedVerdict:
@@ -271,7 +275,7 @@ def combine_verdicts(verdicts) -> BoundedVerdict:
             return v
         if v.is_unknown and pending is None:
             pending = v
-    return pending if pending is not None else holds()
+    return pending if pending is not None else _HOLDS
 
 
 def explore(root, fuel: Fuel, expand) -> BoundedVerdict:
@@ -306,7 +310,7 @@ def explore(root, fuel: Fuel, expand) -> BoundedVerdict:
             return fails(tuple(labels) + out.witness)
         elif out.status == UNKNOWN and pending is None:
             pending = out
-    return pending if pending is not None else holds()
+    return pending if pending is not None else _HOLDS
 
 
 def eutt_bounded(t1: ITree, t2: ITree, fuel: Fuel, sampler) -> BoundedVerdict:

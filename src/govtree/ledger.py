@@ -16,7 +16,8 @@ up to SHA-256 collisions, which the tamper checker treats as unreachable
 at this scale.
 
 File format (UTF-8, LF): header line ``GOVLEDGER v1 sha256``, then one
-line per entry: ``hex(prev_hash) hex(hash) base64(data)``. The base64
+line per entry: ``hex(prev_hash) hex(hash) base64(data)``. Lines are
+split on LF alone, so a CRLF file is a ``ValueError``. The base64
 field is read in strict mode, so a non-ASCII or non-base64 character or
 misplaced padding is a ``ValueError``, as is a hex field that is not
 hex or has odd length.
@@ -170,8 +171,8 @@ def format_ledger(ledger: Ledger) -> str:
 
 
 def parse_ledger(text: str) -> Ledger:
-    lines = text.splitlines()
-    if not lines or lines[0] != LEDGER_HEADER:
+    lines = text.split("\n")
+    if lines[0] != LEDGER_HEADER:
         raise ValueError("missing ledger header")
     entries = []
     for line_no, line in enumerate(lines[1:], 2):

@@ -129,6 +129,19 @@ def test_verify_malformed_entry_is_one_line(tmp_path, corrupt):
     assert len(stderr) == 1 and stderr[0].startswith("invalid ledger file: ")
 
 
+def test_verify_rejects_crlf_ledger(tmp_path):
+    # the format is LF-only; a CRLF copy of a good ledger is not a ledger
+    ledger_file = tmp_path / "crlf.ledger"
+    run_cli("run", str(PROGRAMS / "llm_pipeline.json"), "--ledger-out", str(ledger_file))
+    text = ledger_file.read_text(encoding="utf-8")
+    ledger_file.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    result = run_module("verify", str(ledger_file))
+    assert result.returncode == EXIT_FAIL
+    assert result.stdout == ""
+    stderr = result.stderr.splitlines()
+    assert len(stderr) == 1 and stderr[0].startswith("invalid ledger file: ")
+
+
 def test_check_safety_and_caps(capsys):
     assert run_cli("check", str(PROGRAMS / "llm_pipeline.json")) == EXIT_OK
     assert "safety: holds" in capsys.readouterr().out

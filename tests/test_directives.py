@@ -13,6 +13,7 @@ from govtree.directives import (
     MCPCall,
     Observability,
     RecordStep,
+    SAMPLER_TABLE_SIZE,
     ResponseSampler,
     capability_for_directive,
     directive_tag,
@@ -281,3 +282,52 @@ def test_encoding_is_the_documented_escape(d):
 @given(unicode_directives(), unicode_directives())
 def test_encoding_injective_over_unicode(d1, d2):
     assert (encode_directive(d1) == encode_directive(d2)) == (d1 == d2)
+
+
+# A sampler shared by every example below, so that most of its answers
+# come from its table.
+WARM = ResponseSampler(seed=3)
+
+
+@given(unicode_directives())
+def test_warm_sampler_answers_as_a_fresh_one(d):
+    assert WARM.answers(d) == ResponseSampler(seed=3).answers(d)
+    assert WARM.answers(d) == ResponseSampler(seed=3).answers(d)
+
+
+def test_warm_sampler_keeps_the_pinned_stream():
+    sampler = ResponseSampler(seed=3)
+    for _ in range(2):
+        for d in nasty_directives():
+            samples = PINNED[directive_tag(d)][2]
+            assert tuple(as_pair(a) for a in sampler.answers(d)) == samples
+
+
+def test_sampler_table_is_keyed_on_the_encoding():
+    # equal directives with different encodings keep their own answers
+    one, true = LLMCall(1, "p"), LLMCall(True, "p")
+    assert one == true and encode_directive(one) != encode_directive(true)
+    sampler = ResponseSampler(seed=3)
+    assert sampler.answers(one) == ResponseSampler(seed=3).answers(one)
+    assert sampler.answers(true) == ResponseSampler(seed=3).answers(true)
+    assert sampler.answers(one) != sampler.answers(true)
+
+
+def test_sampler_table_is_not_part_of_its_identity():
+    fresh, warm = ResponseSampler(seed=3), ResponseSampler(seed=3)
+    for d in sample_directives():
+        warm.answers(d)
+    assert warm._table
+    assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+    assert repr(warm) == "ResponseSampler(seed=3, samples_per_event=2)"
+    assert warm != ResponseSampler(seed=4)
+
+
+def test_sampler_table_stays_bounded():
+    sampler = ResponseSampler(seed=5)
+    directives = [LLMCall("m", f"p{i}") for i in range(SAMPLER_TABLE_SIZE + 100)]
+    for d in directives:
+        sampler.answers(d)
+        assert len(sampler._table) <= SAMPLER_TABLE_SIZE
+    for d in directives[::97]:
+        assert sampler.answers(d) == ResponseSampler(seed=5).answers(d)

@@ -190,3 +190,25 @@ EXPECTED = {
 @pytest.mark.parametrize("fuel", sorted(EXPECTED))
 def test_campaign_verdicts_pinned(fuel):
     assert campaign(fuel) == EXPECTED[fuel]
+
+
+def test_shared_sampler_gives_the_verdicts_of_fresh_ones():
+    # one sampler's answer table serving 3,000 programs changes no verdict
+    rng = random.Random(23)
+    shared = ResponseSampler(seed=23)
+    for i in range(3000):
+        ast = gen_program_ast(rng, force_effectful=True, allow_register=True)
+        x = gen_input(rng)
+        h = mock_handler(rng.randrange(2**32))
+        m = compile_ast(ast)
+        checks = (
+            lambda s: gov_safe_check(govern(h).transform(m(x)), False, 4096, s),
+            lambda s: gov_safe_check(
+                no_check_operator().transform(h).transform(m(x)), False, 4096, s
+            ),
+            lambda s: within_caps_check(ast_caps(ast), m(x), 4096, s),
+            lambda s: eutt_bounded(m(x), bind(m(x), ret), 4096, s),
+        )
+        for check in checks:
+            v, w = check(shared), check(ResponseSampler(seed=23))
+            assert (v.status, v.witness, v.reason) == (w.status, w.witness, w.reason), i

@@ -271,3 +271,23 @@ def test_drive_reads_denial_off_the_trace(passed):
     out = drive(vis("e", lambda x: spin()), 10, lambda e: (GovEntry(e, passed), ret(None)))
     assert out.trace == (GovEntry("e", passed),)
     assert not out.completed and out.denied is not passed
+
+
+def test_governed_step_encodes_its_directive_once(monkeypatch):
+    import govtree.directives as directives
+
+    encoded = []
+    real = directives._encode
+    monkeypatch.setattr(directives, "_encode", lambda d: encoded.append(d) or real(d))
+    pipeline = compile_ast({"kind": "seq", "steps": [
+        {"kind": "reason", "model": "m", "prompt": {"op": "input"},
+         "extract": {"op": "fst", "args": [{"op": "input"}]}},
+        {"kind": "memory", "mop": "put", "key": {"op": "str", "value": "k"},
+         "value": {"op": "input"}, "extract": {"op": "fst", "args": [{"op": "input"}]}},
+        {"kind": "call", "machine": "calc", "payload": {"op": "input"},
+         "extract": {"op": "fst", "args": [{"op": "input"}]}},
+    ]})
+    out = interpret_governed(govern(mock_handler(0)), PERMISSIVE, pipeline("x"), 100)
+    assert out.completed
+    assert [type(d).__name__ for d in encoded] == ["LLMCall", "MemoryOp", "CallMachine"]
+    assert [e.directive for e in out.trace if type(e) is IoEntry] == [real(d) for d in encoded]

@@ -1,5 +1,6 @@
 """Program file parsing, the expression language, and compilation."""
 
+import itertools
 import random
 
 import pytest
@@ -130,6 +131,40 @@ def test_serialize_round_trip():
         text = serialize_program(program)
         again = parse_program(text)
         assert again == program
+
+
+# Program values: ints, booleans, null, any Unicode text, and pairs of them.
+VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.tuples(inner, inner),
+    max_leaves=6,
+)
+
+
+def with_texts(ast, texts):
+    """``ast`` with each model, memory op, machine and string literal
+    replaced by the next of ``texts``, in a fixed walk order."""
+    if isinstance(ast, list):
+        return [with_texts(a, texts) for a in ast]
+    if not isinstance(ast, dict):
+        return ast
+    out = {k: with_texts(v, texts) for k, v in ast.items()}
+    for key in ("model", "mop", "machine"):
+        if key in out:
+            out[key] = next(texts)
+    if out.get("op") == "str":
+        out["value"] = next(texts)
+    return out
+
+
+@given(st.integers(0, 2**32 - 1), VALUES, st.lists(st.text(), min_size=1))
+def test_serialize_round_trip_over_unicode(seed, input_value, texts):
+    ast = gen_program_ast(random.Random(seed), allow_register=True)
+    program = Program(input_value, with_texts(ast, itertools.cycle(texts)))
+    text = serialize_program(program)
+    again = parse_program(text)
+    # the text comparison also tells True from 1, which == does not
+    assert again == program and serialize_program(again) == text
 
 
 def test_format_value():

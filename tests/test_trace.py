@@ -1,11 +1,13 @@
 """Trace extraction, the well-governed predicate, and trace composition."""
 
 import random
+from dataclasses import fields
 
 import hypothesis.strategies as st
 from hypothesis import given
 
 from govtree.directives import (
+    DIRECTIVE_TYPES,
     FileOp,
     LLMCall,
     CallMachine,
@@ -142,6 +144,26 @@ def test_format_parse_round_trip():
         d = LLMCall("m", f"one{sep}two")
         trace = (GovEntry("LLMCall", True), IoEntry(encode_directive(d)))
         assert parse_trace(format_trace(trace)) == trace
+
+
+@st.composite
+def unicode_traces(draw):
+    """Traces of check entries and I/O entries of directives whose fields
+    are any Unicode text."""
+    events = []
+    for _ in range(draw(st.integers(0, 6))):
+        t = draw(st.sampled_from(DIRECTIVE_TYPES))
+        if draw(st.booleans()):
+            events.append(GovEntry(t.__name__, draw(st.booleans())))
+        else:
+            d = t(*[draw(st.text()) for _ in fields(t)])
+            events.append(IoEntry(encode_directive(d)))
+    return tuple(events)
+
+
+@given(unicode_traces())
+def test_format_parse_round_trip_over_unicode(trace):
+    assert parse_trace(format_trace(trace)) == trace
 
 
 def test_parse_rejects_garbage():
