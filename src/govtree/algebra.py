@@ -17,10 +17,17 @@ Three adversarial operators are bundled to show the axioms are
 independent: one inserts no checks (breaks G1 only), one tweaks
 permitted answers (breaks G2 only), one stamps a per-handler token into
 its check stages (breaks G3 only).
+
+Every campaign, here and in ``boundary`` and the CLI's differential
+test, is a ``trial(rng, i)`` function run by ``run_campaign``: trial
+``i`` draws from ``derive_rng(label, seed, i)``, and its verdict is
+tallied in a ``CheckSummary`` whose ``fail_witnesses`` list every
+failing trial index with its witness.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -37,6 +44,7 @@ from .governance import (
     GovCheck,
     GovernedHandler,
     Io,
+    bare_io,
     check_gate,
     gov_safe_check,
     govern,
@@ -45,9 +53,9 @@ from .governance import (
     rewrap,
     stage_of,
 )
-from .itree import Fuel, Vis, ret
+from .itree import BoundedVerdict, Fuel, Vis, fails, holds, ret, unknown
 from .trace import IoEntry
-from .gen import gen_input, gen_program_ast, gen_register_program
+from .gen import gen_directive, gen_input, gen_program_ast, gen_register_program
 from .category import translate_register_program
 from .program import compile_ast
 
@@ -92,10 +100,12 @@ def result_mangling_operator() -> GovernanceOperator:
 def fingerprinting_operator() -> GovernanceOperator:
     """Stamps a per-handler token into every check stage, distinguishing
     extensionally equal handlers; violates G3."""
-    tokens: dict[int, int] = {}
+    # Keyed on the handler itself, not its id: a freed handler's id is
+    # reused, and would hand its token to the next handler.
+    tokens: dict[Handler, int] = {}
 
     def make(h: Handler) -> GovernedHandler:
-        token = tokens.setdefault(id(h), len(tokens))
+        token = tokens.setdefault(h, len(tokens))
 
         def on_vis(d, cont, rec):
             gate = check_gate(d, cont, rec)
@@ -123,7 +133,8 @@ def operator_by_name(name: str) -> GovernanceOperator:
 
 @dataclass
 class CheckSummary:
-    """Tally of verdicts over a campaign, with reproducible failure keys."""
+    """Tally of verdicts over a campaign. ``fail_witnesses`` is its one
+    failure record: every failing ``(key, witness)`` in trial order."""
 
     name: str
     trials: int = 0
@@ -137,8 +148,7 @@ class CheckSummary:
         self.trials += 1
         if verdict.is_fails:
             self.fails += 1
-            if len(self.fail_witnesses) < 5:
-                self.fail_witnesses.append((key, verdict.describe()))
+            self.fail_witnesses.append((key, verdict.witness))
         elif verdict.is_unknown:
             self.unknowns += 1
         else:
@@ -158,12 +168,29 @@ class CheckSummary:
         )
 
 
-def _trial_program(seed: int, label: str, i: int, **gen_kwargs):
-    rng = derive_rng(label, seed, i)
+def run_campaign(
+    name: str,
+    label: str,
+    seed: int,
+    trials: int,
+    trial: Callable[[random.Random, int], BoundedVerdict],
+    expect_fails: bool = False,
+) -> CheckSummary:
+    """The seeded campaign loop: trial ``i`` is
+    ``trial(derive_rng(label, seed, i), i)`` and its verdict is recorded
+    under key ``i``, so every trial replays from its label, seed and index."""
+    summary = CheckSummary(name, expect_fails=expect_fails)
+    for i in range(trials):
+        summary.record(trial(derive_rng(label, seed, i), i), i)
+    return summary
+
+
+def _trial_program(rng: random.Random, **gen_kwargs) -> tuple:
+    """A generated program compiled once on a generated input, and the
+    seed for its mock handler."""
     ast = gen_program_ast(rng, **gen_kwargs)
-    input_value = gen_input(rng)
-    handler_seed = rng.randrange(2**32)
-    return ast, input_value, handler_seed
+    tree = compile_ast(ast)(gen_input(rng))
+    return tree, rng.randrange(2**32)
 
 
 def check_G1(
@@ -176,15 +203,13 @@ def check_G1(
 ) -> CheckSummary:
     """Safety: governed images of random programs never fail the bounded
     safety check with the approval flag down."""
-    summary = CheckSummary(f"G1[{op.name}]")
-    for i in range(trials):
-        ast, input_value, handler_seed = _trial_program(
-            seed, "g1", i, force_effectful=force_effectful
-        )
+
+    def trial(rng, i):
+        tree, handler_seed = _trial_program(rng, force_effectful=force_effectful)
         gh = op.transform(mock_handler(handler_seed))
-        tree = gh.transform(compile_ast(ast)(input_value))
-        summary.record(gov_safe_check(tree, False, fuel, sampler), (seed, i))
-    return summary
+        return gov_safe_check(gh.transform(tree), False, fuel, sampler)
+
+    return run_campaign(f"G1[{op.name}]", "g1", seed, trials, trial)
 
 
 def _erase_gov(trace) -> tuple:
@@ -201,26 +226,21 @@ def check_G2(
 ) -> CheckSummary:
     """Transparency: permissive governed runs match ungoverned runs on
     value and, unless ``values_only``, on the erased event sequence."""
-    from .itree import fails, holds, unknown
 
-    summary = CheckSummary(f"G2[{op.name}]")
-    for i in range(trials):
-        ast, input_value, handler_seed = _trial_program(seed, "g2", i)
+    def trial(rng, i):
+        tree, handler_seed = _trial_program(rng)
         h = mock_handler(handler_seed)
-        tree = compile_ast(ast)(input_value)
         governed = interpret_governed(op.transform(h), PERMISSIVE, tree, fuel)
-        plain = interpret_ungoverned(h, compile_ast(ast)(input_value), fuel)
+        plain = interpret_ungoverned(h, tree, fuel)
         if not governed.completed or not plain.completed:
-            summary.record(unknown("fuel-exhausted"), (seed, i))
-            continue
-        same = governed.value == plain.value and (
+            return unknown("fuel-exhausted")
+        if governed.value == plain.value and (
             values_only or _erase_gov(governed.trace) == plain.trace
-        )
-        verdict = holds() if same else fails(
-            (f"governed {governed.value!r} vs ungoverned {plain.value!r}",)
-        )
-        summary.record(verdict, (seed, i))
-    return summary
+        ):
+            return holds()
+        return fails((f"governed {governed.value!r} vs ungoverned {plain.value!r}",))
+
+    return run_campaign(f"G2[{op.name}]", "g2", seed, trials, trial)
 
 
 def check_G3(
@@ -232,26 +252,24 @@ def check_G3(
 ) -> CheckSummary:
     """Properness: extensionally equal handlers give identical governed
     runs (value and full trace, check stages included)."""
-    from .itree import fails, holds, unknown
 
-    summary = CheckSummary(f"G3[{op.name}]")
-    for i in range(trials):
-        ast, input_value, handler_seed = _trial_program(seed, "g3", i)
+    def trial(rng, i):
+        tree, handler_seed = _trial_program(rng)
+        # Both handlers stay alive together: an operator may tell handlers
+        # apart by identity, and that is what this axiom must catch.
         h1 = mock_handler(handler_seed)
         h2 = mock_handler(handler_seed)
-        out1 = interpret_governed(op.transform(h1), PERMISSIVE, compile_ast(ast)(input_value), fuel)
-        out2 = interpret_governed(op.transform(h2), PERMISSIVE, compile_ast(ast)(input_value), fuel)
+        out1 = interpret_governed(op.transform(h1), PERMISSIVE, tree, fuel)
+        out2 = interpret_governed(op.transform(h2), PERMISSIVE, tree, fuel)
         if out1.completed != out2.completed:
-            summary.record(fails(("one run completed, the other did not",)), (seed, i))
-            continue
+            return fails(("one run completed, the other did not",))
         if not out1.completed:
-            summary.record(unknown("fuel-exhausted"), (seed, i))
-            continue
+            return unknown("fuel-exhausted")
         if out1.value == out2.value and out1.trace == out2.trace:
-            summary.record(holds(), (seed, i))
-        else:
-            summary.record(fails(("equal handlers, different governed runs",)), (seed, i))
-    return summary
+            return holds()
+        return fails(("equal handlers, different governed runs",))
+
+    return run_campaign(f"G3[{op.name}]", "g3", seed, trials, trial)
 
 
 def filtering_handler(seed: int) -> Handler:
@@ -275,44 +293,39 @@ def check_derived(
     seed: int,
 ) -> dict:
     """The derived properties, re-checked on top of the axioms."""
-    from .governance import bare_io
-    from .gen import gen_directive
 
-    # Convergence: safety again, over fuel-unrolled register programs.
-    convergence = CheckSummary(f"convergence[{op.name}]")
-    for i in range(trials):
-        rng = derive_rng("conv", seed, i)
+    def convergence(rng, i):
+        # Safety again, over fuel-unrolled register programs.
         program = gen_register_program(rng)
         gh = op.transform(mock_handler(rng.randrange(2**32)))
-        tree = gh.transform(translate_register_program(program, rng.randrange(1, 16)))
-        convergence.record(gov_safe_check(tree, False, fuel, sampler), (seed, i))
+        tree = translate_register_program(program, rng.randrange(1, 16))
+        return gov_safe_check(gh.transform(tree), False, fuel, sampler)
 
-    # Positive subsumption: content-filtering handlers are still governed.
-    subsumption_pos = CheckSummary(f"subsumption_pos[{op.name}]")
-    for i in range(trials):
-        ast, input_value, handler_seed = _trial_program(seed, "subpos", i)
+    def subsumption_pos(rng, i):
+        # Content-filtering handlers are still governed.
+        tree, handler_seed = _trial_program(rng)
         gh = op.transform(filtering_handler(handler_seed))
-        tree = gh.transform(compile_ast(ast)(input_value))
-        subsumption_pos.record(gov_safe_check(tree, False, fuel, sampler), (seed, i))
+        return gov_safe_check(gh.transform(tree), False, fuel, sampler)
 
-    # Negative subsumption: bare I/O is unsafe, whatever the operator.
-    subsumption_neg = CheckSummary("subsumption_neg", expect_fails=True)
-    for i in range(max(1, trials // 10)):
-        rng = derive_rng("subneg", seed, i)
-        d = gen_directive(rng)
-        subsumption_neg.record(
-            gov_safe_check(bare_io(d), False, fuel, sampler), (seed, i)
-        )
+    def subsumption_neg(rng, i):
+        # Bare I/O is unsafe, whatever the operator.
+        return gov_safe_check(bare_io(gen_directive(rng)), False, fuel, sampler)
 
-    goal_preservation = check_G2(op, trials, fuel, sampler, seed, values_only=True)
-    goal_preservation.name = f"goal_preservation[{op.name}]"
-
-    return {
-        "convergence": convergence,
-        "subsumption_pos": subsumption_pos,
-        "subsumption_neg": subsumption_neg,
-        "goal_preservation": goal_preservation,
+    derived = {
+        "convergence": run_campaign(
+            f"convergence[{op.name}]", "conv", seed, trials, convergence
+        ),
+        "subsumption_pos": run_campaign(
+            f"subsumption_pos[{op.name}]", "subpos", seed, trials, subsumption_pos
+        ),
+        "subsumption_neg": run_campaign(
+            "subsumption_neg", "subneg", seed, max(1, trials // 10), subsumption_neg,
+            expect_fails=True,
+        ),
+        "goal_preservation": check_G2(op, trials, fuel, sampler, seed, values_only=True),
     }
+    derived["goal_preservation"].name = f"goal_preservation[{op.name}]"
+    return derived
 
 
 @dataclass
@@ -339,16 +352,11 @@ def run_conformance(
     fuel: Fuel,
     sampler: ResponseSampler,
     seed: int,
-    include_derived: bool = True,
 ) -> ConformanceReport:
     g1 = check_G1(op, trials, fuel, sampler, seed)
     g2 = check_G2(op, trials, fuel, sampler, seed)
     g3 = check_G3(op, trials, fuel, sampler, seed)
-    derived = (
-        check_derived(op, max(1, trials // 5), fuel, sampler, seed)
-        if include_derived
-        else {}
-    )
+    derived = check_derived(op, max(1, trials // 5), fuel, sampler, seed)
     return ConformanceReport(op.name, g1, g2, g3, derived)
 
 

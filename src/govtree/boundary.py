@@ -1,6 +1,9 @@
 """The boundary report: expressibility and governedness coincide.
 
-Five bundled checks, run as one campaign:
+Five bundled checks, each a seeded campaign run by
+``algebra.run_campaign``. Safety is G1 for the bundled operator, turing
+and subsumption are its derived campaigns, and nontrivial and cognitive
+are defined here:
 
 * safety: random expressible programs are governed (no safety failures).
 * nontrivial: a bare I/O node for every effectful directive variant is
@@ -21,13 +24,13 @@ tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .algebra import BUNDLED_OPERATOR, CheckSummary, check_G1, check_derived
-from .directives import DIRECTIVE_TYPES, ResponseSampler, derive_rng, mock_handler
+from .algebra import BUNDLED_OPERATOR, CheckSummary, check_G1, check_derived, run_campaign
+from .directives import DIRECTIVE_TYPES, ResponseSampler, mock_handler
 from .gen import ast_kind_count, gen_directive, gen_input, gen_program_ast
 from .governance import PERMISSIVE, bare_io, gov_safe_check, govern, interpret_governed
-from .itree import Fuel, fails, holds
+from .itree import Fuel, fails
 from .program import compile_ast
 
 EFFECTFUL_VARIANTS = tuple(
@@ -47,82 +50,52 @@ class CoterminousReport:
     cognitive: CheckSummary
 
     @property
+    def summaries(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    @property
     def passed(self) -> bool:
-        return all(
-            s.passed
-            for s in (
-                self.safety,
-                self.nontrivial,
-                self.turing,
-                self.subsumption_pos,
-                self.subsumption_neg,
-                self.cognitive,
-            )
-        )
+        return all(s.passed for s in self.summaries)
 
 
 def run_coterminous(
     trials: int, fuel: Fuel, sampler: ResponseSampler, seed: int
 ) -> CoterminousReport:
     derived = check_derived(BUNDLED_OPERATOR, trials, fuel, sampler, seed)
-
+    derived["convergence"].name = "turing"
+    derived["subsumption_pos"].name = "subsumption_pos"
     safety = check_G1(BUNDLED_OPERATOR, trials, fuel, sampler, seed)
     safety.name = "safety"
 
-    nontrivial = CheckSummary("nontrivial", expect_fails=True)
-    for i, variant in enumerate(EFFECTFUL_VARIANTS):
-        rng = derive_rng("nontrivial", seed, i)
-        d = gen_directive(rng, variant.__name__)
-        nontrivial.record(gov_safe_check(bare_io(d), False, fuel, sampler), (seed, i))
+    def nontrivial(rng, i):
+        d = gen_directive(rng, EFFECTFUL_VARIANTS[i].__name__)
+        return gov_safe_check(bare_io(d), False, fuel, sampler)
 
-    turing = derived["convergence"]
-    turing.name = "turing"
-
-    subsumption_pos = derived["subsumption_pos"]
-    subsumption_pos.name = "subsumption_pos"
-    subsumption_neg = derived["subsumption_neg"]
-
-    cognitive = CheckSummary("cognitive")
-    for i in range(trials):
+    def cognitive(rng, i):
         role = _PRIMITIVE_ROLES[i % len(_PRIMITIVE_ROLES)]
-        rng = derive_rng("cognitive", seed, i)
-        kwargs = {"must_include": role} if role != "code" else {}
-        ast = gen_program_ast(rng, **kwargs)
+        ast = gen_program_ast(rng, must_include=role if role != "code" else None)
         if role == "code" and ast_kind_count(ast, "code") == 0:
             ast = {"kind": "seq", "steps": [ast, {"kind": "code", "expr": {"op": "input"}}]}
-        input_value = gen_input(rng)
-        handler_seed = rng.randrange(2**32)
-        gh = govern(mock_handler(handler_seed))
-        tree = compile_ast(ast)(input_value)
-        outcome = interpret_governed(gh, PERMISSIVE, tree, fuel)
-        verdict = gov_safe_check(gh.transform(compile_ast(ast)(input_value)), False, fuel, sampler)
-        if not outcome.completed:
-            cognitive.record(fails((f"{role} program did not terminate",)), (seed, i))
-        elif verdict.is_fails:
-            cognitive.record(verdict, (seed, i))
-        else:
-            cognitive.record(holds() if verdict.is_holds else verdict, (seed, i))
+        tree = compile_ast(ast)(gen_input(rng))
+        gh = govern(mock_handler(rng.randrange(2**32)))
+        if not interpret_governed(gh, PERMISSIVE, tree, fuel).completed:
+            return fails((f"{role} program did not terminate",))
+        return gov_safe_check(gh.transform(tree), False, fuel, sampler)
 
     return CoterminousReport(
         safety=safety,
-        nontrivial=nontrivial,
-        turing=turing,
-        subsumption_pos=subsumption_pos,
-        subsumption_neg=subsumption_neg,
-        cognitive=cognitive,
+        nontrivial=run_campaign(
+            "nontrivial", "nontrivial", seed, len(EFFECTFUL_VARIANTS), nontrivial,
+            expect_fails=True,
+        ),
+        turing=derived["convergence"],
+        subsumption_pos=derived["subsumption_pos"],
+        subsumption_neg=derived["subsumption_neg"],
+        cognitive=run_campaign("cognitive", "cognitive", seed, trials, cognitive),
     )
 
 
 def render_coterminous(report: CoterminousReport) -> str:
-    lines = ["boundary report"]
-    for s in (
-        report.safety,
-        report.nontrivial,
-        report.turing,
-        report.subsumption_pos,
-        report.subsumption_neg,
-        report.cognitive,
-    ):
-        lines.append(s.line())
+    lines = ["boundary report"] + [s.line() for s in report.summaries]
     lines.append("overall: " + ("PASS" if report.passed else "FAIL"))
     return "".join(line + "\n" for line in lines)

@@ -111,13 +111,13 @@ def within_caps_check(
     return explore(t, fuel, expand)
 
 
-def sample_returns(t: ITree, fuel: Fuel, sampler: ResponseSampler, limit: int = 16) -> list:
-    """Return values reachable in ``t`` under sampled answers, up to a
-    limit; used to instantiate continuations in compositional checks."""
+def sample_returns(t: ITree, fuel: Fuel, sampler: ResponseSampler) -> list:
+    """Up to 16 return values reachable in ``t`` under sampled answers;
+    used to instantiate continuations in compositional checks."""
     found: list = []
 
     def expand(t: ITree, fuel: Fuel):
-        if len(found) >= limit:
+        if len(found) >= 16:
             return []
         node, fuel, looped = skip_taus(t, fuel)
         if node is None or looped:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Union
 
 from .directives import (
     CallMachine,
@@ -33,13 +33,14 @@ from .directives import (
     MemoryOp,
     Observability,
     ResponseSampler,
+    mock_handler,
 )
 from .governance import (
     PERMISSIVE,
     GovernancePolicy,
     drive,
+    gov_safe_check,
     govern,
-    interpret_governed,
 )
 from .itree import (
     BoundedVerdict,
@@ -56,6 +57,7 @@ from .itree import (
     unknown,
     vis,
 )
+from .trace import check_trace_of_bind
 
 Morphism = Callable[[Any], ITree]
 
@@ -176,22 +178,15 @@ def interp_tensor_distribute_check(
     policy: GovernancePolicy = PERMISSIVE,
 ) -> BoundedVerdict:
     """Interpretation of ``tensor(f, g)`` equals interpreting ``f``, then
-    ``g`` with the first result paired in: values and traces both match."""
-    gh = govern(handler)
+    ``g`` with the first result paired in: values and traces both match.
+    ``tensor`` is a bind, so this is ``check_trace_of_bind`` per input."""
     for p in inputs:
         a, c = _as_pair(p)
-        whole = interpret_governed(gh, policy, tensor(f, g)((a, c)), fuel)
-        first = interpret_governed(gh, policy, f(a), fuel)
-        if not first.completed:
-            return unknown("left component did not complete")
-        b = first.value
-        second = interpret_governed(
-            gh, policy, bind(g(c), lambda d: ret((b, d))), fuel
+        v = check_trace_of_bind(
+            f(a), lambda b: bind(g(c), lambda d: ret((b, d))), policy, handler, fuel
         )
-        if not whole.completed or not second.completed:
-            return unknown("tensor run did not complete")
-        if whole.value != second.value or whole.trace != first.trace + second.trace:
-            return fails((f"tensor interpretation differs on {p!r}",))
+        if not v.is_holds:
+            return v
     return holds()
 
 
@@ -254,14 +249,14 @@ def parse_step_message(message: str) -> "tuple[int, tuple]":
     return int(pc_part[len("pc="):]), regs
 
 
-def translate_register_program(p: RegisterProgram, fuel: int, pc: int = 0) -> ITree:
+def translate_register_program(p: RegisterProgram, fuel: int) -> ITree:
     """Fuel-unrolled translation into a directive tree.
 
     Each executed instruction emits one observability directive recording
     the program counter and the post-step registers. Halt, running past
     the end, or running out of fuel all return unit.
     """
-    return _translate(p, fuel, pc, (0,) * p.registers)
+    return _translate(p, fuel, 0, (0,) * p.registers)
 
 
 def _translate(p: RegisterProgram, fuel: int, pc: int, regs: tuple) -> ITree:
@@ -306,20 +301,16 @@ def register_tree_steps(p: RegisterProgram, fuel: int, drive_fuel: int) -> "list
     return list(out.trace) if out.completed else None
 
 
-def enumerate_register_programs(
-    max_len: int, registers: int = 2, targets: Sequence[int] = (0, 1)
-) -> "Iterable[RegisterProgram]":
-    """Every program up to ``max_len`` instructions over a small alphabet:
-    Inc and DecJz on each register, jumps to the given targets (where in
-    bounds), and Halt."""
+def enumerate_register_programs(max_len: int) -> "Iterable[RegisterProgram]":
+    """Every two-register program up to ``max_len`` instructions over a
+    small alphabet: Inc and DecJz on each register, jumps to instruction 0
+    or 1 (where in bounds), and Halt."""
     for n in range(1, max_len + 1):
-        symbols: list[Instruction] = [Inc(r) for r in range(registers)]
-        symbols += [
-            DecJz(r, t) for r in range(registers) for t in targets if t < n
-        ]
+        symbols: list[Instruction] = [Inc(0), Inc(1)]
+        symbols += [DecJz(r, t) for r in (0, 1) for t in (0, 1) if t < n]
         symbols.append(Halt())
         for combo in itertools.product(symbols, repeat=n):
-            yield RegisterProgram(combo, registers)
+            yield RegisterProgram(combo, 2)
 
 
 def check_register_agreement(
@@ -327,13 +318,10 @@ def check_register_agreement(
     fuel: int,
     sampler: ResponseSampler,
     check_governed: bool = True,
-    gov_fuel: int = 4096,
 ) -> BoundedVerdict:
     """Translated trees agree step-for-step with the reference interpreter,
-    and (optionally) their governed images pass the safety check."""
-    from .governance import gov_safe_check
-    from .directives import mock_handler
-
+    and (optionally) their governed images pass the safety check at fuel
+    4096."""
     gh = govern(mock_handler(0))
     verdicts = []
     for p in programs:
@@ -345,7 +333,7 @@ def check_register_agreement(
             v = gov_safe_check(
                 gh.transform(translate_register_program(p, fuel)),
                 False,
-                gov_fuel,
+                4096,
                 sampler,
             )
             if v.is_fails:

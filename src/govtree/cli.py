@@ -7,8 +7,9 @@ bounds, and the campaign drivers ``coherence``, ``conformance``,
 ``--seed`` (default: the ``GOVTREE_SEED`` environment variable, else 0).
 
 Exit codes: 0 success / value produced, 1 verification or suite failure,
-2 governance denial, 3 fuel exhausted, 64 usage error (bad arguments),
-65 input error (unreadable or malformed program file, unknown policy).
+2 governance denial, 3 fuel exhausted, 64 usage error (bad arguments,
+negative counts), 65 input error (unreadable, non-UTF-8 or malformed
+program file, unknown policy).
 An input error prints one ``govtree: error: ...`` line on stderr.
 """
 
@@ -19,15 +20,16 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .algebra import operator_by_name, render_report, run_conformance
+from .algebra import CheckSummary, operator_by_name, render_report, run_campaign, run_conformance
 from .boundary import render_coterminous, run_coterminous
 from .capability import format_caps, within_caps_check
 from .category import check_hexagon, check_pentagon, check_triangle
 from .directives import ResponseSampler, derive_rng, mock_handler
 from .gen import gen_input, gen_policy, gen_program_ast
 from .governance import gov_safe_check, govern, interpret_governed, policy_by_name
+from .itree import fails, holds
 from .ledger import format_ledger, ledger_valid, parse_ledger, trace_to_ledger
-from .program import ProgramError, format_value, parse_program
+from .program import ProgramError, compile_ast, format_value, parse_program
 from .reference import run_reference
 from .trace import format_trace
 
@@ -47,20 +49,22 @@ def _default_seed() -> int:
 
 @dataclass
 class DiffReport:
-    trials: int
-    disagreements: list
+    summary: CheckSummary
+
+    @property
+    def trials(self) -> int:
+        return self.summary.trials
 
     @property
     def passed(self) -> bool:
-        return not self.disagreements
+        return self.summary.passed
 
     def render(self) -> str:
         lines = [f"differential campaign: {self.trials} trials"]
-        for key, detail in sorted(self.disagreements)[:10]:
-            lines.append(f"disagreement at trial {key}: {detail}")
+        for key, witness in self.summary.fail_witnesses[:10]:
+            lines.append(f"disagreement at trial {key}: {' / '.join(witness)}")
         lines.append(
-            f"disagreements={len(self.disagreements)} "
-            + ("PASS" if self.passed else "FAIL")
+            f"disagreements={self.summary.fails} " + ("PASS" if self.passed else "FAIL")
         )
         return "".join(line + "\n" for line in lines)
 
@@ -72,35 +76,26 @@ def diff_campaign(trials: int, seed: int, fuel: int, bug: str | None = None) -> 
     pipeline and the reference interpreter must agree on completion,
     value, denial, and the exact trace.
     """
-    disagreements = []
-    for i in range(trials):
-        rng = derive_rng("diff", seed, i)
+
+    def trial(rng, i):
         ast = gen_program_ast(rng, allow_register=True)
         input_value = gen_input(rng)
         policy = gen_policy(rng)
         handler_seed = rng.randrange(2**32)
-
-        from .program import compile_ast
-
         tree_out = interpret_governed(
             govern(mock_handler(handler_seed)), policy, compile_ast(ast)(input_value), fuel
         )
         ref_out = run_reference(ast, input_value, policy, handler_seed, bug=bug)
-        same = (
-            tree_out.completed == ref_out.completed
-            and tree_out.value == ref_out.value
-            and tree_out.denied == ref_out.denied
-            and tree_out.trace == ref_out.trace
-        )
-        if not same:
-            detail = (
-                f"tree=({tree_out.completed}, {tree_out.value!r}, denied={tree_out.denied}, "
-                f"{len(tree_out.trace)} events) "
-                f"ref=({ref_out.completed}, {ref_out.value!r}, denied={ref_out.denied}, "
-                f"{len(ref_out.trace)} events) policy={policy.name}"
-            )
-            disagreements.append((i, detail))
-    return DiffReport(trials, disagreements)
+        if tree_out == ref_out:  # completion, value, trace and denial
+            return holds()
+        return fails((
+            f"tree=({tree_out.completed}, {tree_out.value!r}, denied={tree_out.denied}, "
+            f"{len(tree_out.trace)} events) "
+            f"ref=({ref_out.completed}, {ref_out.value!r}, denied={ref_out.denied}, "
+            f"{len(ref_out.trace)} events) policy={policy.name}",
+        ))
+
+    return DiffReport(run_campaign("diff", "diff", seed, trials, trial))
 
 
 def _cmd_run(args) -> int:
@@ -149,7 +144,8 @@ def _cmd_check(args) -> int:
         )
         print(f"caps {format_caps(caps)}: {verdict.describe()}")
         return EXIT_OK if not verdict.is_fails else EXIT_FAIL
-    gh = govern(mock_handler(args.handler_seed))
+    # The governed transform never calls its base handler, so any seed will do.
+    gh = govern(mock_handler(0))
     verdict = gov_safe_check(
         gh.transform(program.compile()(program.input_value)), False, args.fuel, sampler
     )
@@ -212,9 +208,16 @@ def _write(path: str, text: str) -> None:
         f.write(text)
 
 
+def non_negative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def _add_common(p, fuel_default=DEFAULT_FUEL):
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--fuel", type=int, default=fuel_default)
+    p.add_argument("--fuel", type=non_negative_int, default=fuel_default)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -248,29 +251,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="check a program for safety or caps")
     p_check.add_argument("program")
     p_check.add_argument("--mode", choices=("safety", "caps"), default="safety")
-    p_check.add_argument("--handler-seed", type=int, default=0)
     _add_common(p_check, fuel_default=4096)
     p_check.set_defaults(func=_cmd_check)
 
     p_coh = sub.add_parser("coherence", help="pentagon/triangle/hexagon checks")
-    p_coh.add_argument("--samples", type=int, default=1000)
+    p_coh.add_argument("--samples", type=non_negative_int, default=1000)
     _add_common(p_coh)
     p_coh.set_defaults(func=_cmd_coherence)
 
     p_conf = sub.add_parser("conformance", help="axiom conformance for an operator")
     p_conf.add_argument("--operator", default="bundled",
                         help="bundled | no-check | mangle-results | fingerprint")
-    p_conf.add_argument("--trials", type=int, default=200)
+    p_conf.add_argument("--trials", type=non_negative_int, default=200)
     _add_common(p_conf, fuel_default=4096)
     p_conf.set_defaults(func=_cmd_conformance)
 
     p_bound = sub.add_parser("boundary", help="coterminous boundary campaign")
-    p_bound.add_argument("--trials", type=int, default=200)
+    p_bound.add_argument("--trials", type=non_negative_int, default=200)
     _add_common(p_bound, fuel_default=4096)
     p_bound.set_defaults(func=_cmd_boundary)
 
     p_diff = sub.add_parser("diff", help="differential test against the reference interpreter")
-    p_diff.add_argument("--trials", type=int, default=1000)
+    p_diff.add_argument("--trials", type=non_negative_int, default=1000)
     _add_common(p_diff)
     p_diff.set_defaults(func=_cmd_diff)
 
@@ -281,7 +283,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ProgramError, OSError) as e:
+    except (ProgramError, OSError, UnicodeDecodeError) as e:
         return _input_error(e)
 
 

@@ -354,7 +354,8 @@ class Program:
 def parse_program(text: str) -> Program:
     try:
         doc = json.loads(text)
-        if not isinstance(doc, dict) or doc.get("version") != 1:
+        # 1.0 and True both equal 1; the version must be the integer 1.
+        if not isinstance(doc, dict) or type(doc.get("version")) is not int or doc["version"] != 1:
             raise ProgramError("program document must have version 1")
         if "body" not in doc:
             raise ProgramError("program document needs a body")

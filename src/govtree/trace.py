@@ -58,11 +58,12 @@ def well_governed(trace: Iterable[TraceEvent], reset_after_io: bool = True) -> b
 
 
 def check_trace_of_bind(t, k, policy, handler, fuel: int) -> BoundedVerdict:
-    """Check that sequential composition concatenates traces.
+    """Check that interpretation distributes over sequential composition.
 
     Runs ``t``, then ``k(value)``, then ``bind(t, k)``, all under the same
-    policy and handler, and compares the bind trace with the concatenation
-    element-wise. Unknown if the first run does not complete within fuel.
+    policy and handler. The bind run must end with the second run's value,
+    and its trace must equal the concatenation element-wise. Unknown if
+    any run does not complete within fuel.
     """
     from .governance import govern, interpret_governed
     from .itree import bind
@@ -77,6 +78,8 @@ def check_trace_of_bind(t, k, policy, handler, fuel: int) -> BoundedVerdict:
     whole = interpret_governed(gh, policy, bind(t, k), fuel)
     if not whole.completed:
         return unknown("bind run did not complete")
+    if whole.value != second.value:
+        return fails((f"value {whole.value!r} != second run's {second.value!r}",))
     expected = first.trace + second.trace
     if whole.trace == expected:
         return holds()

@@ -90,6 +90,17 @@ def test_g3_same_handler_object_holds_even_for_fingerprinter():
     assert out1 == out2
 
 
+def test_fingerprint_tokens_outlive_their_handlers():
+    # Each handler is freed before the next is made, so the second often
+    # gets the first's id; it must still get its own token.
+    op = fingerprinting_operator()
+    program = vis(LLMCall("m", "p"), lambda x: ret(x.status))
+    for seed in range(100):
+        out1 = interpret_governed(op.transform(mock_handler(seed)), PERMISSIVE, program, FUEL)
+        out2 = interpret_governed(op.transform(mock_handler(seed)), PERMISSIVE, program, FUEL)
+        assert out1.trace[0].stage != out2.trace[0].stage, seed
+
+
 def test_trivial_operator_safe_on_unit_programs():
     def make(h):
         return GovernedHandler(base=h, transform=lambda t: ret(None))

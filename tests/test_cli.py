@@ -196,6 +196,77 @@ def test_reports_byte_identical_across_runs():
     assert result[0] and result[0] == result[1]
 
 
+# Reports recorded before the campaigns shared one loop; any change to a
+# campaign's draws, keys or tallies shows up here as a changed line.
+PINNED_CONFORMANCE = {
+    "bundled": (EXIT_OK, (
+        "conformance report for operator 'bundled'\n"
+        "G1[bundled]        trials=100    holds=100    fails=0      unknowns=0      PASS\n"
+        "G2[bundled]        trials=100    holds=100    fails=0      unknowns=0      PASS\n"
+        "G3[bundled]        trials=100    holds=100    fails=0      unknowns=0      PASS\n"
+        "convergence[bundled] trials=20     holds=20     fails=0      unknowns=0      PASS\n"
+        "goal_preservation[bundled] trials=20     holds=20     fails=0      unknowns=0      PASS\n"
+        "subsumption_neg    trials=2      holds=0      fails=2      unknowns=0      PASS\n"
+        "subsumption_pos[bundled] trials=20     holds=20     fails=0      unknowns=0      PASS\n"
+        "overall: PASS\n"
+    )),
+    "no-check": (EXIT_FAIL, (
+        "conformance report for operator 'no-check'\n"
+        "G1[no-check]       trials=100    holds=44     fails=56     unknowns=0      FAIL\n"
+        "G2[no-check]       trials=100    holds=100    fails=0      unknowns=0      PASS\n"
+        "G3[no-check]       trials=100    holds=100    fails=0      unknowns=0      PASS\n"
+        "convergence[no-check] trials=20     holds=1      fails=19     unknowns=0      FAIL\n"
+        "goal_preservation[no-check] trials=20     holds=20     fails=0      unknowns=0      PASS\n"
+        "subsumption_neg    trials=2      holds=0      fails=2      unknowns=0      PASS\n"
+        "subsumption_pos[no-check] trials=20     holds=10     fails=10     unknowns=0      FAIL\n"
+        "overall: FAIL\n"
+    )),
+    "mangle-results": (EXIT_FAIL, (
+        "conformance report for operator 'mangle-results'\n"
+        "G1[mangle-results] trials=100    holds=100    fails=0      unknowns=0      PASS\n"
+        "G2[mangle-results] trials=100    holds=54     fails=46     unknowns=0      FAIL\n"
+        "G3[mangle-results] trials=100    holds=100    fails=0      unknowns=0      PASS\n"
+        "convergence[mangle-results] trials=20     holds=20     fails=0      unknowns=0      PASS\n"
+        "goal_preservation[mangle-results] trials=20     holds=10     fails=10     unknowns=0      FAIL\n"
+        "subsumption_neg    trials=2      holds=0      fails=2      unknowns=0      PASS\n"
+        "subsumption_pos[mangle-results] trials=20     holds=20     fails=0      unknowns=0      PASS\n"
+        "overall: FAIL\n"
+    )),
+    "fingerprint": (EXIT_FAIL, (
+        "conformance report for operator 'fingerprint'\n"
+        "G1[fingerprint]    trials=100    holds=100    fails=0      unknowns=0      PASS\n"
+        "G2[fingerprint]    trials=100    holds=100    fails=0      unknowns=0      PASS\n"
+        "G3[fingerprint]    trials=100    holds=37     fails=63     unknowns=0      FAIL\n"
+        "convergence[fingerprint] trials=20     holds=20     fails=0      unknowns=0      PASS\n"
+        "goal_preservation[fingerprint] trials=20     holds=20     fails=0      unknowns=0      PASS\n"
+        "subsumption_neg    trials=2      holds=0      fails=2      unknowns=0      PASS\n"
+        "subsumption_pos[fingerprint] trials=20     holds=20     fails=0      unknowns=0      PASS\n"
+        "overall: FAIL\n"
+    )),
+}
+PINNED_BOUNDARY = (
+    "boundary report\n"
+    "safety             trials=100    holds=100    fails=0      unknowns=0      PASS\n"
+    "nontrivial         trials=12     holds=0      fails=12     unknowns=0      PASS\n"
+    "turing             trials=100    holds=100    fails=0      unknowns=0      PASS\n"
+    "subsumption_pos    trials=100    holds=100    fails=0      unknowns=0      PASS\n"
+    "subsumption_neg    trials=10     holds=0      fails=10     unknowns=0      PASS\n"
+    "cognitive          trials=100    holds=100    fails=0      unknowns=0      PASS\n"
+    "overall: PASS\n"
+)
+
+
+@pytest.mark.parametrize("operator", sorted(PINNED_CONFORMANCE))
+def test_conformance_report_is_pinned(capsys, operator):
+    code = run_cli("conformance", "--trials", "100", "--seed", "3", "--operator", operator)
+    assert (code, capsys.readouterr().out) == PINNED_CONFORMANCE[operator]
+
+
+def test_boundary_report_is_pinned(capsys):
+    assert run_cli("boundary", "--trials", "100", "--seed", "3") == EXIT_OK
+    assert capsys.readouterr().out == PINNED_BOUNDARY
+
+
 def write_program(path, body, input_value=0):
     path.write_text(json.dumps({"version": 1, "input": input_value, "body": body}))
     return str(path)
@@ -268,6 +339,41 @@ def test_over_deep_json_is_an_input_error(tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text('{"version": 1, "input": ' + "[" * 100_000 + "]" * 100_000 + ', "body": {}}')
     assert_one_line_error(run_module("run", str(deep)), EXIT_INPUT)
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_non_utf8_program_is_an_input_error(tmp_path, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff" + (PROGRAMS / "pure.json").read_bytes())
+    assert_one_line_error(run_module(command, str(bad)), EXIT_INPUT)
+
+
+def test_non_utf8_ledger_is_an_invalid_ledger(tmp_path):
+    bad = tmp_path / "bad.ledger"
+    bad.write_bytes(b"\xff\n")
+    result = run_module("verify", str(bad))
+    assert result.returncode == EXIT_FAIL
+    stderr = result.stderr.splitlines()
+    assert len(stderr) == 1 and stderr[0].startswith("invalid ledger file: ")
+
+
+@pytest.mark.parametrize("command, option", [
+    ("run", "--fuel"),
+    ("check", "--fuel"),
+    ("coherence", "--samples"),
+    ("conformance", "--trials"),
+    ("conformance", "--fuel"),
+    ("boundary", "--trials"),
+    ("boundary", "--fuel"),
+    ("diff", "--trials"),
+    ("diff", "--fuel"),
+])
+def test_negative_count_is_a_usage_error(capsys, command, option):
+    program = [str(PROGRAMS / "pure.json")] if command in ("run", "check") else []
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *program, option, "-1")
+    assert exc.value.code == EXIT_USAGE
+    assert "must not be negative" in capsys.readouterr().err
 
 
 def test_usage_error_has_its_own_exit_code():

@@ -52,6 +52,15 @@ def test_parse_rejects_bad_version_and_values():
         parse_program('{"version": 1, "input": [1, 2, 3], "body": {"kind": "code", "expr": {"op": "unit"}}}')
 
 
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_parse_requires_the_integer_version_1(version):
+    # both equal 1 in Python, but neither is the integer 1
+    with pytest.raises(ProgramError):
+        parse_program(
+            '{"version": ' + version + ', "input": 0, "body": {"kind": "code", "expr": {"op": "unit"}}}'
+        )
+
+
 def test_pair_values_parse_as_tuples():
     p = parse_program(
         '{"version": 1, "input": [1, ["a", null]], "body": {"kind": "code", "expr": {"op": "input"}}}'
