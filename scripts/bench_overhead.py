@@ -2,19 +2,23 @@
 """Micro-benchmark: governed vs ungoverned interpretation cost.
 
 Informational only; there is no pass/fail bound. Reports median
-per-run latency for a few program shapes under both interpreters, then
-a scaling table: ``seq`` pipelines of 500 to 4000 steps driven by
-``interpret_ungoverned`` with a constant-answer handler (so the mock
-handler's hashing does not hide the tree's cost), with the ratio of each
-row's time to the previous row's. Linear growth reads about 2.0. Last,
-a per-event table: microseconds per call of ``encode_directive``, of
-``mock_answer`` on a unit-answered and on a record-answered directive,
-and of ``ResponseSampler.answers`` on a record-answered directive cold
-(a new sampler each call) and warm (one the directive has already been
-through), and microseconds per entry to build, format, parse and verify
-the ledger of a 2,000-event trace. The directive rows alternate between
-two equal directive objects, so ``encode_directive``'s cache of the last
-directive it encoded never answers for them.
+per-run latency for a few program shapes three ways: governed (the
+source tree driven with a check step before each directive, as
+``interpret_governed`` runs a handler from ``govern``), image (the
+governed image ``govern(h).transform(t)`` built and driven: the tree the
+checkers still walk) and ungoverned. Then a scaling table: ``seq``
+pipelines of 500 to 4000 steps driven by ``interpret_ungoverned`` with a
+constant-answer handler (so the mock handler's hashing does not hide the
+tree's cost), with the ratio of each row's time to the previous row's.
+Linear growth reads about 2.0. Last, a per-event table: microseconds per
+call of ``encode_directive``, of ``mock_answer`` on a unit-answered and
+on a record-answered directive, and of ``ResponseSampler.answers`` on a
+record-answered directive cold (a new sampler each call) and warm (one
+the directive has already been through), and microseconds per entry to
+build, format, parse and verify the ledger of a 2,000-event trace. The
+directive rows alternate between two equal directive objects, so
+``encode_directive``'s cache of the last directive it encoded never
+answers for them.
 
     PYTHONPATH=src python scripts/bench_overhead.py
 """
@@ -35,7 +39,13 @@ from govtree.directives import (
     mock_handler,
 )
 from govtree.gen import gen_trace
-from govtree.governance import PERMISSIVE, govern, interpret_governed, interpret_ungoverned
+from govtree.governance import (
+    PERMISSIVE,
+    GovernedHandler,
+    govern,
+    interpret_governed,
+    interpret_ungoverned,
+)
 from govtree.itree import ret
 from govtree.ledger import format_ledger, ledger_valid, parse_ledger, trace_to_ledger
 from govtree.program import compile_ast
@@ -127,17 +137,22 @@ def main():
 
     h = mock_handler(0)
     gh = govern(h)
-    print(f"{'shape':<10} {'governed us':>12} {'ungoverned us':>14} {'ratio':>7}")
+    image_gh = GovernedHandler(base=h, transform=gh.transform)  # drives the image
+    print(f"{'shape':<10} {'governed us':>12} {'image us':>9} {'ungoverned us':>14} {'ratio':>7}")
     for name, ast in SHAPES.items():
         governed = bench(
             lambda i: interpret_governed(gh, PERMISSIVE, compile_ast(ast)(i), 10_000),
+            args.iterations, args.warmup,
+        )
+        image = bench(
+            lambda i: interpret_governed(image_gh, PERMISSIVE, compile_ast(ast)(i), 10_000),
             args.iterations, args.warmup,
         )
         plain = bench(
             lambda i: interpret_ungoverned(h, compile_ast(ast)(i), 10_000),
             args.iterations, args.warmup,
         )
-        print(f"{name:<10} {governed:>12.1f} {plain:>14.1f} {governed / plain:>7.2f}")
+        print(f"{name:<10} {governed:>12.1f} {image:>9.1f} {plain:>14.1f} {governed / plain:>7.2f}")
 
     steps = SHAPES["pipeline"]["steps"]
     handler = constant_handler()

@@ -8,9 +8,10 @@ bounds, and the campaign drivers ``coherence``, ``conformance``,
 
 Exit codes: 0 success / value produced, 1 verification or suite failure,
 2 governance denial, 3 fuel exhausted, 64 usage error (bad arguments,
-negative counts), 65 input error (unreadable, non-UTF-8 or malformed
-program file, unknown policy).
-An input error prints one ``govtree: error: ...`` line on stderr.
+negative counts, a non-integer ``GOVTREE_SEED``), 65 input error
+(unreadable, non-UTF-8 or malformed program file, unknown policy).
+An input error or a bad ``GOVTREE_SEED`` prints one ``govtree: error:``
+line on stderr.
 """
 
 from __future__ import annotations
@@ -44,7 +45,11 @@ DEFAULT_FUEL = 100_000
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("GOVTREE_SEED", "0"))
+    text = os.environ.get("GOVTREE_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:  # a usage error, raised as argparse raises its own
+        raise SystemExit(_error(f"GOVTREE_SEED is not an integer: {text!r}", EXIT_USAGE))
 
 
 @dataclass
@@ -103,7 +108,7 @@ def _cmd_run(args) -> int:
     try:
         policy = policy_by_name(args.policy)
     except ValueError as e:
-        return _input_error(e)
+        return _error(e)
     gh = govern(mock_handler(args.handler_seed))
     outcome = interpret_governed(gh, policy, program.compile()(program.input_value), args.fuel)
     if args.trace_out:
@@ -192,9 +197,9 @@ def _cmd_diff(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def _input_error(e: Exception) -> int:
-    print(f"govtree: error: {e}", file=sys.stderr)
-    return EXIT_INPUT
+def _error(message, code: int = EXIT_INPUT) -> int:
+    print(f"govtree: error: {message}", file=sys.stderr)
+    return code
 
 
 def _read(path: str) -> str:
@@ -284,7 +289,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ProgramError, OSError, UnicodeDecodeError) as e:
-        return _input_error(e)
+        return _error(e)
 
 
 if __name__ == "__main__":

@@ -4,17 +4,17 @@
 tree emits a boolean check event before every directive; an approving
 answer releases the I/O event and the program continues with the
 handler's answer, a denying answer sends the computation into silent
-divergence. Denial therefore never produces a wrong value, it produces
-no value, and the driver reports it operationally (a detected Tau
-self-loop, or fuel running out after a deny).
+divergence. Denial never produces a wrong value, only no value.
 
 ``drive`` is the one driver loop: it runs a tree to its Ret, answering
-each event by a given rule (in the manner of the handler-parameterised
-``interp`` of Interaction Trees). Governance is only a tree
-transformation, so ``interpret_governed`` is ``drive`` over the
-governed image with the policy answering checks and the base handler
-answering I/O, and ``interpret_ungoverned`` is ``drive`` over the
-source tree with the base handler answering every directive.
+each event by a given rule (the handler-parameterised ``interp`` of
+Interaction Trees) after an optional check step. ``govern``'s image is
+the specification the checkers, axioms and adversarial operators use,
+and ``interp`` over it is ``interp`` over the source tree with the
+policy as the check step: so ``interpret_governed`` runs a handler from
+``govern`` that way and never builds the image (deforestation), while
+other handlers have their image driven. ``interpret_ungoverned`` drives
+the source tree with no checks.
 
 ``gov_safe_check`` is the bounded safety checker over governed trees:
 an I/O node is legal only under an approval flag that is set by a passing
@@ -24,7 +24,7 @@ on both answers; I/O answers are sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from .directives import (
@@ -114,10 +114,12 @@ class GovernedHandler:
 
     ``transform`` maps a directive program to the governed tree;
     ``base`` answers the released I/O events when the tree is driven.
+    ``gate`` is the per-event rule that ``rewrap`` built ``transform`` from.
     """
 
     base: Handler
     transform: Callable[[ITree], ITree]
+    gate: Callable | None = field(default=None, compare=False, repr=False)
 
 
 def rewrap(h: Handler, on_vis) -> GovernedHandler:
@@ -137,7 +139,7 @@ def rewrap(h: Handler, on_vis) -> GovernedHandler:
 
         return ITree(step)
 
-    return GovernedHandler(base=h, transform=transform)
+    return GovernedHandler(base=h, transform=transform, gate=on_vis)
 
 
 def check_gate(d: DirectiveEvent, cont, rec):
@@ -176,7 +178,8 @@ class RunOutcome:
 
 
 def drive(
-    t: ITree, fuel: Fuel, answer: Callable[[Any], "tuple[Any, ITree]"]
+    t: ITree, fuel: Fuel, answer: Callable[[Any], "tuple[Any, ITree]"],
+    check: Callable[[Any], "tuple[Any, bool]"] | None = None,
 ) -> RunOutcome:
     """Drive ``t`` to its Ret, answering each event with ``answer``.
 
@@ -186,7 +189,10 @@ def drive(
     answer has arrived. Every Tau and every event costs one fuel. The run
     is incomplete if fuel runs out, a Tau self-loop is detected, or a
     reply emits an event of its own; it is ``denied`` when it is
-    incomplete and its trace holds a failing check.
+    incomplete and its trace holds a failing check. ``check(event)``, if
+    given, runs first and returns ``(entry, allowed)``; it costs one fuel
+    and its entry is recorded at once. A denial, or no fuel left after
+    it, ends the run before ``answer``.
     """
     events: list = []
     while True:
@@ -198,6 +204,12 @@ def drive(
         if fuel <= 0:
             break
         fuel -= 1
+        if check is not None:
+            entry, allowed = check(node.event)
+            events.append(entry)
+            if not allowed or fuel <= 0:
+                break
+            fuel -= 1
         entry, reply = answer(node.event)
         reply, fuel, _ = skip_taus(reply, fuel)
         if type(reply) is not Ret:
@@ -212,25 +224,35 @@ def drive(
 _VERDICTS = (ret(False), ret(True))
 
 
+def _perform(h: Handler):
+    """The answer rule for released I/O: record it, let ``h`` answer."""
+    return lambda d: (IoEntry(encode_directive(d)), h(d))
+
+
 def interpret_governed(
     gh: GovernedHandler, policy: GovernancePolicy, t: ITree, fuel: Fuel
 ) -> RunOutcome:
-    """Drive the governed image of ``t``, recording a trace.
+    """Drive ``t`` under ``gh``, recording a trace: the policy decides
+    each check, the base handler answers each released directive. A
+    handler from ``govern`` drives ``t`` itself with the policy as the
+    check step, matching its image event for event and fuel for fuel;
+    other handlers drive their image, where any event that is neither a
+    check nor I/O is a ``TypeError``."""
 
-    Check events are answered by the policy, I/O events by the base
-    handler; any other event is a ``TypeError``. A run that does not
-    complete after a denying answer is ``denied`` (divergence is detected
-    early for the canonical spin loop).
-    """
+    def decide(stage, d):
+        allowed = bool(policy.decide(stage, d))
+        return GovEntry(stage, allowed), allowed
+
+    perform = _perform(gh.base)
+    if gh.gate is check_gate:
+        return drive(t, fuel, perform, lambda d: decide(stage_of(d), d))
 
     def answer(ev):
         if type(ev) is Gov:
-            stage = ev.check.stage
-            allowed = bool(policy.decide(stage, ev.check.directive))
-            return GovEntry(stage, allowed), _VERDICTS[allowed]
+            entry, allowed = decide(ev.check.stage, ev.check.directive)
+            return entry, _VERDICTS[allowed]
         if type(ev) is Io:
-            d = ev.directive
-            return IoEntry(encode_directive(d)), gh.base(d)
+            return perform(ev.directive)
         raise TypeError(f"not a governed event: {ev!r}")
 
     return drive(gh.transform(t), fuel, answer)
@@ -239,7 +261,7 @@ def interpret_governed(
 def interpret_ungoverned(h: Handler, t: ITree, fuel: Fuel) -> RunOutcome:
     """Drive a directive tree directly through the base handler, with no
     checks inserted; records only I/O entries."""
-    return drive(t, fuel, lambda d: (IoEntry(encode_directive(d)), h(d)))
+    return drive(t, fuel, _perform(h))
 
 
 def gov_safe_check(

@@ -185,6 +185,14 @@ def test_seed_env_var_default(tmp_path, monkeypatch):
     assert args.seed == 77
 
 
+def test_non_integer_seed_variable_is_a_usage_error(monkeypatch):
+    monkeypatch.setenv("GOVTREE_SEED", "abc")
+    result = run_module("run", str(PROGRAMS / "pure.json"))
+    assert result.returncode == EXIT_USAGE
+    assert result.stderr == "govtree: error: GOVTREE_SEED is not an integer: 'abc'\n"
+    assert result.stdout == ""
+
+
 def test_module_entry_point():
     result = run_module("run", str(PROGRAMS / "pure.json"))
     assert result.returncode == 0

@@ -14,7 +14,7 @@ from govtree.directives import (
     mock_answer,
     mock_handler,
 )
-from govtree.gen import gen_input, gen_program_ast
+from govtree.gen import gen_input, gen_policy, gen_program_ast
 from govtree.governance import (
     DENYING,
     PERMISSIVE,
@@ -23,6 +23,7 @@ from govtree.governance import (
     GovernedHandler,
     Io,
     bare_io,
+    check_gate,
     drive,
     gov_safe_check,
     govern,
@@ -223,7 +224,11 @@ def one_call():
 
 @pytest.mark.parametrize(
     "fuel, completed, value, trace",
-    [(3, True, 7, (CALL_PASSED, CALL_IO)), (2, False, None, (CALL_PASSED,))],
+    [
+        (3, True, 7, (CALL_PASSED, CALL_IO)),
+        (2, False, None, (CALL_PASSED,)),
+        (1, False, None, (CALL_PASSED,)),
+    ],
 )
 def test_governed_answer_tree_taus_cost_fuel(fuel, completed, value, trace):
     gh = govern(lambda d: tau(ret(7)))
@@ -291,3 +296,48 @@ def test_governed_step_encodes_its_directive_once(monkeypatch):
     assert out.completed
     assert [type(d).__name__ for d in encoded] == ["LLMCall", "MemoryOp", "CallMachine"]
     assert [e.directive for e in out.trace if type(e) is IoEntry] == [real(d) for d in encoded]
+
+
+# interpret_governed drives the source tree with a check step when the
+# handler came from govern; the governed image is what that stands for.
+
+def sweep_handlers(seed):
+    """The mock handler, its answer behind two Taus, and a reply that spins."""
+    answer = mock_handler(seed)
+    return (answer, lambda d: tau(tau(answer(d))), lambda d: spin())
+
+
+def counting(h):
+    calls = []
+    return (lambda d: calls.append(d) or h(d)), calls
+
+
+def test_fused_drive_matches_the_governed_image_at_every_fuel():
+    cases, differ = 0, []
+    for i in range(300):
+        rng = derive_rng("fuel-sweep", 0, i)
+        morph = compile_ast(gen_program_ast(rng, allow_register=True))
+        x = gen_input(rng)
+        policy = gen_policy(rng)
+        for k, h in enumerate(sweep_handlers(rng.randrange(2**32))):
+            for fuel in range(30):
+                fused_h, fused_calls = counting(h)
+                image_h, image_calls = counting(h)
+                image_gh = GovernedHandler(base=image_h, transform=govern(image_h).transform)
+                fused = interpret_governed(govern(fused_h), policy, morph(x), fuel)
+                image = interpret_governed(image_gh, policy, morph(x), fuel)
+                cases += 1
+                if (fused, len(fused_calls)) != (image, len(image_calls)):
+                    differ.append((i, k, fuel))
+    assert cases == 27_000
+    assert differ == [], f"{len(differ)} cases differ, first {differ[:5]}"
+
+
+def test_govern_run_does_not_build_the_image():
+    def no_image(t):
+        raise AssertionError("the governed image was built")
+
+    gh = GovernedHandler(base=mock_handler(0), transform=no_image, gate=check_gate)
+    out = interpret_governed(gh, PERMISSIVE, one_call(), 1000)
+    assert out.completed and out.trace == (CALL_PASSED, CALL_IO)
+    assert govern(mock_handler(0)).gate is check_gate
