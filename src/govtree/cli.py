@@ -221,12 +221,18 @@ def non_negative_int(text: str) -> int:
 
 
 def _add_common(p, fuel_default=DEFAULT_FUEL):
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--fuel", type=non_negative_int, default=fuel_default)
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors on their own exit code."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, rest = super().parse_known_args(args, namespace)
+        if getattr(namespace, "seed", 0) is None:  # read GOVTREE_SEED only if needed
+            namespace.seed = _default_seed()
+        return namespace, rest
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -239,9 +239,13 @@ def interpret_governed(
     other handlers drive their image, where any event that is neither a
     check nor I/O is a ``TypeError``."""
 
+    entries: dict = {}  # stage -> its (failing, passing) GovEntry, shared by the run
+
     def decide(stage, d):
         allowed = bool(policy.decide(stage, d))
-        return GovEntry(stage, allowed), allowed
+        if stage not in entries:
+            entries[stage] = (GovEntry(stage, False), GovEntry(stage, True))
+        return entries[stage][allowed], allowed
 
     perform = _perform(gh.base)
     if gh.gate is check_gate:

@@ -41,14 +41,23 @@ from typing import Any, Callable, NamedTuple, Sequence
 Fuel = int
 
 
+def own_type_eq(cls):  # a NamedTuple class unequal to every tuple of another type
+    cls.__eq__ = lambda s, o: (type(o) is cls or not isinstance(o, tuple)) and tuple.__eq__(s, o)
+    cls.__ne__ = lambda s, o: (type(o) is not cls and isinstance(o, tuple)) or tuple.__ne__(s, o)
+    return cls
+
+
+@own_type_eq
 class Ret(NamedTuple):
     value: Any
 
 
+@own_type_eq
 class Tau(NamedTuple):
     rest: "ITree"
 
 
+@own_type_eq
 class Vis(NamedTuple):
     event: Any
     cont: Callable[[Any], "ITree"]

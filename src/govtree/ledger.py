@@ -8,12 +8,13 @@ immutable ``NamedTuple`` of the event, its encoding, the previous
 entry's hash, and ``sha256(prev_hash || data)``. The chain is rooted at
 32 zero bytes.
 
-An entry is well formed when its stored data matches its event's
-encoding and its stored hash satisfies the hash equation; a ledger is
-valid when every entry is well formed and consecutively linked. Changing
-a recorded event while keeping the stored hashes breaks well-formedness,
-up to SHA-256 collisions, which the tamper checker treats as unreachable
-at this scale.
+An entry is well formed when its stored data is its event's encoding
+and its stored hash satisfies the hash equation; a ledger is valid when
+every entry is well formed and linked to the one before. On a ledger
+from ``parse_ledger`` (``_decoded``) the first half holds by
+construction, as ``encode_event(decode_event(b)) == b`` for every
+accepted ``b``, and is not rechecked. A recorded event changed under
+the stored hashes breaks well-formedness, up to SHA-256 collisions.
 
 File format (UTF-8, LF): header line ``GOVLEDGER v1 sha256``, then one
 line per entry: ``hex(prev_hash) hex(hash) base64(data)``. Lines are
@@ -27,13 +28,16 @@ from __future__ import annotations
 
 import binascii
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Iterable, NamedTuple
 
+from .directives import derive_rng
+from .gen import gen_trace_event
 from .trace import GovEntry, IoEntry, Trace, TraceEvent
 
 GENESIS_HASH = bytes(32)
+_new = tuple.__new__  # a NamedTuple from its fields, without its Python __new__
 
 _TYPE_GOV = 0x01
 _TYPE_IO = 0x02
@@ -62,11 +66,11 @@ def decode_event(data: bytes) -> TraceEvent:
     if kind == _TYPE_IO:
         if len(data) != end:
             raise ValueError("trailing bytes after io entry")
-        return IoEntry(text)
+        return _new(IoEntry, (text,))
     if kind == _TYPE_GOV:
         if len(data) != end + 1 or data[end] > 1:
             raise ValueError("malformed governance entry")
-        return GovEntry(text, data[end] == 1)
+        return _new(GovEntry, (text, data[end] == 1))
     raise ValueError(f"unknown event type byte {kind:#x}")
 
 
@@ -80,15 +84,11 @@ class LedgerEntry(NamedTuple):
     prev_hash: bytes
     hash: bytes
 
-    def well_formed(self) -> bool:
-        return self.data == encode_event(self.event) and self.hash == entry_hash(
-            self.prev_hash, self.data
-        )
-
 
 @dataclass(frozen=True)
 class Ledger:
     entries: tuple
+    _decoded: bool = field(default=False, init=False, repr=False, compare=False)
 
     def events(self) -> Trace:
         return tuple(e.event for e in self.entries)
@@ -100,7 +100,7 @@ def trace_to_ledger(trace: Iterable[TraceEvent]) -> Ledger:
     for ev in trace:
         data = encode_event(ev)
         h = entry_hash(prev, data)
-        entries.append(LedgerEntry(ev, data, prev, h))
+        entries.append(_new(LedgerEntry, (ev, data, prev, h)))
         prev = h
     return Ledger(tuple(entries))
 
@@ -109,7 +109,8 @@ def ledger_valid(ledger: Ledger) -> "tuple[bool, int | None]":
     """(True, None) for a valid ledger, else (False, first bad index)."""
     prev = GENESIS_HASH
     for i, entry in enumerate(ledger.entries):
-        if entry.prev_hash != prev or not entry.well_formed():
+        if (entry.prev_hash != prev or entry.hash != entry_hash(prev, entry.data)
+                or not (ledger._decoded or entry.data == encode_event(entry.event))):
             return False, i
         prev = entry.hash
     return True, None
@@ -137,9 +138,6 @@ def tamper_check(ledger: Ledger, mutations: int, seed: int) -> TamperReport:
     """Substitute random events into random entries, keeping the stored
     hashes, and count how many substitutions break validity. Every one
     must be detected."""
-    from .directives import derive_rng
-    from .gen import gen_trace_event
-
     if not ledger.entries:
         raise ValueError("tamper_check needs a nonempty ledger")
     rng = derive_rng("tamper", seed)
@@ -161,13 +159,13 @@ LEDGER_HEADER = "GOVLEDGER v1 sha256"
 
 
 def format_ledger(ledger: Ledger) -> str:
-    lines = [LEDGER_HEADER]
+    lines = [LEDGER_HEADER + "\n"]
+    prev, prev_hex = GENESIS_HASH, GENESIS_HASH.hex()
     for e in ledger.entries:
-        lines.append(
-            f"{e.prev_hash.hex()} {e.hash.hex()} "
-            f"{binascii.b2a_base64(e.data, newline=False).decode('ascii')}"
-        )
-    return "".join(line + "\n" for line in lines)
+        link = prev_hex if e.prev_hash == prev else e.prev_hash.hex()
+        prev, prev_hex = e.hash, e.hash.hex()
+        lines.append(f"{link} {prev_hex} {binascii.b2a_base64(e.data).decode()}")  # ends in LF
+    return "".join(lines)
 
 
 def parse_ledger(text: str) -> Ledger:
@@ -175,14 +173,18 @@ def parse_ledger(text: str) -> Ledger:
     if lines[0] != LEDGER_HEADER:
         raise ValueError("missing ledger header")
     entries = []
+    link, h = GENESIS_HASH.hex(), GENESIS_HASH  # the previous entry's hash field
     for line_no, line in enumerate(lines[1:], 2):
         if not line:
             continue
-        parts = line.split(" ")
-        if len(parts) != 3:
-            raise ValueError(f"line {line_no}: malformed ledger entry")
-        prev_hash = bytes.fromhex(parts[0])
-        h = bytes.fromhex(parts[1])
-        data = binascii.a2b_base64(parts[2], strict_mode=True)
-        entries.append(LedgerEntry(decode_event(data), data, prev_hash, h))
-    return Ledger(tuple(entries))
+        try:
+            prev_text, hash_text, b64 = line.split(" ")
+        except ValueError:
+            raise ValueError(f"line {line_no}: malformed ledger entry") from None
+        prev_hash = h if prev_text == link else bytes.fromhex(prev_text)
+        link, h = hash_text, bytes.fromhex(hash_text)
+        data = binascii.a2b_base64(b64, strict_mode=True)
+        entries.append(_new(LedgerEntry, (decode_event(data), data, prev_hash, h)))
+    ledger = Ledger(tuple(entries))
+    object.__setattr__(ledger, "_decoded", True)
+    return ledger

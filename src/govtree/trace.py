@@ -3,7 +3,8 @@
 A trace is the ordered record of what a governed run did: one entry per
 governance check (stage plus the boolean decision) and one entry per
 performed I/O event (the canonical directive encoding). Pure steps and
-silent steps leave no record.
+silent steps leave no record. Entries are ``NamedTuple`` records, each
+equal only to entries of its own type (see ``itree.own_type_eq``).
 
 A trace is *well governed* when every I/O entry is preceded by a passing
 check. By default the "passing check seen" flag resets after each I/O
@@ -17,20 +18,19 @@ Trace file format: one entry per line, UTF-8, LF endings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
-from .itree import BoundedVerdict, fails, holds, unknown
+from .itree import BoundedVerdict, bind, fails, holds, own_type_eq, unknown
 
 
-@dataclass(frozen=True, slots=True)
-class GovEntry:
+@own_type_eq
+class GovEntry(NamedTuple):
     stage: str
     passed: bool
 
 
-@dataclass(frozen=True, slots=True)
-class IoEntry:
+@own_type_eq
+class IoEntry(NamedTuple):
     directive: str  # canonical TAG{...} encoding
 
     @property
@@ -66,7 +66,6 @@ def check_trace_of_bind(t, k, policy, handler, fuel: int) -> BoundedVerdict:
     any run does not complete within fuel.
     """
     from .governance import govern, interpret_governed
-    from .itree import bind
 
     gh = govern(handler)
     first = interpret_governed(gh, policy, t, fuel)

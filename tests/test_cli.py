@@ -193,6 +193,25 @@ def test_non_integer_seed_variable_is_a_usage_error(monkeypatch):
     assert result.stdout == ""
 
 
+def test_seed_variable_is_not_read_by_verify(tmp_path, monkeypatch):
+    ledger_file = tmp_path / "m.ledger"
+    assert run_cli("run", str(PROGRAMS / "llm_pipeline.json"), "--ledger-out", str(ledger_file)) == EXIT_OK
+    monkeypatch.setenv("GOVTREE_SEED", "abc")
+    result = run_module("verify", str(ledger_file))
+    assert result.returncode == EXIT_OK
+    assert result.stdout == "valid (6 entries)\n" and result.stderr == ""
+
+
+def test_seed_variable_is_not_read_when_seed_is_given(monkeypatch):
+    monkeypatch.setenv("GOVTREE_SEED", "abc")
+    result = run_module("run", str(PROGRAMS / "pure.json"), "--seed", "3")
+    assert result.returncode == EXIT_OK
+    assert result.stdout == "42\n" and result.stderr == ""
+    from govtree.cli import build_parser
+
+    assert build_parser().parse_args(["diff", "--seed", "3"]).seed == 3
+
+
 def test_module_entry_point():
     result = run_module("run", str(PROGRAMS / "pure.json"))
     assert result.returncode == 0

@@ -105,6 +105,16 @@ def test_ret_observes_as_ret():
     assert observe(ret(None), 0) == Ret(None)
 
 
+def test_nodes_equal_only_nodes_of_their_own_type():
+    k = lambda x: ret(x)  # noqa: E731
+    assert Ret(7) == Ret(7) and Ret(7) != Ret(8)
+    assert Ret(7) != (7,) and (7,) != Ret(7) and not Ret(7) == (7,)
+    assert Tau(None) != Ret(None) and Ret(None) != Tau(None)
+    assert Vis(1, k) == Vis(1, k) and Vis(1, k) != (1, k)
+    assert FUEL_EXHAUSTED != Ret(None)
+    assert hash(Ret(7)) == hash((7,)) and repr(Ret(7)) == "Ret(value=7)"
+
+
 def test_bind_ret_is_continuation():
     k = lambda x: ret(x + 1)
     assert eutt_bounded(bind(ret(3), k), k(3), 50, SAMPLER).is_holds

@@ -1,17 +1,22 @@
 """Event encoding, hash chaining, validity, and tamper detection."""
 
+import binascii
 import random
+import struct
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from govtree.directives import DIRECTIVE_TYPES
 from govtree.gen import gen_directive, gen_trace, gen_trace_event
 from govtree.ledger import (
     GENESIS_HASH,
+    LEDGER_HEADER,
     LedgerEntry,
     Ledger,
+    TamperReport,
+    _substitute,
     decode_event,
     encode_event,
     entry_hash,
@@ -191,3 +196,201 @@ def test_parse_rejects_malformed_fields(column, corrupt):
     fields[column] = corrupt(fields[column])
     with pytest.raises(ValueError):
         parse_ledger(f"{header}\n{' '.join(fields)}\n")
+
+
+# --- parse once, verify over stored bytes ---------------------------------------
+#
+# The reference codec below is the straightforward one: every field parsed,
+# every event decoded and every entry re-encoded on verification. The
+# optimised parser and verifier must agree with it on every text.
+
+def _reference_decode_event(data):
+    if len(data) < 5:
+        raise ValueError("truncated event data")
+    kind, n = struct.unpack_from(">BI", data)
+    end = 5 + n
+    raw = data[5:end]
+    text = raw.decode("utf-8")
+    if len(raw) != n:
+        raise ValueError("truncated event field")
+    if kind == 0x02:
+        if len(data) != end:
+            raise ValueError("trailing bytes after io entry")
+        return IoEntry(text)
+    if kind == 0x01:
+        if len(data) != end + 1 or data[end] > 1:
+            raise ValueError("malformed governance entry")
+        return GovEntry(text, data[end] == 1)
+    raise ValueError(f"unknown event type byte {kind:#x}")
+
+
+def _reference_parse_ledger(text):
+    lines = text.split("\n")
+    if lines[0] != LEDGER_HEADER:
+        raise ValueError("missing ledger header")
+    entries = []
+    for line_no, line in enumerate(lines[1:], 2):
+        if not line:
+            continue
+        parts = line.split(" ")
+        if len(parts) != 3:
+            raise ValueError(f"line {line_no}: malformed ledger entry")
+        prev_hash = bytes.fromhex(parts[0])
+        h = bytes.fromhex(parts[1])
+        data = binascii.a2b_base64(parts[2], strict_mode=True)
+        entries.append(LedgerEntry(_reference_decode_event(data), data, prev_hash, h))
+    return Ledger(tuple(entries))
+
+
+def _reference_ledger_valid(ledger):
+    prev = GENESIS_HASH
+    for i, entry in enumerate(ledger.entries):
+        if (entry.prev_hash != prev or entry.data != encode_event(entry.event)
+                or entry.hash != entry_hash(entry.prev_hash, entry.data)):
+            return False, i
+        prev = entry.hash
+    return True, None
+
+
+def _reference_format_ledger(ledger):
+    lines = [LEDGER_HEADER]
+    for e in ledger.entries:
+        lines.append(
+            f"{e.prev_hash.hex()} {e.hash.hex()} "
+            f"{binascii.b2a_base64(e.data, newline=False).decode('ascii')}"
+        )
+    return "".join(line + "\n" for line in lines)
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+# Characters that matter to the format: hex digits of both cases, base64
+# digits and padding, the field and line separators, and what must be refused.
+EDIT_CHARS = st.sampled_from(list("0aAfF9z+/= \t\r\n\x00é "))
+
+
+@st.composite
+def edited_ledger_texts(draw):
+    events = draw(st.lists(trace_events, max_size=5))
+    # events repeat in real ledgers (one governance check per stage)
+    events += draw(st.lists(st.sampled_from(events), max_size=3)) if events else []
+    text = format_ledger(trace_to_ledger(events))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(
+            ("change", "insert", "delete", "duplicate", "upper", "dup-line", "blank-line")
+        ))
+        # the header is refused whole; edit the entry lines
+        i = draw(st.integers(min(len(LEDGER_HEADER) + 1, len(text) - 1), len(text) - 1))
+        if kind == "change" and text:
+            text = text[:i] + draw(EDIT_CHARS) + text[i + 1:]
+        elif kind == "insert":
+            text = text[:i] + draw(EDIT_CHARS) + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + 1:]
+        elif kind == "duplicate":
+            text = text[:i] + text[i:i + 1] + text[i:]
+        elif kind == "upper":
+            j = draw(st.integers(i, len(text)))
+            text = text[:i] + text[i:j].upper() + text[j:]
+        else:
+            lines = text.split("\n")
+            k = draw(st.integers(min(1, len(lines) - 1), len(lines) - 1))
+            lines.insert(k, lines[k] if kind == "dup-line" else "")
+            text = "\n".join(lines)
+    return text
+
+
+@settings(max_examples=400)
+@given(edited_ledger_texts())
+def test_parse_ledger_agrees_with_reference_parser(text):
+    got, expected = _outcome(parse_ledger, text), _outcome(_reference_parse_ledger, text)
+    assert got[0] == expected[0]
+    assert got[1] == expected[1]
+    if got[0] == "ok":
+        assert ledger_valid(got[1]) == _reference_ledger_valid(expected[1])
+
+
+@st.composite
+def event_bytes(draw):
+    """Byte strings near the event encoding: a type byte, a length that may
+    be off, UTF-8 or arbitrary bytes, and an optional trailing byte."""
+    kind = draw(st.integers(0, 3))
+    raw = draw(st.one_of(st.text().map(lambda s: s.encode("utf-8")), st.binary(max_size=8)))
+    n = len(raw) + draw(st.sampled_from((0, 0, 0, -1, 1)))
+    tail = draw(st.sampled_from((b"", b"", b"\x00", b"\x01", b"\x02")))
+    return struct.pack(">BI", kind, max(n, 0)) + raw + tail
+
+
+@settings(max_examples=500)
+@given(st.one_of(event_bytes(), st.binary(max_size=12)))
+def test_encode_inverts_decode_on_every_accepted_byte_string(data):
+    try:
+        ev = decode_event(data)
+    except ValueError:
+        return
+    assert encode_event(ev) == data
+
+
+def _parsed(n, seed):
+    return parse_ledger(format_ledger(trace_to_ledger(gen_trace(random.Random(seed), n))))
+
+
+@pytest.mark.parametrize("keep_data", [True, False])
+def test_parsed_ledger_with_a_substituted_entry_is_rejected_there(keep_data):
+    rng = random.Random(6)
+    for trial in range(60):
+        parsed = _parsed(6, trial)
+        assert ledger_valid(parsed) == (True, None)
+        idx = rng.randrange(6)
+        new_event = gen_trace_event(rng)
+        while new_event == parsed.entries[idx].event:
+            new_event = gen_trace_event(rng)
+        mutated = _substitute(list(parsed.entries), idx, new_event, keep_data)
+        assert ledger_valid(mutated) == _reference_ledger_valid(mutated) == (False, idx)
+
+
+def test_ledger_rebuilt_from_parsed_entries_is_checked_event_against_data():
+    parsed = _parsed(5, 11)
+    assert ledger_valid(Ledger(parsed.entries)) == (True, None)
+    for idx in range(5):
+        entries = list(parsed.entries)
+        e = entries[idx]
+        flipped = GovEntry(e.event.stage, not e.event.passed) if type(e.event) is GovEntry \
+            else IoEntry(e.event.directive + "x")
+        entries[idx] = e._replace(event=flipped)
+        rebuilt = Ledger(tuple(entries))
+        assert ledger_valid(rebuilt) == _reference_ledger_valid(rebuilt) == (False, idx)
+
+
+def test_tamper_check_reports_on_parsed_and_built_ledgers():
+    for seed in range(5):
+        built = trace_to_ledger(gen_trace(random.Random(seed), 8))
+        parsed = parse_ledger(format_ledger(built))
+        for ledger in (built, parsed):
+            assert tamper_check(ledger, mutations=200, seed=seed) == TamperReport(200, 200)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_format_ledger_writes_every_stored_link(seed):
+    # dropped, swapped and rewritten entries break the chain; each line
+    # must still carry its own entry's prev_hash, not the line before's hash
+    rng = random.Random(seed)
+    entries = list(trace_to_ledger(gen_trace(rng, 6)).entries)
+    i, j = sorted(rng.sample(range(len(entries)), 2))
+    for broken in (
+        entries[:i] + entries[i + 1:],
+        entries[:i] + [entries[j]] + entries[i + 1:j] + [entries[i]] + entries[j + 1:],
+        entries[:i] + [entries[i]._replace(prev_hash=rng.randbytes(32))] + entries[i + 1:],
+        [entries[0]._replace(prev_hash=entries[1].hash)] + entries[1:],
+    ):
+        ledger = Ledger(tuple(broken))
+        text = format_ledger(ledger)
+        assert text == _reference_format_ledger(ledger)
+        parsed = parse_ledger(text)
+        assert parsed == ledger
+        assert ledger_valid(parsed) == _reference_ledger_valid(ledger)

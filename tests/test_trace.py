@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import fields
+from unittest.mock import ANY
 
 import hypothesis.strategies as st
 from hypothesis import given
@@ -16,7 +17,7 @@ from govtree.directives import (
 )
 from govtree.gen import gen_trace
 from govtree.governance import DENYING, PERMISSIVE, govern, interpret_governed
-from govtree.itree import ret, vis
+from govtree.itree import Ret, ret, vis
 from govtree.trace import (
     GovEntry,
     IoEntry,
@@ -87,6 +88,41 @@ def test_trace_of_denied_file_op():
 
 def test_io_entry_tag():
     assert IoEntry("LLMCall{model=m,prompt=p}").tag == "LLMCall"
+
+
+def test_entries_equal_only_entries_of_their_own_type():
+    assert GovEntry("a", True) != ("a", True)
+    assert not GovEntry("a", True) == ("a", True)
+    assert ("a", True) != GovEntry("a", True)
+    assert IoEntry("x") != Ret("x")
+    assert not IoEntry("x") == Ret("x")
+    assert Ret("x") != IoEntry("x")
+    assert not Ret("x") == IoEntry("x")
+    assert (Ret("x"),) != (IoEntry("x"),)
+    assert (IoEntry("x"),) != (Ret("x"),)
+    assert IoEntry("x") == ANY and GovEntry("a", True) == ANY  # other objects still decide
+    assert IoEntry("x") != ("x",)
+    assert GovEntry("a", 1) == GovEntry("a", True)
+    assert not GovEntry("a", 1) != GovEntry("a", True)
+    assert GovEntry("a", True) != GovEntry("a", False)
+    assert IoEntry("x") == IoEntry("x") and IoEntry("x") != IoEntry("y")
+
+
+def test_entries_hash_repr_and_immutability():
+    import pytest
+
+    g, io = GovEntry("LLMCall", True), IoEntry("DBOp{query=q}")
+    assert hash(g) == hash(("LLMCall", True)) and hash(io) == hash(("DBOp{query=q}",))
+    assert len({g, GovEntry("LLMCall", True), io, IoEntry("DBOp{query=q}")}) == 2
+    assert repr(g) == "GovEntry(stage='LLMCall', passed=True)"
+    assert repr(io) == "IoEntry(directive='DBOp{query=q}')"
+    assert repr((g, io)) == (
+        "(GovEntry(stage='LLMCall', passed=True), IoEntry(directive='DBOp{query=q}'))"
+    )
+    for entry, name in ((g, "stage"), (g, "passed"), (io, "directive")):
+        with pytest.raises(AttributeError):
+            setattr(entry, name, "changed")
+        assert not hasattr(entry, "__dict__")
 
 
 def test_trace_of_bind_pure():
