@@ -41,7 +41,6 @@ from .directives import (
 from .governance import (
     PERMISSIVE,
     Gov,
-    GovCheck,
     GovernedHandler,
     Io,
     bare_io,
@@ -109,7 +108,7 @@ def fingerprinting_operator() -> GovernanceOperator:
 
         def on_vis(d, cont, rec):
             gate = check_gate(d, cont, rec)
-            return Vis(Gov(GovCheck(f"{stage_of(d)}#h{token}", d)), gate.cont)
+            return Vis(Gov(f"{stage_of(d)}#h{token}", d), gate.cont)
 
         return rewrap(h, on_vis)
 

@@ -317,11 +317,9 @@ def check_register_agreement(
     programs: Iterable[RegisterProgram],
     fuel: int,
     sampler: ResponseSampler,
-    check_governed: bool = True,
 ) -> BoundedVerdict:
     """Translated trees agree step-for-step with the reference interpreter,
-    and (optionally) their governed images pass the safety check at fuel
-    4096."""
+    and their governed images pass the safety check at fuel 4096."""
     gh = govern(mock_handler(0))
     verdicts = []
     for p in programs:
@@ -329,14 +327,13 @@ def check_register_agreement(
         actual = register_tree_steps(p, fuel, drive_fuel=4 * fuel + 8)
         if actual != expected:
             return fails((f"register trace mismatch for {p!r}",))
-        if check_governed:
-            v = gov_safe_check(
-                gh.transform(translate_register_program(p, fuel)),
-                False,
-                4096,
-                sampler,
-            )
-            if v.is_fails:
-                return fails((f"governed register program unsafe: {p!r}",) + v.witness)
-            verdicts.append(v)
+        v = gov_safe_check(
+            gh.transform(translate_register_program(p, fuel)),
+            False,
+            4096,
+            sampler,
+        )
+        if v.is_fails:
+            return fails((f"governed register program unsafe: {p!r}",) + v.witness)
+        verdicts.append(v)
     return combine_verdicts(verdicts) if verdicts else holds()

@@ -3,7 +3,8 @@
 Subcommands: ``run`` a program file (writing trace and ledger files),
 ``verify`` a ledger file, ``check`` a program for safety or capability
 bounds, and the campaign drivers ``coherence``, ``conformance``,
-``boundary``, and ``diff``. Every command is deterministic given
+``boundary``, and ``diff``. Every command is deterministic: ``run``
+given ``--handler-seed``, and each command that draws values given
 ``--seed`` (default: the ``GOVTREE_SEED`` environment variable, else 0).
 
 Exit codes: 0 success / value produced, 1 verification or suite failure,
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--handler-seed", type=int, default=0)
     p_run.add_argument("--trace-out")
     p_run.add_argument("--ledger-out")
-    _add_common(p_run)
+    p_run.add_argument("--fuel", type=non_negative_int, default=DEFAULT_FUEL)
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="verify a ledger file")
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coh = sub.add_parser("coherence", help="pentagon/triangle/hexagon checks")
     p_coh.add_argument("--samples", type=non_negative_int, default=1000)
-    _add_common(p_coh)
+    p_coh.add_argument("--seed", type=int, default=None)
     p_coh.set_defaults(func=_cmd_coherence)
 
     p_conf = sub.add_parser("conformance", help="axiom conformance for an operator")

@@ -56,17 +56,12 @@ GovernanceStage = str
 
 
 @dataclass(frozen=True, slots=True)
-class GovCheck:
+class Gov:
     """A pending governance decision: the checkpoint stage plus the
     directive awaiting release. The stage label is the directive tag."""
 
     stage: GovernanceStage
     directive: DirectiveEvent
-
-
-@dataclass(frozen=True, slots=True)
-class Gov:
-    check: GovCheck
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,14 +147,14 @@ def check_gate(d: DirectiveEvent, cont, rec):
             return spin()
         return vis(Io(d), lambda x: rec(cont(x)))
 
-    return Vis(Gov(GovCheck(stage_of(d), d)), after_check)
+    return Vis(Gov(stage_of(d), d), after_check)
 
 
 def govern(h: Handler) -> GovernedHandler:
     """Wrap a base handler so every directive is check-gated.
 
     For each directive ``d`` in the source tree the governed tree emits
-    ``Gov(GovCheck(stage, d))``; on a true answer it emits ``Io(d)`` and
+    ``Gov(stage, d)``; on a true answer it emits ``Io(d)`` and
     continues the source continuation with the I/O answer, on false it
     diverges. Ret and Tau pass through.
     """
@@ -253,7 +248,7 @@ def interpret_governed(
 
     def answer(ev):
         if type(ev) is Gov:
-            entry, allowed = decide(ev.check.stage, ev.check.directive)
+            entry, allowed = decide(ev.stage, ev.directive)
             return entry, _VERDICTS[allowed]
         if type(ev) is Io:
             return perform(ev.directive)
@@ -297,7 +292,7 @@ def gov_safe_check(
         if type(ev) is Gov:
             if fuel <= 0:
                 return unknown("fuel-exhausted")
-            stage = ev.check.stage
+            stage = ev.stage
             return [
                 (("check({})=true", stage), (node.cont(True), True), fuel - 1),
                 (("check({})=false", stage), (node.cont(False), False), fuel - 1),

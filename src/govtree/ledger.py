@@ -18,10 +18,11 @@ the stored hashes breaks well-formedness, up to SHA-256 collisions.
 
 File format (UTF-8, LF): header line ``GOVLEDGER v1 sha256``, then one
 line per entry: ``hex(prev_hash) hex(hash) base64(data)``. Lines are
-split on LF alone, so a CRLF file is a ``ValueError``. The base64
-field is read in strict mode, so a non-ASCII or non-base64 character or
-misplaced padding is a ``ValueError``, as is a hex field that is not
-hex or has odd length.
+split on LF alone, so a CRLF file is a ``ValueError``. Only the fields
+``format_ledger`` writes are read, so each ledger has one text: a hash
+field is exactly 64 lowercase hex digits, and the base64 field is read
+in strict mode (a non-ASCII or non-base64 character or misplaced
+padding is a ``ValueError``) and must have zero padding bits.
 """
 
 from __future__ import annotations
@@ -168,6 +169,17 @@ def format_ledger(ledger: Ledger) -> str:
     return "".join(lines)
 
 
+def _hash_field(text: str, line_no: int) -> bytes:
+    # bytes.fromhex alone also takes uppercase digits and skips whitespace
+    try:
+        h = bytes.fromhex(text)
+    except ValueError:
+        h = b""
+    if len(h) != 32 or h.hex() != text:
+        raise ValueError(f"line {line_no}: hash field is not 64 lowercase hex digits")
+    return h
+
+
 def parse_ledger(text: str) -> Ledger:
     lines = text.split("\n")
     if lines[0] != LEDGER_HEADER:
@@ -181,9 +193,12 @@ def parse_ledger(text: str) -> Ledger:
             prev_text, hash_text, b64 = line.split(" ")
         except ValueError:
             raise ValueError(f"line {line_no}: malformed ledger entry") from None
-        prev_hash = h if prev_text == link else bytes.fromhex(prev_text)
-        link, h = hash_text, bytes.fromhex(hash_text)
+        prev_hash = h if prev_text == link else _hash_field(prev_text, line_no)
+        link, h = hash_text, _hash_field(hash_text, line_no)
         data = binascii.a2b_base64(b64, strict_mode=True)
+        # strict mode ignores the padding bits, which only a padded field has
+        if b64[-1:] == "=" and binascii.b2a_base64(data, newline=False).decode() != b64:
+            raise ValueError(f"line {line_no}: base64 field has nonzero padding bits")
         entries.append(_new(LedgerEntry, (decode_event(data), data, prev_hash, h)))
     ledger = Ledger(tuple(entries))
     object.__setattr__(ledger, "_decoded", True)

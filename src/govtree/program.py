@@ -7,7 +7,15 @@ A program file is a JSON document::
 Values are ints, strings, booleans, null (unit), or two-element lists
 (pairs, possibly nested). Node kinds are ``code``, ``reason``,
 ``memory``, ``call``, ``seq``, ``tensor``, ``branch``, and
-``register_machine``; unknown kinds are rejected at parse time.
+``register_machine``.
+
+The grammar has one definition, ``compile_ast``: a body is accepted
+exactly when it compiles. One depth-first walk checks each node and its
+expressions and builds the morphism, refusing the first malformed part
+with a ``ProgramError``. ``parse_program`` compiles the body once and
+the ``Program`` it returns keeps that morphism; a ``Program`` built
+directly compiles on its first ``compile()``. A document nested deeper
+than the recursion limit allows is a ``ProgramError`` too.
 
 Pure functions inside nodes are written in a tiny total expression
 language evaluated against the node's input value. Operations never
@@ -33,7 +41,7 @@ interaction trees. The independent small-step evaluator lives in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from .capability import CapSet, cap_empty, cap_singleton, cap_union
@@ -100,7 +108,9 @@ _UNARY = ("fst", "snd", "len", "not")
 _LEAF = ("input", "int", "str", "unit")
 
 
-def validate_expr(expr) -> None:
+def validate_expr(expr) -> dict:
+    """``expr`` unchanged if it is a well-formed expression, else a
+    ``ProgramError``."""
     if not isinstance(expr, dict) or "op" not in expr:
         raise ProgramError(f"expression must be an object with an op: {expr!r}")
     op = expr["op"]
@@ -109,7 +119,7 @@ def validate_expr(expr) -> None:
             raise ProgramError("int literal needs an integer value")
         if op == "str" and not isinstance(expr.get("value"), str):
             raise ProgramError("str literal needs a string value")
-        return
+        return expr
     args = expr.get("args")
     if op in _UNARY:
         if not isinstance(args, list) or len(args) != 1:
@@ -121,6 +131,7 @@ def validate_expr(expr) -> None:
         raise ProgramError(f"unknown expression op {op!r}")
     for a in args:
         validate_expr(a)
+    return expr
 
 
 def eval_expr(expr: dict, x):
@@ -166,50 +177,6 @@ def eval_expr(expr: dict, x):
     return to_bool(a) or to_bool(b)
 
 
-_NODE_KINDS = (
-    "code", "reason", "memory", "call", "seq", "tensor", "branch",
-    "register_machine",
-)
-
-
-def validate_ast(node) -> None:
-    if not isinstance(node, dict) or "kind" not in node:
-        raise ProgramError(f"node must be an object with a kind: {node!r}")
-    kind = node["kind"]
-    if kind not in _NODE_KINDS:
-        raise ProgramError(f"unknown node kind {kind!r}")
-    if kind == "code":
-        validate_expr(node.get("expr"))
-    elif kind == "reason":
-        _require_str(node, "model")
-        validate_expr(node.get("prompt"))
-        validate_expr(node.get("extract"))
-    elif kind == "memory":
-        _require_str(node, "mop")
-        validate_expr(node.get("key"))
-        validate_expr(node.get("value"))
-        validate_expr(node.get("extract"))
-    elif kind == "call":
-        _require_str(node, "machine")
-        validate_expr(node.get("payload"))
-        validate_expr(node.get("extract"))
-    elif kind == "seq":
-        steps = node.get("steps")
-        if not isinstance(steps, list) or not steps:
-            raise ProgramError("seq needs a nonempty list of steps")
-        for s in steps:
-            validate_ast(s)
-    elif kind == "tensor":
-        validate_ast(node.get("left"))
-        validate_ast(node.get("right"))
-    elif kind == "branch":
-        validate_expr(node.get("pred"))
-        validate_ast(node.get("then"))
-        validate_ast(node.get("else"))
-    else:
-        _parse_register(node)  # validates
-
-
 def _require_str(node: dict, key: str) -> str:
     v = node.get(key)
     if not isinstance(v, str):
@@ -251,20 +218,26 @@ def _answer_value(answer):
     return (answer.status, answer.content)
 
 
-def compile_ast(node: dict) -> Morphism:
-    """Compile a validated AST into a morphism over interaction trees."""
+def compile_ast(node) -> Morphism:
+    """Check an AST node and compile it into a morphism over interaction
+    trees in one depth-first walk; the first malformed node or expression
+    met is a ``ProgramError``."""
+    if not isinstance(node, dict) or "kind" not in node:
+        raise ProgramError(f"node must be an object with a kind: {node!r}")
     kind = node["kind"]
     if kind == "code":
-        expr = node["expr"]
+        expr = validate_expr(node.get("expr"))
         return code(lambda a: eval_expr(expr, a))
     if kind == "reason":
-        model, prompt, extract = node["model"], node["prompt"], node["extract"]
+        model, prompt = _require_str(node, "model"), validate_expr(node.get("prompt"))
+        extract = validate_expr(node.get("extract"))
         return reason(
             lambda a: LLMCall(model=model, prompt=to_str(eval_expr(prompt, a))),
             lambda ans: eval_expr(extract, _answer_value(ans)),
         )
     if kind == "memory":
-        mop, key, value, extract = node["mop"], node["key"], node["value"], node["extract"]
+        mop, key = _require_str(node, "mop"), validate_expr(node.get("key"))
+        value, extract = validate_expr(node.get("value")), validate_expr(node.get("extract"))
         return memory(
             lambda a: MemoryOp(
                 op=mop, key=to_str(eval_expr(key, a)), value=to_str(eval_expr(value, a))
@@ -272,13 +245,17 @@ def compile_ast(node: dict) -> Morphism:
             lambda ans: eval_expr(extract, _answer_value(ans)),
         )
     if kind == "call":
-        machine, payload, extract = node["machine"], node["payload"], node["extract"]
+        machine, payload = _require_str(node, "machine"), validate_expr(node.get("payload"))
+        extract = validate_expr(node.get("extract"))
         return call(
             lambda a: CallMachine(machine=machine, payload=to_str(eval_expr(payload, a))),
             lambda ans: eval_expr(extract, _answer_value(ans)),
         )
     if kind == "seq":
-        first, *rest = [compile_ast(s) for s in node["steps"]]
+        steps = node.get("steps")
+        if not isinstance(steps, list) or not steps:
+            raise ProgramError("seq needs a nonempty list of steps")
+        first, *rest = [compile_ast(s) for s in steps]
 
         def run_seq(a):
             t = first(a)
@@ -288,16 +265,18 @@ def compile_ast(node: dict) -> Morphism:
 
         return run_seq
     if kind == "tensor":
-        return tensor(compile_ast(node["left"]), compile_ast(node["right"]))
+        return tensor(compile_ast(node.get("left")), compile_ast(node.get("right")))
     if kind == "branch":
-        pred = node["pred"]
+        pred = validate_expr(node.get("pred"))
         return branch(
             lambda a: to_bool(eval_expr(pred, a)),
-            compile_ast(node["then"]),
-            compile_ast(node["else"]),
+            compile_ast(node.get("then")),
+            compile_ast(node.get("else")),
         )
-    program, fuel = _parse_register(node)
-    return lambda a: translate_register_program(program, fuel)
+    if kind == "register_machine":
+        program, fuel = _parse_register(node)
+        return lambda a: translate_register_program(program, fuel)
+    raise ProgramError(f"unknown node kind {kind!r}")
 
 
 def ast_caps(node: dict) -> CapSet:
@@ -343,9 +322,13 @@ def format_value(v) -> str:
 class Program:
     input_value: Any
     body: dict
+    _morphism: Morphism | None = field(default=None, init=False, repr=False, compare=False)
 
     def compile(self) -> Morphism:
-        return compile_ast(self.body)
+        """The body's morphism: compiled on the first call, then kept."""
+        if self._morphism is None:
+            object.__setattr__(self, "_morphism", compile_ast(self.body))
+        return self._morphism
 
     def caps(self) -> CapSet:
         return ast_caps(self.body)
@@ -359,12 +342,14 @@ def parse_program(text: str) -> Program:
             raise ProgramError("program document must have version 1")
         if "body" not in doc:
             raise ProgramError("program document needs a body")
-        validate_ast(doc["body"])
-        return Program(_value_from_json(doc.get("input")), doc["body"])
+        morphism = compile_ast(doc["body"])
+        program = Program(_value_from_json(doc.get("input")), doc["body"])
     except json.JSONDecodeError as e:
         raise ProgramError(f"not valid JSON: {e}") from None
     except RecursionError:
         raise ProgramError("program document nested too deeply") from None
+    object.__setattr__(program, "_morphism", morphism)
+    return program
 
 
 def serialize_program(program: Program) -> str:

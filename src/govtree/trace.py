@@ -7,10 +7,9 @@ silent steps leave no record. Entries are ``NamedTuple`` records, each
 equal only to entries of its own type (see ``itree.own_type_eq``).
 
 A trace is *well governed* when every I/O entry is preceded by a passing
-check. By default the "passing check seen" flag resets after each I/O
-entry, making the predicate the linear shadow of the tree-level safety
-check, which re-requires approval after every effect; pass
-``reset_after_io=False`` for the looser once-is-enough reading.
+check. The "passing check seen" flag resets after each I/O entry, making
+the predicate the linear shadow of the tree-level safety check, which
+re-requires approval after every effect.
 
 Trace file format: one entry per line, UTF-8, LF endings.
 ``GOV <stage> <pass|fail>`` or ``IO <canonical-directive>``.
@@ -42,8 +41,9 @@ TraceEvent = Union[GovEntry, IoEntry]
 Trace = tuple
 
 
-def well_governed(trace: Iterable[TraceEvent], reset_after_io: bool = True) -> bool:
-    """True when every I/O entry is preceded by a passing check."""
+def well_governed(trace: Iterable[TraceEvent]) -> bool:
+    """True when every I/O entry is preceded by a passing check, with no
+    other I/O entry between them."""
     approved = False
     for ev in trace:
         if type(ev) is GovEntry:
@@ -52,8 +52,7 @@ def well_governed(trace: Iterable[TraceEvent], reset_after_io: bool = True) -> b
         else:
             if not approved:
                 return False
-            if reset_after_io:
-                approved = False
+            approved = False
     return True
 
 

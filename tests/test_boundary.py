@@ -5,7 +5,7 @@ from govtree.boundary import (
 )
 from govtree.directives import ResponseSampler
 from govtree.gen import gen_program_ast
-from govtree.program import validate_ast
+from govtree.program import compile_ast
 
 import random
 
@@ -41,9 +41,9 @@ def test_render_mentions_every_field():
 
 
 def test_generator_closure():
-    # generated programs parse under the program-file validator, which
+    # generated programs compile under the program-file compiler, which
     # only admits the expressible node kinds
     for i in range(200):
         rng = random.Random(i)
         ast = gen_program_ast(rng, allow_register=True)
-        validate_ast(ast)
+        compile_ast(ast)

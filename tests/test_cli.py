@@ -18,10 +18,10 @@ from govtree.cli import (
     main,
 )
 from govtree.governance import PERMISSIVE
-from govtree.ledger import parse_ledger, ledger_valid
+from govtree.ledger import format_ledger, ledger_valid, parse_ledger, trace_to_ledger
 from govtree.program import format_value
 from govtree.reference import run_reference
-from govtree.trace import parse_trace
+from govtree.trace import GovEntry, IoEntry, parse_trace
 
 PROGRAMS = Path(__file__).resolve().parents[1] / "programs"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -187,7 +187,7 @@ def test_seed_env_var_default(tmp_path, monkeypatch):
 
 def test_non_integer_seed_variable_is_a_usage_error(monkeypatch):
     monkeypatch.setenv("GOVTREE_SEED", "abc")
-    result = run_module("run", str(PROGRAMS / "pure.json"))
+    result = run_module("check", str(PROGRAMS / "pure.json"))
     assert result.returncode == EXIT_USAGE
     assert result.stderr == "govtree: error: GOVTREE_SEED is not an integer: 'abc'\n"
     assert result.stdout == ""
@@ -204,12 +204,31 @@ def test_seed_variable_is_not_read_by_verify(tmp_path, monkeypatch):
 
 def test_seed_variable_is_not_read_when_seed_is_given(monkeypatch):
     monkeypatch.setenv("GOVTREE_SEED", "abc")
-    result = run_module("run", str(PROGRAMS / "pure.json"), "--seed", "3")
+    result = run_module("check", str(PROGRAMS / "pure.json"), "--seed", "3")
     assert result.returncode == EXIT_OK
-    assert result.stdout == "42\n" and result.stderr == ""
+    assert result.stdout == "safety: holds\n" and result.stderr == ""
     from govtree.cli import build_parser
 
     assert build_parser().parse_args(["diff", "--seed", "3"]).seed == 3
+
+
+def test_run_does_not_read_the_seed_variable(monkeypatch):
+    # run draws its answers from --handler-seed alone
+    monkeypatch.setenv("GOVTREE_SEED", "abc")
+    result = run_module("run", str(PROGRAMS / "pure.json"))
+    assert result.returncode == EXIT_OK
+    assert result.stdout == "42\n" and result.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", str(PROGRAMS / "pure.json"), "--seed", "3"],
+    ["coherence", "--fuel", "5"],
+])
+def test_options_no_command_reads_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_module_entry_point():
@@ -341,6 +360,35 @@ def assert_one_line_error(result, exit_code):
     assert result.stdout == ""
 
 
+def write_nested(path, kind, depth):
+    """A program whose body is ``depth`` nested ``kind`` nodes around one
+    code step, written as text: json.dumps would recurse as deep."""
+    leaf = '{"kind": "code", "expr": {"op": "input"}}'
+    opening, closing = {
+        "seq": ('{"kind": "seq", "steps": [', "]}"),
+        "tensor": ('{"kind": "tensor", "left": ', f', "right": {leaf}}}'),
+        "branch": ('{"kind": "branch", "pred": {"op": "int", "value": 1}, "then": ',
+                   f', "else": {leaf}}}'),
+    }[kind]
+    body = opening * depth + leaf + closing * depth
+    path.write_text('{"version": 1, "input": 0, "body": ' + body + "}")
+    return str(path)
+
+
+# The deepest nestings the commands accept under the default recursion limit.
+# Reading the JSON binds them (a seq level is an object and a list, so it
+# counts twice); compiling runs inside the same guard, so a compiler that
+# took more stack per level than the parser would lower them.
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("kind, deepest", [("seq", 493), ("tensor", 986), ("branch", 986)])
+def test_nesting_depth_limits(tmp_path, command, kind, deepest):
+    ok = run_module(command, write_nested(tmp_path / "ok.json", kind, deepest))
+    assert ok.returncode == EXIT_OK and ok.stderr == ""
+    deeper = run_module(command, write_nested(tmp_path / "deeper.json", kind, deepest + 1))
+    assert_one_line_error(deeper, EXIT_INPUT)
+    assert deeper.stderr == "govtree: error: program document nested too deeply\n"
+
+
 def test_missing_program_file_is_an_input_error(tmp_path):
     result = run_module("run", str(tmp_path / "missing.json"))
     assert_one_line_error(result, EXIT_INPUT)
@@ -382,6 +430,26 @@ def test_non_utf8_ledger_is_an_invalid_ledger(tmp_path):
     assert result.returncode == EXIT_FAIL
     stderr = result.stderr.splitlines()
     assert len(stderr) == 1 and stderr[0].startswith("invalid ledger file: ")
+
+
+# Each edit leaves a text that bytes.fromhex or strict base64 still reads
+# as the same ledger, but that format_ledger never writes.
+@pytest.mark.parametrize("edit", [
+    lambda fields: [fields[0], fields[1].upper(), fields[2]],
+    lambda fields: [fields[0], fields[1][:32] + "\t" + fields[1][32:], fields[2]],
+    lambda fields: [fields[0], fields[1], fields[2][:-4] + "AR=="],
+], ids=["uppercase-hash", "tab-in-hash", "nonzero-padding-bits"])
+def test_verify_refuses_fields_format_ledger_never_writes(tmp_path, capsys, edit):
+    trace = (GovEntry("LLMCall", True), IoEntry("LLMCall{model=m,prompt=p}"))
+    header, first, second = format_ledger(trace_to_ledger(trace)).splitlines()
+    assert first.endswith("AQ==")  # the pass byte 1 ends the check's encoding
+    path = tmp_path / "edited.ledger"
+    path.write_text("\n".join([header, " ".join(edit(first.split(" "))), second]) + "\n")
+    assert run_cli("verify", str(path)) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid ledger file: line 2: ")
 
 
 @pytest.mark.parametrize("command, option", [

@@ -19,7 +19,7 @@ from govtree.directives import (
     mock_handler,
 )
 from govtree.gen import gen_input, gen_program_ast
-from govtree.governance import Gov, GovCheck, Io, gov_safe_check, govern
+from govtree.governance import Gov, Io, gov_safe_check, govern
 from govtree.itree import bind, eutt_bounded, ret, tau, vis
 from govtree.program import ast_caps, compile_ast
 
@@ -71,7 +71,7 @@ def test_first_fails_in_depth_first_order():
     d, d2 = LLMCall("m", "p"), FileOp("read", "x")
     # both check branches fail: the true branch is searched first
     tree = vis(
-        Gov(GovCheck("LLMCall", d)),
+        Gov("LLMCall", d),
         lambda ok: vis(Io(d), lambda x: vis(Io(d2), lambda y: ret(None))),
     )
     v = gov_safe_check(tree, False, 100, SAMPLER)
@@ -88,7 +88,7 @@ def test_fails_wins_over_earlier_unknown():
     for _ in range(50):
         long_taus = tau(long_taus)
     tree = vis(
-        Gov(GovCheck("FileOp", d)),
+        Gov("FileOp", d),
         lambda ok: long_taus if ok else vis(Io(d), lambda x: ret(None)),
     )
     v = gov_safe_check(tree, False, 10, SAMPLER)

@@ -19,7 +19,6 @@ from govtree.governance import (
     DENYING,
     PERMISSIVE,
     Gov,
-    GovCheck,
     GovernedHandler,
     Io,
     bare_io,
@@ -58,7 +57,7 @@ def test_govern_inserts_check_before_io():
     tree = gh.transform(llm_program())
     head = tree.step()
     assert type(head) is Vis and type(head.event) is Gov
-    assert head.event.check.stage == "LLMCall"
+    assert head.event.stage == "LLMCall"
     released = head.cont(True).step()
     assert type(released) is Vis and type(released.event) is Io
     assert directive_tag(released.event.directive) == "LLMCall"
@@ -160,7 +159,7 @@ def test_reset_after_io_is_enforced():
     # approval does not survive an I/O event: a second unchecked effect fails
     d = LLMCall("m", "p")
     t = vis(
-        Gov(GovCheck("LLMCall", d)),
+        Gov("LLMCall", d),
         lambda ok: vis(Io(d), lambda x: bare_io(d)) if ok else ret(None),
     )
     v = gov_safe_check(t, False, 100, SAMPLER)
@@ -184,7 +183,7 @@ def test_denial_conservativity_spin_replacement():
     gh = govern(mock_handler(0))
     base = gh.transform(llm_program())
     with_spin = vis(
-        Gov(GovCheck("LLMCall", d)),
+        Gov("LLMCall", d),
         lambda ok: vis(Io(d), lambda x: spin()) if ok else spin(),
     )
     assert not gov_safe_check(base, False, 1000, SAMPLER).is_fails

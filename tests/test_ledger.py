@@ -2,6 +2,7 @@
 
 import binascii
 import random
+import re
 import struct
 
 import hypothesis.strategies as st
@@ -235,9 +236,14 @@ def _reference_parse_ledger(text):
         parts = line.split(" ")
         if len(parts) != 3:
             raise ValueError(f"line {line_no}: malformed ledger entry")
+        for field in parts[:2]:
+            if not re.fullmatch("[0-9a-f]{64}", field):
+                raise ValueError(f"line {line_no}: hash field is not 64 lowercase hex digits")
         prev_hash = bytes.fromhex(parts[0])
         h = bytes.fromhex(parts[1])
         data = binascii.a2b_base64(parts[2], strict_mode=True)
+        if binascii.b2a_base64(data, newline=False).decode("ascii") != parts[2]:
+            raise ValueError(f"line {line_no}: base64 field has nonzero padding bits")
         entries.append(LedgerEntry(_reference_decode_event(data), data, prev_hash, h))
     return Ledger(tuple(entries))
 

@@ -1,13 +1,17 @@
 """Program file parsing, the expression language, and compilation."""
 
+import copy
 import itertools
+import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import govtree.program
 from govtree.capability import cap_singleton
+from govtree.category import DecJz, Halt, Inc, RegisterProgram
 from govtree.directives import Capability, mock_handler
 from govtree.gen import gen_expr, gen_input, gen_program_ast
 from govtree.governance import PERMISSIVE, govern, interpret_governed
@@ -24,7 +28,6 @@ from govtree.program import (
     to_bool,
     to_int,
     to_str,
-    validate_ast,
     validate_expr,
 )
 
@@ -112,9 +115,9 @@ def test_branch_compiles_to_one_arm():
 def test_register_machine_node_validation():
     bad = {"kind": "register_machine", "registers": 1, "fuel": 5, "program": [["decjz", 0, 9]]}
     with pytest.raises(ProgramError):
-        validate_ast(bad)
+        compile_ast(bad)
     ok = {"kind": "register_machine", "registers": 1, "fuel": 5, "program": [["inc", 0], ["halt"]]}
-    validate_ast(ok)
+    compile_ast(ok)
     out = interpret_governed(govern(mock_handler(0)), PERMISSIVE, compile_ast(ok)(None), 1000)
     assert out.completed and out.value is None
     assert len(out.trace) == 2  # one check, one observability io
@@ -179,3 +182,227 @@ def test_serialize_round_trip_over_unicode(seed, input_value, texts):
 def test_format_value():
     assert format_value((1, ("a", None))) == '[1, ["a", null]]'
     assert format_value(7) == "7"
+
+
+def test_program_compiles_once_and_only_when_asked(monkeypatch):
+    calls = []
+    compile_node = govtree.program.compile_ast
+
+    def counting(node):
+        calls.append(node)
+        return compile_node(node)
+
+    monkeypatch.setattr(govtree.program, "compile_ast", counting)
+    program = Program(0, gen_program_ast(random.Random(3), allow_register=True))
+    assert calls == []
+    parsed = parse_program(serialize_program(program))
+    nodes = len(calls)
+    assert nodes > 0
+    assert parsed.compile() is parsed.compile()
+    assert len(calls) == nodes  # parse_program kept the morphism it compiled
+    morphism = program.compile()
+    assert program.compile() is morphism and len(calls) == 2 * nodes
+
+
+# --- one walk: compile_ast refuses what the separate validator refused ---------
+#
+# The oracle is the validator that ran before compiling did the checks: a
+# second walk over the same grammar, raising the same messages in the same
+# depth-first order.
+
+_ORACLE_NODE_KINDS = (
+    "code", "reason", "memory", "call", "seq", "tensor", "branch",
+    "register_machine",
+)
+
+
+def _oracle_require_str(node, key):
+    if not isinstance(node.get(key), str):
+        raise ProgramError(f"{node.get('kind')} needs a string {key!r}")
+
+
+def _oracle_register(node):
+    registers = node.get("registers")
+    fuel = node.get("fuel")
+    listing = node.get("program")
+    if not isinstance(registers, int) or registers < 1:
+        raise ProgramError("register_machine needs a positive register count")
+    if not isinstance(fuel, int) or fuel < 0:
+        raise ProgramError("register_machine needs a non-negative fuel")
+    if not isinstance(listing, list):
+        raise ProgramError("register_machine needs an instruction list")
+    instructions = []
+    for ins in listing:
+        if not isinstance(ins, list) or not ins:
+            raise ProgramError(f"malformed instruction {ins!r}")
+        name = ins[0]
+        if name == "inc" and len(ins) == 2:
+            instructions.append(Inc(ins[1]))
+        elif name == "decjz" and len(ins) == 3:
+            instructions.append(DecJz(ins[1], ins[2]))
+        elif name == "halt" and len(ins) == 1:
+            instructions.append(Halt())
+        else:
+            raise ProgramError(f"unknown instruction {ins!r}")
+    try:
+        RegisterProgram(tuple(instructions), registers)
+    except ValueError as e:
+        raise ProgramError(str(e)) from None
+
+
+def _oracle_validate_ast(node):
+    if not isinstance(node, dict) or "kind" not in node:
+        raise ProgramError(f"node must be an object with a kind: {node!r}")
+    kind = node["kind"]
+    if kind not in _ORACLE_NODE_KINDS:
+        raise ProgramError(f"unknown node kind {kind!r}")
+    if kind == "code":
+        validate_expr(node.get("expr"))
+    elif kind == "reason":
+        _oracle_require_str(node, "model")
+        validate_expr(node.get("prompt"))
+        validate_expr(node.get("extract"))
+    elif kind == "memory":
+        _oracle_require_str(node, "mop")
+        validate_expr(node.get("key"))
+        validate_expr(node.get("value"))
+        validate_expr(node.get("extract"))
+    elif kind == "call":
+        _oracle_require_str(node, "machine")
+        validate_expr(node.get("payload"))
+        validate_expr(node.get("extract"))
+    elif kind == "seq":
+        steps = node.get("steps")
+        if not isinstance(steps, list) or not steps:
+            raise ProgramError("seq needs a nonempty list of steps")
+        for s in steps:
+            _oracle_validate_ast(s)
+    elif kind == "tensor":
+        _oracle_validate_ast(node.get("left"))
+        _oracle_validate_ast(node.get("right"))
+    elif kind == "branch":
+        validate_expr(node.get("pred"))
+        _oracle_validate_ast(node.get("then"))
+        _oracle_validate_ast(node.get("else"))
+    else:
+        _oracle_register(node)
+
+
+# What an edit writes: each value is wrong for some keys and right for others,
+# so edits drop keys, change types, name unknown kinds and ops, give the wrong
+# number of arguments, bad literals, empty steps and bad register listings.
+EDIT_VALUES = st.sampled_from([
+    None, 0, -1, 2, 1.5, True, "", "x", "teleport", "frobnicate",
+    "code", "seq", "register_machine", "input", "int", "str", "add", "fst",
+    "inc", "decjz", "halt",
+    [], [0], [{"op": "input"}], [{"op": "input"}] * 3,
+    [["inc", 0]], [["inc"]], [["decjz", 0, 9]], [["halt", 1]], [[]], ["inc"],
+    {}, {"op": "input"}, {"op": "int", "value": "7"}, {"op": "str", "value": 7},
+    {"op": "frobnicate", "args": []}, {"op": "len", "args": []},
+    {"kind": "code", "expr": {"op": "input"}}, {"kind": "teleport"}, {"kind": "seq", "steps": []},
+])
+EDIT_KEYS = (
+    "kind", "op", "args", "value", "expr", "model", "prompt", "extract", "mop", "key",
+    "machine", "payload", "steps", "left", "right", "pred", "then", "else",
+    "registers", "fuel", "program",
+)
+
+
+def _containers(x):
+    """Every dict and list in ``x``, ``x`` first, in a fixed order."""
+    if isinstance(x, dict):
+        children = list(x.values())
+    elif isinstance(x, list):
+        children = x
+    else:
+        return []
+    return [x] + [c for child in children for c in _containers(child)]
+
+
+@st.composite
+def edited_asts(draw):
+    ast = gen_program_ast(random.Random(draw(st.integers(0, 2**32 - 1))), allow_register=True)
+    ast = json.loads(json.dumps(ast))  # no dict shared between two places
+    for _ in range(draw(st.integers(0, 3))):
+        site = draw(st.sampled_from(_containers(ast) or [None]))
+        value = copy.deepcopy(draw(EDIT_VALUES))
+        if site is None or draw(st.integers(0, 19)) == 0:
+            ast = value  # the body itself
+        elif isinstance(site, dict):
+            # mostly a key the site has; sometimes one it may lack
+            own = sorted(site) if site and draw(st.integers(0, 3)) else EDIT_KEYS
+            key = draw(st.sampled_from(own))
+            if key in site and draw(st.booleans()):
+                del site[key]
+            else:
+                site[key] = value
+        else:
+            action = draw(st.sampled_from(("delete", "replace", "append")))
+            if action != "append" and site:
+                i = draw(st.integers(0, len(site) - 1))
+                if action == "delete":
+                    del site[i]
+                else:
+                    site[i] = value
+            else:
+                site.append(value)
+    return ast
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except (ProgramError, TypeError) as e:  # a non-integer register operand is a TypeError
+        return type(e).__name__, str(e)
+    return "accepted"
+
+
+@settings(max_examples=600)
+@given(edited_asts(), st.integers(0, 99))
+def test_compiling_refuses_what_the_validator_refused(ast, input_value):
+    text = json.dumps({"version": 1, "input": input_value, "body": ast})
+    expected = _verdict(_oracle_validate_ast, json.loads(text)["body"])
+    assert _verdict(parse_program, text) == expected
+
+
+_STEP = {"kind": "code", "expr": {"op": "input"}}
+
+
+def _machine(registers=1, fuel=1, program=None):
+    return {"kind": "register_machine", "registers": registers, "fuel": fuel,
+            "program": [["halt"]] if program is None else program}
+
+
+# One body per refusal message, so each is reached whatever the edits draw.
+@pytest.mark.parametrize("body", [
+    [_STEP],
+    {"kind": "teleport"},
+    {"kind": "code"},
+    {"kind": "code", "expr": {"op": "frobnicate", "args": []}},
+    {"kind": "code", "expr": {"op": "len", "args": []}},
+    {"kind": "code", "expr": {"op": "add", "args": [{"op": "input"}]}},
+    {"kind": "code", "expr": {"op": "int", "value": "7"}},
+    {"kind": "code", "expr": {"op": "str", "value": 7}},
+    {"kind": "reason", "prompt": {"op": "input"}, "extract": {"op": "input"}},
+    {"kind": "memory", "mop": "put", "key": {"op": "input"}, "value": 3, "extract": {"op": "input"}},
+    {"kind": "call", "machine": "calc", "payload": {"op": "input"}},
+    {"kind": "seq", "steps": []},
+    {"kind": "seq", "steps": _STEP},
+    {"kind": "tensor", "left": _STEP},
+    {"kind": "branch", "pred": {"op": "input"}, "then": _STEP, "else": {"kind": "teleport"}},
+    _machine(registers=0),
+    _machine(fuel=-1),
+    _machine(program="halt"),
+    _machine(program=[[]]),
+    _machine(program=[["jump", 0]]),
+    _machine(program=[["inc", 1]]),
+    _machine(program=[["decjz", 0, 5]]),
+    # with two faults, the first in depth-first order is the one reported
+    {"kind": "seq", "steps": [{"kind": "code", "expr": 1}, {"kind": "teleport"}]},
+    {"kind": "tensor", "left": {"kind": "teleport"}, "right": {"kind": "code"}},
+])
+def test_compiling_refuses_each_malformed_shape(body):
+    expected = _verdict(_oracle_validate_ast, body)
+    assert expected != "accepted"
+    text = json.dumps({"version": 1, "input": 0, "body": body})
+    assert _verdict(parse_program, text) == expected

@@ -51,7 +51,6 @@ def test_flag_resets_after_io_by_default():
         IoEntry("LLMCall{model=m,prompt=q}"),
     )
     assert not well_governed(trace)
-    assert well_governed(trace, reset_after_io=False)
 
 
 @given(st.integers(0, 10000))
