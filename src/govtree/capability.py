@@ -13,8 +13,9 @@ capability, and the middle levels keep exactly what they declared.
 
 A ``CapMorphism`` pairs a morphism with its capability bound and the
 evidence for it: ``Constructed`` when built from primitives with known
-profiles (composition unions the bounds), ``Checked`` when verified by
-bounded checking on sampled inputs. ``principality_check`` brute-forces
+profiles (composition unions the bounds; every compiled program is one),
+``Checked`` when verified by bounded checking on sampled inputs. Calling
+one applies its morphism. ``principality_check`` brute-forces
 every strict subset of the bound to show the bound is tight, and
 ``dual_guarantee_check`` confirms that staying within the bound and
 passing governance safety hold at the same time.
@@ -22,6 +23,7 @@ passing governance safety hold at the same time.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Union
@@ -222,6 +224,9 @@ class CapMorphism:
     caps: CapSet
     evidence: Evidence
 
+    def __call__(self, a) -> ITree:
+        return self.morph(a)
+
 
 def cap_code(f) -> CapMorphism:
     return CapMorphism(category.code(f), cap_empty(), Constructed())
@@ -290,10 +295,8 @@ def cap_branch(pred, f: CapMorphism, g: CapMorphism) -> CapMorphism:
 
 def _strict_subsets(caps: CapSet):
     members = sorted(caps, key=lambda c: c.value)
-    import itertools as it
-
     for r in range(len(members)):
-        for combo in it.combinations(members, r):
+        for combo in itertools.combinations(members, r):
             yield frozenset(combo)
 
 

@@ -220,6 +220,9 @@ class RegisterProgram:
         n = len(self.instructions)
         for i, ins in enumerate(self.instructions):
             if type(ins) is Inc or type(ins) is DecJz:
+                # not isinstance: True is an int to Python, not a register
+                if type(ins.reg) is not int or type(ins) is DecJz and type(ins.target) is not int:
+                    raise ValueError(f"instruction {i}: operands must be integers")
                 if not 0 <= ins.reg < self.registers:
                     raise ValueError(f"instruction {i}: register out of range")
             if type(ins) is DecJz and not 0 <= ins.target < n:

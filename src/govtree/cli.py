@@ -142,19 +142,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_check(args) -> int:
     program = parse_program(_read(args.program))
+    compiled = program.compile()
+    tree = compiled(program.input_value)
     sampler = ResponseSampler(seed=args.seed)
     if args.mode == "caps":
-        caps = program.caps()
-        verdict = within_caps_check(
-            caps, program.compile()(program.input_value), args.fuel, sampler
-        )
-        print(f"caps {format_caps(caps)}: {verdict.describe()}")
+        verdict = within_caps_check(compiled.caps, tree, args.fuel, sampler)
+        print(f"caps {format_caps(compiled.caps)}: {verdict.describe()}")
         return EXIT_OK if not verdict.is_fails else EXIT_FAIL
     # The governed transform never calls its base handler, so any seed will do.
-    gh = govern(mock_handler(0))
-    verdict = gov_safe_check(
-        gh.transform(program.compile()(program.input_value)), False, args.fuel, sampler
-    )
+    verdict = gov_safe_check(govern(mock_handler(0)).transform(tree), False, args.fuel, sampler)
     print(f"safety: {verdict.describe()}")
     return EXIT_OK if not verdict.is_fails else EXIT_FAIL
 

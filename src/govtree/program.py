@@ -11,11 +11,14 @@ Values are ints, strings, booleans, null (unit), or two-element lists
 
 The grammar has one definition, ``compile_ast``: a body is accepted
 exactly when it compiles. One depth-first walk checks each node and its
-expressions and builds the morphism, refusing the first malformed part
-with a ``ProgramError``. ``parse_program`` compiles the body once and
-the ``Program`` it returns keeps that morphism; a ``Program`` built
-directly compiles on its first ``compile()``. A document nested deeper
-than the recursion limit allows is a ``ProgramError`` too.
+expressions and builds the morphism with its capability bound (one
+capability per ``reason``/``memory``/``call``, the union of the parts at
+``seq``/``tensor``/``branch``) as a ``Constructed`` ``CapMorphism``,
+refusing the first malformed part with a ``ProgramError``. ``parse_program``
+compiles the body once and the ``Program`` it returns keeps the result;
+a ``Program`` built directly compiles on its first ``compile()`` or
+``caps()``. A document nested deeper than the recursion limit allows is
+a ``ProgramError`` too.
 
 Pure functions inside nodes are written in a tiny total expression
 language evaluated against the node's input value. Operations never
@@ -44,7 +47,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .capability import CapSet, cap_empty, cap_singleton, cap_union
+from .capability import CapMorphism, CapSet, Constructed, cap_empty, cap_singleton
 from .category import (
     DecJz,
     Halt,
@@ -218,23 +221,33 @@ def _answer_value(answer):
     return (answer.status, answer.content)
 
 
-def compile_ast(node) -> Morphism:
-    """Check an AST node and compile it into a morphism over interaction
-    trees in one depth-first walk; the first malformed node or expression
+_NO_CAPS = cap_empty()
+_LLM_CAPS = cap_singleton(Capability.LLM_REASON)
+_MEMORY_CAPS = cap_singleton(Capability.MEMORY)
+_CALL_CAPS = cap_singleton(Capability.MACHINE_CALL)
+
+
+def compile_ast(node) -> CapMorphism:
+    """Check an AST node and compile it, in one depth-first walk, into its
+    morphism and capability bound; the first malformed node or expression
     met is a ``ProgramError``."""
+    return CapMorphism(*_compile(node), Constructed())
+
+
+def _compile(node) -> "tuple[Morphism, CapSet]":
     if not isinstance(node, dict) or "kind" not in node:
         raise ProgramError(f"node must be an object with a kind: {node!r}")
     kind = node["kind"]
     if kind == "code":
         expr = validate_expr(node.get("expr"))
-        return code(lambda a: eval_expr(expr, a))
+        return code(lambda a: eval_expr(expr, a)), _NO_CAPS
     if kind == "reason":
         model, prompt = _require_str(node, "model"), validate_expr(node.get("prompt"))
         extract = validate_expr(node.get("extract"))
         return reason(
             lambda a: LLMCall(model=model, prompt=to_str(eval_expr(prompt, a))),
             lambda ans: eval_expr(extract, _answer_value(ans)),
-        )
+        ), _LLM_CAPS
     if kind == "memory":
         mop, key = _require_str(node, "mop"), validate_expr(node.get("key"))
         value, extract = validate_expr(node.get("value")), validate_expr(node.get("extract"))
@@ -243,19 +256,24 @@ def compile_ast(node) -> Morphism:
                 op=mop, key=to_str(eval_expr(key, a)), value=to_str(eval_expr(value, a))
             ),
             lambda ans: eval_expr(extract, _answer_value(ans)),
-        )
+        ), _MEMORY_CAPS
     if kind == "call":
         machine, payload = _require_str(node, "machine"), validate_expr(node.get("payload"))
         extract = validate_expr(node.get("extract"))
         return call(
             lambda a: CallMachine(machine=machine, payload=to_str(eval_expr(payload, a))),
             lambda ans: eval_expr(extract, _answer_value(ans)),
-        )
+        ), _CALL_CAPS
     if kind == "seq":
         steps = node.get("steps")
         if not isinstance(steps, list) or not steps:
             raise ProgramError("seq needs a nonempty list of steps")
-        first, *rest = [compile_ast(s) for s in steps]
+        first, caps = _compile(steps[0])
+        rest = []
+        for s in steps[1:]:
+            m, c = _compile(s)
+            rest.append(m)
+            caps |= c
 
         def run_seq(a):
             t = first(a)
@@ -263,40 +281,18 @@ def compile_ast(node) -> Morphism:
                 t = bind(t, m)
             return t
 
-        return run_seq
+        return run_seq, caps
     if kind == "tensor":
-        return tensor(compile_ast(node.get("left")), compile_ast(node.get("right")))
+        (left, left_caps), (right, right_caps) = _compile(node.get("left")), _compile(node.get("right"))
+        return tensor(left, right), left_caps | right_caps
     if kind == "branch":
         pred = validate_expr(node.get("pred"))
-        return branch(
-            lambda a: to_bool(eval_expr(pred, a)),
-            compile_ast(node.get("then")),
-            compile_ast(node.get("else")),
-        )
+        (then, then_caps), (orelse, else_caps) = _compile(node.get("then")), _compile(node.get("else"))
+        return branch(lambda a: to_bool(eval_expr(pred, a)), then, orelse), then_caps | else_caps
     if kind == "register_machine":
         program, fuel = _parse_register(node)
-        return lambda a: translate_register_program(program, fuel)
+        return (lambda a: translate_register_program(program, fuel)), _NO_CAPS
     raise ProgramError(f"unknown node kind {kind!r}")
-
-
-def ast_caps(node: dict) -> CapSet:
-    """The capability bound a program requires, by construction."""
-    kind = node["kind"]
-    if kind == "reason":
-        return cap_singleton(Capability.LLM_REASON)
-    if kind == "memory":
-        return cap_singleton(Capability.MEMORY)
-    if kind == "call":
-        return cap_singleton(Capability.MACHINE_CALL)
-    caps = cap_empty()
-    if kind == "seq":
-        for s in node["steps"]:
-            caps = cap_union(caps, ast_caps(s))
-    elif kind == "tensor":
-        caps = cap_union(ast_caps(node["left"]), ast_caps(node["right"]))
-    elif kind == "branch":
-        caps = cap_union(ast_caps(node["then"]), ast_caps(node["else"]))
-    return caps
 
 
 def _value_from_json(v):
@@ -322,16 +318,17 @@ def format_value(v) -> str:
 class Program:
     input_value: Any
     body: dict
-    _morphism: Morphism | None = field(default=None, init=False, repr=False, compare=False)
+    _compiled: CapMorphism | None = field(default=None, init=False, repr=False, compare=False)
 
-    def compile(self) -> Morphism:
-        """The body's morphism: compiled on the first call, then kept."""
-        if self._morphism is None:
-            object.__setattr__(self, "_morphism", compile_ast(self.body))
-        return self._morphism
+    def compile(self) -> CapMorphism:
+        """The body compiled with its bound: on the first call, then kept."""
+        if self._compiled is None:
+            object.__setattr__(self, "_compiled", compile_ast(self.body))
+        return self._compiled
 
     def caps(self) -> CapSet:
-        return ast_caps(self.body)
+        """The bound ``compile_ast`` built; a malformed body is its error."""
+        return self.compile().caps
 
 
 def parse_program(text: str) -> Program:
@@ -342,13 +339,13 @@ def parse_program(text: str) -> Program:
             raise ProgramError("program document must have version 1")
         if "body" not in doc:
             raise ProgramError("program document needs a body")
-        morphism = compile_ast(doc["body"])
+        compiled = compile_ast(doc["body"])
         program = Program(_value_from_json(doc.get("input")), doc["body"])
     except json.JSONDecodeError as e:
         raise ProgramError(f"not valid JSON: {e}") from None
     except RecursionError:
         raise ProgramError("program document nested too deeply") from None
-    object.__setattr__(program, "_morphism", morphism)
+    object.__setattr__(program, "_compiled", compiled)
     return program
 
 

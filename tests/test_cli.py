@@ -150,6 +150,20 @@ def test_check_safety_and_caps(capsys):
     assert "[llm_reason,machine_call,memory]" in out and "holds" in out
 
 
+# Recorded before the capability bound moved into the compiler's walk.
+@pytest.mark.parametrize("name, mode, expected", [
+    ("pure", "safety", "safety: holds\n"),
+    ("pure", "caps", "caps []: holds\n"),
+    ("counter_machine", "safety", "safety: holds\n"),
+    ("counter_machine", "caps", "caps []: holds\n"),
+    ("llm_pipeline", "safety", "safety: holds\n"),
+    ("llm_pipeline", "caps", "caps [llm_reason,machine_call,memory]: holds\n"),
+])
+def test_check_reports_are_pinned(capsys, name, mode, expected):
+    assert run_cli("check", str(PROGRAMS / f"{name}.json"), "--mode", mode) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
 def test_coherence_command(capsys):
     assert run_cli("coherence", "--samples", "50") == EXIT_OK
     out = capsys.readouterr().out
@@ -387,6 +401,16 @@ def test_nesting_depth_limits(tmp_path, command, kind, deepest):
     deeper = run_module(command, write_nested(tmp_path / "deeper.json", kind, deepest + 1))
     assert_one_line_error(deeper, EXIT_INPUT)
     assert deeper.stderr == "govtree: error: program document nested too deeply\n"
+
+
+@pytest.mark.parametrize("operand", ['"x"', "0.5", "true"])
+def test_non_integer_register_operand_is_an_input_error(tmp_path, operand):
+    program = tmp_path / "p.json"
+    program.write_text(
+        '{"version": 1, "input": 0, "body": {"kind": "register_machine", "registers": 2, '
+        '"fuel": 10, "program": [["inc", ' + operand + '], ["halt"]]}}'
+    )
+    assert_one_line_error(run_module("run", str(program)), EXIT_INPUT)
 
 
 def test_missing_program_file_is_an_input_error(tmp_path):

@@ -21,7 +21,7 @@ from govtree.directives import (
 from govtree.gen import gen_input, gen_program_ast
 from govtree.governance import Gov, Io, gov_safe_check, govern
 from govtree.itree import bind, eutt_bounded, ret, tau, vis
-from govtree.program import ast_caps, compile_ast
+from govtree.program import compile_ast
 
 SAMPLER = ResponseSampler(seed=0)
 
@@ -132,7 +132,7 @@ def campaign(fuel: int) -> dict:
         verdicts["no-check"].append(
             gov_safe_check(no_check_operator().transform(h).transform(m(x)), False, fuel, sampler)
         )
-        verdicts["caps"].append(within_caps_check(ast_caps(ast), m(x), fuel, sampler))
+        verdicts["caps"].append(within_caps_check(m.caps, m(x), fuel, sampler))
         verdicts["empty-caps"].append(within_caps_check(cap_empty(), m(x), fuel, sampler))
         verdicts["eutt"].append(eutt_bounded(m(x), bind(m(x), ret), fuel, sampler))
         returns.append(sample_returns(m(x), fuel, sampler))
@@ -206,7 +206,7 @@ def test_shared_sampler_gives_the_verdicts_of_fresh_ones():
             lambda s: gov_safe_check(
                 no_check_operator().transform(h).transform(m(x)), False, 4096, s
             ),
-            lambda s: within_caps_check(ast_caps(ast), m(x), 4096, s),
+            lambda s: within_caps_check(m.caps, m(x), 4096, s),
             lambda s: eutt_bounded(m(x), bind(m(x), ret), 4096, s),
         )
         for check in checks:

@@ -10,16 +10,24 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import govtree.program
-from govtree.capability import cap_singleton
+from govtree.capability import (
+    CapMorphism,
+    Constructed,
+    cap_empty,
+    cap_seq_compose,
+    cap_singleton,
+    cap_tensor,
+    dual_guarantee_check,
+    within_caps_check,
+)
 from govtree.category import DecJz, Halt, Inc, RegisterProgram
-from govtree.directives import Capability, mock_handler
-from govtree.gen import gen_expr, gen_input, gen_program_ast
+from govtree.directives import Capability, ResponseSampler, mock_handler
+from govtree.gen import gen_expr, gen_input, gen_policy, gen_program_ast
 from govtree.governance import PERMISSIVE, govern, interpret_governed
 from govtree.itree import run_pure
 from govtree.program import (
     Program,
     ProgramError,
-    ast_caps,
     compile_ast,
     eval_expr,
     format_value,
@@ -124,16 +132,19 @@ def test_register_machine_node_validation():
 
 
 def test_ast_caps():
-    assert ast_caps({"kind": "code", "expr": {"op": "input"}}) == frozenset()
+    assert compile_ast({"kind": "code", "expr": {"op": "input"}}).caps == frozenset()
     reason_ast = {"kind": "reason", "model": "m", "prompt": {"op": "input"},
                   "extract": {"op": "fst", "args": [{"op": "input"}]}}
-    assert ast_caps(reason_ast) == cap_singleton(Capability.LLM_REASON)
+    assert compile_ast(reason_ast).caps == cap_singleton(Capability.LLM_REASON)
     seq = {"kind": "seq", "steps": [
         reason_ast,
         {"kind": "call", "machine": "c", "payload": {"op": "input"},
          "extract": {"op": "fst", "args": [{"op": "input"}]}},
     ]}
-    assert ast_caps(seq) == frozenset((Capability.LLM_REASON, Capability.MACHINE_CALL))
+    compiled = compile_ast(seq)
+    assert compiled.caps == frozenset((Capability.LLM_REASON, Capability.MACHINE_CALL))
+    assert type(compiled) is CapMorphism and compiled.evidence == Constructed()
+    assert Program(0, seq).caps() == compiled.caps
 
 
 def test_serialize_round_trip():
@@ -288,6 +299,24 @@ def _oracle_validate_ast(node):
         _oracle_register(node)
 
 
+def _oracle_ast_caps(node):
+    """The capability bound of a well-formed AST, by a walk of its own."""
+    kind = node["kind"]
+    if kind == "reason":
+        return frozenset((Capability.LLM_REASON,))
+    if kind == "memory":
+        return frozenset((Capability.MEMORY,))
+    if kind == "call":
+        return frozenset((Capability.MACHINE_CALL,))
+    if kind == "seq":
+        return frozenset().union(*map(_oracle_ast_caps, node["steps"]))
+    if kind == "tensor":
+        return _oracle_ast_caps(node["left"]) | _oracle_ast_caps(node["right"])
+    if kind == "branch":
+        return _oracle_ast_caps(node["then"]) | _oracle_ast_caps(node["else"])
+    return frozenset()
+
+
 # What an edit writes: each value is wrong for some keys and right for others,
 # so edits drop keys, change types, name unknown kinds and ops, give the wrong
 # number of arguments, bad literals, empty steps and bad register listings.
@@ -297,6 +326,7 @@ EDIT_VALUES = st.sampled_from([
     "inc", "decjz", "halt",
     [], [0], [{"op": "input"}], [{"op": "input"}] * 3,
     [["inc", 0]], [["inc"]], [["decjz", 0, 9]], [["halt", 1]], [[]], ["inc"],
+    [["inc", "x"]], [["inc", 0.5]], [["inc", True]], [["decjz", 0, None]],
     {}, {"op": "input"}, {"op": "int", "value": "7"}, {"op": "str", "value": 7},
     {"op": "frobnicate", "args": []}, {"op": "len", "args": []},
     {"kind": "code", "expr": {"op": "input"}}, {"kind": "teleport"}, {"kind": "seq", "steps": []},
@@ -352,8 +382,8 @@ def edited_asts(draw):
 def _verdict(check, *args):
     try:
         check(*args)
-    except (ProgramError, TypeError) as e:  # a non-integer register operand is a TypeError
-        return type(e).__name__, str(e)
+    except ProgramError as e:
+        return str(e)
     return "accepted"
 
 
@@ -361,8 +391,11 @@ def _verdict(check, *args):
 @given(edited_asts(), st.integers(0, 99))
 def test_compiling_refuses_what_the_validator_refused(ast, input_value):
     text = json.dumps({"version": 1, "input": input_value, "body": ast})
-    expected = _verdict(_oracle_validate_ast, json.loads(text)["body"])
+    body = json.loads(text)["body"]
+    expected = _verdict(_oracle_validate_ast, body)
     assert _verdict(parse_program, text) == expected
+    if expected == "accepted":
+        assert parse_program(text).caps() == _oracle_ast_caps(body)
 
 
 _STEP = {"kind": "code", "expr": {"op": "input"}}
@@ -397,6 +430,11 @@ def _machine(registers=1, fuel=1, program=None):
     _machine(program=[["jump", 0]]),
     _machine(program=[["inc", 1]]),
     _machine(program=[["decjz", 0, 5]]),
+    # operands that are not integers: a string, a float, a boolean, null
+    _machine(program=[["inc", "x"], ["halt"]]),
+    _machine(program=[["inc", 0.5], ["halt"]]),
+    _machine(program=[["inc", True], ["halt"]]),
+    _machine(program=[["decjz", 0, None], ["halt"]]),
     # with two faults, the first in depth-first order is the one reported
     {"kind": "seq", "steps": [{"kind": "code", "expr": 1}, {"kind": "teleport"}]},
     {"kind": "tensor", "left": {"kind": "teleport"}, "right": {"kind": "code"}},
@@ -406,3 +444,70 @@ def test_compiling_refuses_each_malformed_shape(body):
     assert expected != "accepted"
     text = json.dumps({"version": 1, "input": 0, "body": body})
     assert _verdict(parse_program, text) == expected
+
+
+def test_compiled_caps_equal_the_oracle():
+    rng = random.Random(5)
+    for i in range(3000):
+        ast = gen_program_ast(
+            rng, max_depth=i % 7, max_directives=rng.randrange(0, 9), allow_register=True
+        )
+        assert compile_ast(ast).caps == _oracle_ast_caps(ast), i
+
+
+@pytest.mark.parametrize("body", [
+    {"kind": "bogus"},
+    {"kind": "seq"},
+    [_STEP],
+    {"kind": "tensor", "left": {"kind": "reason"}, "right": _STEP},
+    {"kind": "branch", "pred": {"op": "input"}, "then": _STEP},
+])
+def test_caps_of_a_malformed_body_is_the_compilers_error(body):
+    with pytest.raises(ProgramError) as compiled:
+        compile_ast(body)
+    with pytest.raises(ProgramError) as bound:
+        Program(0, body).caps()
+    assert str(bound.value) == str(compiled.value)
+
+
+# --- the paper's claims on compiled programs ---------------------------------
+
+SAMPLER = ResponseSampler(seed=0)
+
+
+def test_empty_bound_programs_emit_only_bookkeeping():
+    rng = random.Random(17)
+    empty = 0
+    for _ in range(400):
+        ast = gen_program_ast(rng, allow_register=True)
+        m = compile_ast(ast)
+        if m.caps == cap_empty():
+            empty += 1
+            assert within_caps_check(cap_empty(), m(gen_input(rng)), 4096, SAMPLER).is_holds
+    assert empty >= 100
+
+
+def test_dual_guarantee_holds_on_compiled_programs():
+    rng = random.Random(19)
+    effectful = decided = 0
+    for i in range(500):
+        m = compile_ast(gen_program_ast(rng, max_depth=3, max_directives=3, allow_register=True))
+        verdict = dual_guarantee_check(
+            m, mock_handler(i), gen_policy(rng), [gen_input(rng)], 256, SAMPLER
+        )
+        assert not verdict.is_fails, (i, verdict.describe())
+        effectful += bool(m.caps)
+        decided += verdict.is_holds
+    assert effectful >= 200 and decided >= 400  # not vacuous
+
+
+def test_cap_composition_of_compiled_programs_carries_the_oracle_bound():
+    rng = random.Random(23)
+    for _ in range(300):
+        left, right = gen_program_ast(rng, max_depth=3), gen_program_ast(rng, max_depth=3)
+        f, g = compile_ast(left), compile_ast(right)
+        seq = cap_seq_compose(f, g)
+        par = cap_tensor(f, g)
+        assert seq.caps == _oracle_ast_caps({"kind": "seq", "steps": [left, right]})
+        assert par.caps == _oracle_ast_caps({"kind": "tensor", "left": left, "right": right})
+        assert seq.evidence == par.evidence == Constructed()
