@@ -22,7 +22,10 @@ Every campaign, here and in ``boundary`` and the CLI's differential
 test, is a ``trial(rng, i)`` function run by ``run_campaign``: trial
 ``i`` draws from ``derive_rng(label, seed, i)``, and its verdict is
 tallied in a ``CheckSummary`` whose ``fail_witnesses`` list every
-failing trial index with its witness.
+failing trial index with its witness. ``CampaignReport`` is the one
+report over several summaries: ``run_conformance`` and
+``boundary.run_coterminous`` each return one, and the differential test,
+a single campaign, returns its ``CheckSummary``.
 """
 
 from __future__ import annotations
@@ -165,6 +168,23 @@ class CheckSummary:
             f"{self.name:<18} trials={self.trials:<6} holds={self.holds:<6} "
             f"fails={self.fails:<6} unknowns={self.unknowns:<6} {status}"
         )
+
+
+@dataclass(frozen=True)
+class CampaignReport:
+    """A titled set of campaign summaries; it passes when each of them does."""
+
+    title: str
+    summaries: tuple
+
+    @property
+    def passed(self) -> bool:
+        return all(s.passed for s in self.summaries)
+
+    def render(self) -> str:
+        lines = [self.title] + [s.line() for s in self.summaries]
+        lines.append("overall: " + ("PASS" if self.passed else "FAIL"))
+        return "".join(line + "\n" for line in lines)
 
 
 def run_campaign(
@@ -325,46 +345,22 @@ def check_derived(
     }
 
 
-@dataclass
-class ConformanceReport:
-    operator: str
-    g1: CheckSummary
-    g2: CheckSummary
-    g3: CheckSummary
-    derived: dict
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.g1.passed
-            and self.g2.passed
-            and self.g3.passed
-            and all(s.passed for s in self.derived.values())
-        )
-
-
 def run_conformance(
     op: GovernanceOperator,
     trials: int,
     fuel: Fuel,
     sampler: ResponseSampler,
     seed: int,
-) -> ConformanceReport:
-    g1 = check_G1(op, trials, fuel, sampler, seed)
-    g2 = check_G2(op, trials, fuel, sampler, seed)
-    g3 = check_G3(op, trials, fuel, sampler, seed)
+) -> CampaignReport:
+    axioms = (
+        check_G1(op, trials, fuel, sampler, seed),
+        check_G2(op, trials, fuel, sampler, seed),
+        check_G3(op, trials, fuel, sampler, seed),
+    )
     n = max(1, trials // 5)
     derived = check_derived(op, n, fuel, sampler, seed)
     derived["goal_preservation"] = check_G2(op, n, fuel, sampler, seed, values_only=True)
-    return ConformanceReport(op.name, g1, g2, g3, derived)
-
-
-def render_report(report: ConformanceReport) -> str:
-    lines = [f"conformance report for operator {report.operator!r}"]
-    lines.append(report.g1.line())
-    lines.append(report.g2.line())
-    lines.append(report.g3.line())
-    for key in sorted(report.derived):
-        lines.append(report.derived[key].line())
-    lines.append("overall: " + ("PASS" if report.passed else "FAIL"))
-    return "".join(line + "\n" for line in lines)
+    return CampaignReport(
+        f"conformance report for operator {op.name!r}",
+        axioms + tuple(derived[key] for key in sorted(derived)),
+    )

@@ -1,9 +1,10 @@
 """The boundary report: expressibility and governedness coincide.
 
-Five bundled checks, each a seeded campaign run by
-``algebra.run_campaign``. Safety is G1 for the bundled operator, turing
-and subsumption are its derived campaigns, and nontrivial and cognitive
-are defined here:
+Five bundled checks, in six seeded campaigns run by
+``algebra.run_campaign`` and returned as one ``algebra.CampaignReport``
+titled ``boundary report``. Safety is G1 for the bundled operator, turing
+and subsumption (positive and negative) are its derived campaigns, and
+nontrivial and cognitive are defined here:
 
 * safety: random expressible programs are governed (no safety failures).
 * nontrivial: a bare I/O node for every effectful directive variant is
@@ -24,9 +25,7 @@ tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
-from .algebra import BUNDLED_OPERATOR, CheckSummary, check_G1, check_derived, run_campaign
+from .algebra import BUNDLED_OPERATOR, CampaignReport, check_G1, check_derived, run_campaign
 from .directives import DIRECTIVE_TYPES, ResponseSampler, mock_handler
 from .gen import ast_kind_count, gen_directive, gen_input, gen_program_ast
 from .governance import PERMISSIVE, bare_io, gov_safe_check, govern, interpret_governed
@@ -40,27 +39,9 @@ EFFECTFUL_VARIANTS = tuple(
 _PRIMITIVE_ROLES = ("code", "reason", "memory", "call")
 
 
-@dataclass
-class CoterminousReport:
-    safety: CheckSummary
-    nontrivial: CheckSummary
-    turing: CheckSummary
-    subsumption_pos: CheckSummary
-    subsumption_neg: CheckSummary
-    cognitive: CheckSummary
-
-    @property
-    def summaries(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
-
-    @property
-    def passed(self) -> bool:
-        return all(s.passed for s in self.summaries)
-
-
 def run_coterminous(
     trials: int, fuel: Fuel, sampler: ResponseSampler, seed: int
-) -> CoterminousReport:
+) -> CampaignReport:
     derived = check_derived(BUNDLED_OPERATOR, trials, fuel, sampler, seed)
     derived["convergence"].name = "turing"
     derived["subsumption_pos"].name = "subsumption_pos"
@@ -82,20 +63,14 @@ def run_coterminous(
             return fails((f"{role} program did not terminate",))
         return gov_safe_check(gh.transform(tree), False, fuel, sampler)
 
-    return CoterminousReport(
-        safety=safety,
-        nontrivial=run_campaign(
+    return CampaignReport("boundary report", (
+        safety,
+        run_campaign(
             "nontrivial", "nontrivial", seed, len(EFFECTFUL_VARIANTS), nontrivial,
             expect_fails=True,
         ),
-        turing=derived["convergence"],
-        subsumption_pos=derived["subsumption_pos"],
-        subsumption_neg=derived["subsumption_neg"],
-        cognitive=run_campaign("cognitive", "cognitive", seed, trials, cognitive),
-    )
-
-
-def render_coterminous(report: CoterminousReport) -> str:
-    lines = ["boundary report"] + [s.line() for s in report.summaries]
-    lines.append("overall: " + ("PASS" if report.passed else "FAIL"))
-    return "".join(line + "\n" for line in lines)
+        derived["convergence"],
+        derived["subsumption_pos"],
+        derived["subsumption_neg"],
+        run_campaign("cognitive", "cognitive", seed, trials, cognitive),
+    ))

@@ -246,12 +246,6 @@ def _step_message(pc: int, regs: tuple) -> str:
     return f"pc={pc};regs={','.join(str(r) for r in regs)}"
 
 
-def parse_step_message(message: str) -> "tuple[int, tuple]":
-    pc_part, regs_part = message.split(";", 1)
-    regs = tuple(int(r) for r in regs_part[len("regs="):].split(","))
-    return int(pc_part[len("pc="):]), regs
-
-
 def translate_register_program(p: RegisterProgram, fuel: int) -> ITree:
     """Fuel-unrolled translation into a directive tree.
 
@@ -293,14 +287,14 @@ def reference_register_run(p: RegisterProgram, fuel: int) -> "tuple[tuple, list]
     return regs, steps
 
 
+# Every step is answered with unit; a forced tree never changes, so one serves all.
+_UNIT = ret(None)
+
+
 def register_tree_steps(p: RegisterProgram, fuel: int, drive_fuel: int) -> "list | None":
-    """The (pc, registers) log read off the translated tree by driving it
-    with unit answers, or None if the run did not complete."""
-    out = drive(
-        translate_register_program(p, fuel),
-        drive_fuel,
-        lambda d: (parse_step_message(d.message), ret(None)),
-    )
+    """The observability messages the translated tree emits, driven with
+    unit answers, or None if the run did not complete."""
+    out = drive(translate_register_program(p, fuel), drive_fuel, lambda d: (d.message, _UNIT))
     return list(out.trace) if out.completed else None
 
 
@@ -326,9 +320,9 @@ def check_register_agreement(
     gh = govern(mock_handler(0))
     verdicts = []
     for p in programs:
-        _, expected = reference_register_run(p, fuel)
-        actual = register_tree_steps(p, fuel, drive_fuel=4 * fuel + 8)
-        if actual != expected:
+        _, steps = reference_register_run(p, fuel)
+        expected = [_step_message(pc, regs) for pc, regs in steps]
+        if register_tree_steps(p, fuel, drive_fuel=4 * fuel + 8) != expected:
             return fails((f"register trace mismatch for {p!r}",))
         v = gov_safe_check(
             gh.transform(translate_register_program(p, fuel)),

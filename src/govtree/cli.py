@@ -20,10 +20,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
-from .algebra import CheckSummary, operator_by_name, render_report, run_campaign, run_conformance
-from .boundary import render_coterminous, run_coterminous
+from .algebra import CheckSummary, operator_by_name, run_campaign, run_conformance
+from .boundary import run_coterminous
 from .capability import format_caps, within_caps_check
 from .category import check_hexagon, check_pentagon, check_triangle
 from .directives import ResponseSampler, derive_rng, mock_handler
@@ -53,29 +52,15 @@ def _default_seed() -> int:
         raise SystemExit(_error(f"GOVTREE_SEED is not an integer: {text!r}", EXIT_USAGE))
 
 
-@dataclass
-class DiffReport:
-    summary: CheckSummary
-
-    @property
-    def trials(self) -> int:
-        return self.summary.trials
-
-    @property
-    def passed(self) -> bool:
-        return self.summary.passed
-
-    def render(self) -> str:
-        lines = [f"differential campaign: {self.trials} trials"]
-        for key, witness in self.summary.fail_witnesses[:10]:
-            lines.append(f"disagreement at trial {key}: {' / '.join(witness)}")
-        lines.append(
-            f"disagreements={self.summary.fails} " + ("PASS" if self.passed else "FAIL")
-        )
-        return "".join(line + "\n" for line in lines)
+def render_diff(summary: CheckSummary) -> str:
+    lines = [f"differential campaign: {summary.trials} trials"]
+    for key, witness in summary.fail_witnesses[:10]:
+        lines.append(f"disagreement at trial {key}: {' / '.join(witness)}")
+    lines.append(f"disagreements={summary.fails} " + ("PASS" if summary.passed else "FAIL"))
+    return "".join(line + "\n" for line in lines)
 
 
-def diff_campaign(trials: int, seed: int, fuel: int, bug: str | None = None) -> DiffReport:
+def diff_campaign(trials: int, seed: int, fuel: int, bug: str | None = None) -> CheckSummary:
     """Run random programs through both pipelines and compare outcomes.
 
     Each trial draws a program, input, policy, and handler seed; the tree
@@ -101,7 +86,7 @@ def diff_campaign(trials: int, seed: int, fuel: int, bug: str | None = None) -> 
             f"{len(ref_out.trace)} events) policy={policy.name}",
         ))
 
-    return DiffReport(run_campaign("diff", "diff", seed, trials, trial))
+    return run_campaign("diff", "diff", seed, trials, trial)
 
 
 def _cmd_run(args) -> int:
@@ -177,21 +162,21 @@ def _cmd_conformance(args) -> int:
     op = operator_by_name(args.operator)
     sampler = ResponseSampler(seed=args.seed)
     report = run_conformance(op, args.trials, args.fuel, sampler, args.seed)
-    print(render_report(report), end="")
+    print(report.render(), end="")
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def _cmd_boundary(args) -> int:
     sampler = ResponseSampler(seed=args.seed)
     report = run_coterminous(args.trials, args.fuel, sampler, args.seed)
-    print(render_coterminous(report), end="")
+    print(report.render(), end="")
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def _cmd_diff(args) -> int:
-    report = diff_campaign(args.trials, args.seed, args.fuel)
-    print(report.render(), end="")
-    return EXIT_OK if report.passed else EXIT_FAIL
+    summary = diff_campaign(args.trials, args.seed, args.fuel)
+    print(render_diff(summary), end="")
+    return EXIT_OK if summary.passed else EXIT_FAIL
 
 
 def _error(message, code: int = EXIT_INPUT) -> int:

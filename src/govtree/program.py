@@ -118,7 +118,8 @@ def validate_expr(expr) -> dict:
         raise ProgramError(f"expression must be an object with an op: {expr!r}")
     op = expr["op"]
     if op in _LEAF:
-        if op == "int" and not isinstance(expr.get("value"), int):
+        # not isinstance: True is an int to Python, not an integer literal
+        if op == "int" and type(expr.get("value")) is not int:
             raise ProgramError("int literal needs an integer value")
         if op == "str" and not isinstance(expr.get("value"), str):
             raise ProgramError("str literal needs a string value")
@@ -191,9 +192,9 @@ def _parse_register(node: dict) -> "tuple[RegisterProgram, int]":
     registers = node.get("registers")
     fuel = node.get("fuel")
     listing = node.get("program")
-    if not isinstance(registers, int) or registers < 1:
+    if type(registers) is not int or registers < 1:
         raise ProgramError("register_machine needs a positive register count")
-    if not isinstance(fuel, int) or fuel < 0:
+    if type(fuel) is not int or fuel < 0:
         raise ProgramError("register_machine needs a non-negative fuel")
     if not isinstance(listing, list):
         raise ProgramError("register_machine needs an instruction list")

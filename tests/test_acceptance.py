@@ -18,7 +18,7 @@ from govtree.algebra import (
     no_check_operator,
     result_mangling_operator,
 )
-from govtree.boundary import EFFECTFUL_VARIANTS, render_coterminous, run_coterminous
+from govtree.boundary import EFFECTFUL_VARIANTS, run_coterminous
 from govtree.capability import (
     cap_call,
     cap_code,
@@ -292,7 +292,7 @@ def test_criterion_10_boundary_and_register_machines():
         ok,
         f"{elapsed:.1f}s",
     )
-    print(render_coterminous(boundary), end="")
+    print(boundary.render(), end="")
 
 
 def test_informational_overhead_benchmark():

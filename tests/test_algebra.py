@@ -12,7 +12,6 @@ from govtree.algebra import (
     fingerprinting_operator,
     no_check_operator,
     operator_by_name,
-    render_report,
     result_mangling_operator,
     run_conformance,
 )
@@ -123,8 +122,8 @@ def test_run_conformance_and_render_deterministic():
     r1 = run_conformance(BUNDLED_OPERATOR, 50, FUEL, SAMPLER, SEED)
     r2 = run_conformance(BUNDLED_OPERATOR, 50, FUEL, SAMPLER, SEED)
     assert r1.passed
-    assert render_report(r1) == render_report(r2)
-    assert "G1[bundled]" in render_report(r1)
+    assert r1.render() == r2.render()
+    assert "G1[bundled]" in r1.render()
 
 
 def test_operator_by_name():

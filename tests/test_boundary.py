@@ -1,6 +1,5 @@
 from govtree.boundary import (
     EFFECTFUL_VARIANTS,
-    render_coterminous,
     run_coterminous,
 )
 from govtree.directives import ResponseSampler
@@ -19,22 +18,23 @@ def test_twelve_effectful_variants():
 def test_coterminous_report_small_campaign():
     report = run_coterminous(60, 4096, SAMPLER, seed=5)
     assert report.passed
-    assert report.safety.fails == 0
-    assert report.nontrivial.trials == 12 and report.nontrivial.fails == 12
-    assert report.turing.fails == 0
-    assert report.subsumption_pos.fails == 0
-    assert report.subsumption_neg.fails == report.subsumption_neg.trials >= 1
-    assert report.cognitive.fails == 0
+    s = {summary.name: summary for summary in report.summaries}
+    assert s["safety"].fails == 0
+    assert s["nontrivial"].trials == 12 and s["nontrivial"].fails == 12
+    assert s["turing"].fails == 0
+    assert s["subsumption_pos"].fails == 0
+    assert s["subsumption_neg"].fails == s["subsumption_neg"].trials >= 1
+    assert s["cognitive"].fails == 0
 
 
 def test_report_deterministic_per_seed():
     r1 = run_coterminous(30, 4096, SAMPLER, seed=8)
     r2 = run_coterminous(30, 4096, SAMPLER, seed=8)
-    assert render_coterminous(r1) == render_coterminous(r2)
+    assert r1.render() == r2.render()
 
 
 def test_render_mentions_every_field():
-    text = render_coterminous(run_coterminous(20, 4096, SAMPLER, seed=1))
+    text = run_coterminous(20, 4096, SAMPLER, seed=1).render()
     for word in ("safety", "nontrivial", "turing", "subsumption_pos",
                  "subsumption_neg", "cognitive", "overall"):
         assert word in text

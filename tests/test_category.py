@@ -22,7 +22,6 @@ from govtree.category import (
     interp_tensor_distribute_check,
     left_unitor,
     memory,
-    parse_step_message,
     reason,
     reference_register_run,
     register_tree_steps,
@@ -243,11 +242,10 @@ def test_translate_empty_program():
 def test_translate_two_increments():
     p = RegisterProgram((Inc(0), Inc(0)), 1)
     steps = register_tree_steps(p, 50, 500)
-    assert steps == [(0, (1,)), (1, (2,))]
-    regs, ref_steps = reference_register_run(p, 50)
-    assert regs == (2,) and ref_steps == steps
     # the final observability event shows r0=2
-    assert steps[-1][1] == (2,)
+    assert steps == ["pc=0;regs=1", "pc=1;regs=2"]
+    regs, ref_steps = reference_register_run(p, 50)
+    assert regs == (2,) and ref_steps == [(0, (1,)), (1, (2,))]
 
 
 def test_translate_loop_respects_fuel():
@@ -262,12 +260,14 @@ def test_decjz_jump_and_decrement():
         (Inc(0), Inc(0), DecJz(0, 6), Inc(1), DecJz(2, 2), Halt(), Halt()), 3
     )
     regs, ref_steps = reference_register_run(p, 50)
-    assert register_tree_steps(p, 50, 500) == ref_steps
+    assert register_tree_steps(p, 50, 500) == [
+        f"pc={pc};regs={','.join(map(str, r))}" for pc, r in ref_steps
+    ] == [
+        "pc=0;regs=1,0,0", "pc=1;regs=2,0,0", "pc=2;regs=1,0,0", "pc=3;regs=1,1,0",
+        "pc=4;regs=1,1,0", "pc=2;regs=0,1,0", "pc=3;regs=0,2,0", "pc=4;regs=0,2,0",
+        "pc=2;regs=0,2,0",
+    ]
     assert regs == (0, 2, 0)
-
-
-def test_parse_step_message_round_trip():
-    assert parse_step_message("pc=3;regs=1,0,7") == (3, (1, 0, 7))
 
 
 def test_register_agreement_random_programs():

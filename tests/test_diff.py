@@ -2,7 +2,7 @@
 
 import random
 
-from govtree.cli import diff_campaign
+from govtree.cli import diff_campaign, render_diff
 from govtree.directives import LLMCall, mock_answer, mock_handler
 from govtree.gen import gen_input, gen_program_ast, gen_policy
 from govtree.governance import DENYING, PERMISSIVE, govern, interpret_governed, tag_filter
@@ -62,14 +62,14 @@ def test_reference_register_machine():
 
 def test_diff_campaign_clean():
     report = diff_campaign(trials=400, seed=123, fuel=100_000)
-    assert report.passed, report.summary.fail_witnesses[:3]
+    assert report.passed, report.fail_witnesses[:3]
     assert report.trials == 400
 
 
 def test_diff_campaign_deterministic():
     r1 = diff_campaign(trials=50, seed=9, fuel=100_000)
     r2 = diff_campaign(trials=50, seed=9, fuel=100_000)
-    assert r1.render() == r2.render()
+    assert render_diff(r1) == render_diff(r2)
 
 
 @pytest.mark.parametrize("bug", BUGS)
@@ -129,7 +129,7 @@ PINNED_DIFF_RENDERS = {
 @pytest.mark.parametrize("bug", BUGS)
 def test_bugged_reference_render_is_pinned(bug):
     report = diff_campaign(trials=200, seed=123, fuel=100_000, bug=bug)
-    assert report.render() == PINNED_DIFF_RENDERS[bug]
+    assert render_diff(report) == PINNED_DIFF_RENDERS[bug]
 
 
 def test_unknown_bug_rejected():

@@ -236,9 +236,9 @@ def _oracle_register(node):
     registers = node.get("registers")
     fuel = node.get("fuel")
     listing = node.get("program")
-    if not isinstance(registers, int) or registers < 1:
+    if type(registers) is not int or registers < 1:
         raise ProgramError("register_machine needs a positive register count")
-    if not isinstance(fuel, int) or fuel < 0:
+    if type(fuel) is not int or fuel < 0:
         raise ProgramError("register_machine needs a non-negative fuel")
     if not isinstance(listing, list):
         raise ProgramError("register_machine needs an instruction list")
@@ -416,6 +416,7 @@ def _machine(registers=1, fuel=1, program=None):
     {"kind": "code", "expr": {"op": "add", "args": [{"op": "input"}]}},
     {"kind": "code", "expr": {"op": "int", "value": "7"}},
     {"kind": "code", "expr": {"op": "str", "value": 7}},
+    {"kind": "code", "expr": {"op": "int", "value": True}},
     {"kind": "reason", "prompt": {"op": "input"}, "extract": {"op": "input"}},
     {"kind": "memory", "mop": "put", "key": {"op": "input"}, "value": 3, "extract": {"op": "input"}},
     {"kind": "call", "machine": "calc", "payload": {"op": "input"}},
@@ -425,6 +426,9 @@ def _machine(registers=1, fuel=1, program=None):
     {"kind": "branch", "pred": {"op": "input"}, "then": _STEP, "else": {"kind": "teleport"}},
     _machine(registers=0),
     _machine(fuel=-1),
+    # a boolean count or fuel is not an integer either
+    _machine(registers=True, fuel=True),
+    _machine(fuel=True),
     _machine(program="halt"),
     _machine(program=[[]]),
     _machine(program=[["jump", 0]]),
