@@ -11,11 +11,15 @@ level plus a declared capability list into the set actually granted:
 the top two levels get everything, untrusted code keeps at most the LLM
 capability, and the middle levels keep exactly what they declared.
 
-A ``CapMorphism`` pairs a morphism with its capability bound and the
-evidence for it: ``Constructed`` when built from primitives with known
-profiles (composition unions the bounds; every compiled program is one),
-``Checked`` when verified by bounded checking on sampled inputs. Calling
-one applies its morphism. ``principality_check`` brute-forces
+A ``CapMorphism`` bundles a morphism with its capability bound and the
+evidence for it; calling one applies its morphism. The ``cap_*``
+constructors are the one statement of the bound: none for ``code`` and
+``register_machine``, one capability for ``reason``, ``memory`` and
+``call``, the union of the parts under ``cap_seq_compose``,
+``cap_tensor`` and ``cap_branch``. What they build shares one
+``Constructed`` evidence, and ``program.compile_ast`` builds every
+program through them. ``Checked`` evidence comes from bounded checking
+on sampled inputs instead. ``principality_check`` brute-forces
 every strict subset of the bound to show the bound is tight, and
 ``dual_guarantee_check`` confirms that staying within the bound and
 passing governance safety hold at the same time.
@@ -26,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, Union
+from typing import Any, Callable, Iterable, NamedTuple, Union
 
 from .directives import (
     Capability,
@@ -51,6 +55,7 @@ from .itree import (
     explore,
     fails,
     holds,
+    own_type_eq,
     skip_taus,
     unknown,
 )
@@ -61,10 +66,14 @@ from .trace import well_governed
 CapSet = frozenset
 
 CAP_UNIVERSE = tuple(Capability)
+NO_CAPS = frozenset()
+LLM_CAPS = frozenset((Capability.LLM_REASON,))
+MEMORY_CAPS = frozenset((Capability.MEMORY,))
+CALL_CAPS = frozenset((Capability.MACHINE_CALL,))
 
 
 def cap_empty() -> CapSet:
-    return frozenset()
+    return NO_CAPS
 
 
 def cap_singleton(c: Capability) -> CapSet:
@@ -218,8 +227,8 @@ class Checked:
 Evidence = Union[Constructed, Checked]
 
 
-@dataclass(frozen=True)
-class CapMorphism:
+@own_type_eq
+class CapMorphism(NamedTuple):
     morph: Morphism
     caps: CapSet
     evidence: Evidence
@@ -228,30 +237,30 @@ class CapMorphism:
         return self.morph(a)
 
 
+_CONSTRUCTED = Constructed()
+_new = tuple.__new__  # a NamedTuple from its fields, without its Python __new__
+
+
 def cap_code(f) -> CapMorphism:
-    return CapMorphism(category.code(f), cap_empty(), Constructed())
+    return _new(CapMorphism, (category.code(f), NO_CAPS, _CONSTRUCTED))
 
 
 def cap_reason(build, extract) -> CapMorphism:
-    return CapMorphism(
-        category.reason(build, extract),
-        cap_singleton(Capability.LLM_REASON),
-        Constructed(),
-    )
+    return _new(CapMorphism, (category.reason(build, extract), LLM_CAPS, _CONSTRUCTED))
 
 
 def cap_memory(build, extract) -> CapMorphism:
-    return CapMorphism(
-        category.memory(build, extract), cap_singleton(Capability.MEMORY), Constructed()
-    )
+    return _new(CapMorphism, (category.memory(build, extract), MEMORY_CAPS, _CONSTRUCTED))
 
 
 def cap_call(build, extract) -> CapMorphism:
-    return CapMorphism(
-        category.call(build, extract),
-        cap_singleton(Capability.MACHINE_CALL),
-        Constructed(),
-    )
+    return _new(CapMorphism, (category.call(build, extract), CALL_CAPS, _CONSTRUCTED))
+
+
+def cap_register_machine(p: category.RegisterProgram, fuel: int) -> CapMorphism:
+    """Register steps emit only observability directives, which need no
+    capability."""
+    return _new(CapMorphism, (category.register_machine(p, fuel), NO_CAPS, _CONSTRUCTED))
 
 
 def checked_cap_morphism(
@@ -272,25 +281,24 @@ def checked_cap_morphism(
     return CapMorphism(morph, caps, Checked(count, fuel))
 
 
-def cap_seq_compose(f: CapMorphism, g: CapMorphism) -> CapMorphism:
-    return CapMorphism(
-        category.seq_compose(f.morph, g.morph), cap_union(f.caps, g.caps), Constructed()
-    )
+def cap_seq_compose(f: CapMorphism, *gs: CapMorphism) -> CapMorphism:
+    """``f`` then each of ``gs`` in order; the bound is the union of all."""
+    morphs, caps, _ = zip(f, *gs)
+    morph = category.seq_compose(*morphs)
+    return _new(CapMorphism, (morph, NO_CAPS.union(*caps), _CONSTRUCTED))
 
 
 def cap_tensor(f: CapMorphism, g: CapMorphism) -> CapMorphism:
-    return CapMorphism(
-        category.tensor(f.morph, g.morph), cap_union(f.caps, g.caps), Constructed()
-    )
+    fm, fc, _ = f
+    gm, gc, _ = g
+    return _new(CapMorphism, (category.tensor(fm, gm), fc | gc, _CONSTRUCTED))
 
 
 def cap_branch(pred, f: CapMorphism, g: CapMorphism) -> CapMorphism:
     """Either arm may execute, so the bound is the union of both."""
-    return CapMorphism(
-        category.branch(pred, f.morph, g.morph),
-        cap_union(f.caps, g.caps),
-        Constructed(),
-    )
+    fm, fc, _ = f
+    gm, gc, _ = g
+    return _new(CapMorphism, (category.branch(pred, fm, gm), fc | gc, _CONSTRUCTED))
 
 
 def _strict_subsets(caps: CapSet):

@@ -11,6 +11,8 @@ pair, left side first (sequential-independent, not concurrent), and
 The structural morphisms (associator, unitors, braiding) are all pure
 tuple rearrangements, so the pentagon, triangle, and hexagon coherence
 checks reduce to comparing concrete values on sampled tuples.
+``check_trace_of_bind`` checks that governed interpretation distributes
+over bind, and ``interp_tensor_distribute_check`` applies it to ``tensor``.
 
 The register machine at the bottom of the module is the Turing-complete
 core used to demonstrate that unbounded computation stays inside
@@ -41,6 +43,7 @@ from .governance import (
     drive,
     gov_safe_check,
     govern,
+    interpret_governed,
 )
 from .itree import (
     BoundedVerdict,
@@ -57,7 +60,6 @@ from .itree import (
     unknown,
     vis,
 )
-from .trace import check_trace_of_bind
 
 Morphism = Callable[[Any], ITree]
 
@@ -95,8 +97,17 @@ def call(build: Callable[[Any], CallMachine], extract) -> Morphism:
     return _primitive(CallMachine, build, extract)
 
 
-def seq_compose(f: Morphism, g: Morphism) -> Morphism:
-    return lambda a: bind(f(a), g)
+def seq_compose(f: Morphism, *gs: Morphism) -> Morphism:
+    """``f`` then each of ``gs`` in order: every step is bound onto the
+    one queue of the tree ``f`` starts, so n steps run in O(n)."""
+
+    def morph(a):
+        t = f(a)
+        for g in gs:
+            t = bind(t, g)
+        return t
+
+    return morph
 
 
 def _as_pair(p):
@@ -167,6 +178,32 @@ def check_hexagon(samples: Iterable, fuel: Fuel = 64) -> BoundedVerdict:
         tensor(identity, braiding),
     )
     return _compare_paths(path1, path2, samples, fuel, "hexagon")
+
+
+def check_trace_of_bind(t, k, policy, handler, fuel: int) -> BoundedVerdict:
+    """Check that interpretation distributes over sequential composition.
+
+    Runs ``t``, then ``k(value)``, then ``bind(t, k)``, all under the same
+    policy and handler. The bind run must end with the second run's value,
+    and its trace must equal the concatenation element-wise. Unknown if
+    any run does not complete within fuel.
+    """
+    gh = govern(handler)
+    first = interpret_governed(gh, policy, t, fuel)
+    if not first.completed:
+        return unknown("fuel-exhausted" if not first.denied else "denied")
+    second = interpret_governed(gh, policy, k(first.value), fuel)
+    if not second.completed:
+        return unknown("fuel-exhausted" if not second.denied else "denied")
+    whole = interpret_governed(gh, policy, bind(t, k), fuel)
+    if not whole.completed:
+        return unknown("bind run did not complete")
+    if whole.value != second.value:
+        return fails((f"value {whole.value!r} != second run's {second.value!r}",))
+    expected = first.trace + second.trace
+    if whole.trace == expected:
+        return holds()
+    return fails((f"trace {whole.trace!r} != concatenation {expected!r}",))
 
 
 def interp_tensor_distribute_check(
@@ -244,6 +281,11 @@ def _step(ins: Instruction, pc: int, regs: tuple) -> "tuple[int, tuple] | None":
 
 def _step_message(pc: int, regs: tuple) -> str:
     return f"pc={pc};regs={','.join(str(r) for r in regs)}"
+
+
+def register_machine(p: RegisterProgram, fuel: int) -> Morphism:
+    """The program as a morphism: it ignores its input and returns unit."""
+    return lambda a: translate_register_program(p, fuel)
 
 
 def translate_register_program(p: RegisterProgram, fuel: int) -> ITree:

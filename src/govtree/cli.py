@@ -10,7 +10,8 @@ given ``--handler-seed``, and each command that draws values given
 Exit codes: 0 success / value produced, 1 verification or suite failure,
 2 governance denial, 3 fuel exhausted, 64 usage error (bad arguments,
 negative counts, a non-integer ``GOVTREE_SEED``), 65 input error
-(unreadable, non-UTF-8 or malformed program file, unknown policy).
+(unreadable, non-UTF-8 or malformed program file, unknown policy, a
+value that ``run`` or ``check`` builds nested too deeply).
 An input error or a bad ``GOVTREE_SEED`` prints one ``govtree: error:``
 line on stderr.
 """
@@ -278,6 +279,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ProgramError, OSError, UnicodeDecodeError) as e:
         return _error(e)
+    except RecursionError:  # a value the program built, too deep to compute or print
+        if args.func not in (_cmd_run, _cmd_check):
+            raise
+        return _error("value nested too deeply")
 
 
 if __name__ == "__main__":

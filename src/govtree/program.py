@@ -11,14 +11,13 @@ Values are ints, strings, booleans, null (unit), or two-element lists
 
 The grammar has one definition, ``compile_ast``: a body is accepted
 exactly when it compiles. One depth-first walk checks each node and its
-expressions and builds the morphism with its capability bound (one
-capability per ``reason``/``memory``/``call``, the union of the parts at
-``seq``/``tensor``/``branch``) as a ``Constructed`` ``CapMorphism``,
-refusing the first malformed part with a ``ProgramError``. ``parse_program``
-compiles the body once and the ``Program`` it returns keeps the result;
-a ``Program`` built directly compiles on its first ``compile()`` or
-``caps()``. A document nested deeper than the recursion limit allows is
-a ``ProgramError`` too.
+expressions, refusing the first malformed part with a ``ProgramError``,
+and builds the node with the ``capability`` constructor for its kind,
+which states its capability bound; the result is a ``CapMorphism``.
+``parse_program`` compiles the body once and the ``Program`` it returns
+keeps the result; a ``Program`` built directly compiles on its first
+``compile()`` or ``caps()``. A document nested deeper than the recursion
+limit allows is a ``ProgramError`` too.
 
 Pure functions inside nodes are written in a tiny total expression
 language evaluated against the node's input value. Operations never
@@ -31,7 +30,7 @@ raise; mixed types go through fixed coercions:
 * to_bool: nonzero, nonempty; pairs are true, unit is false.
 * fst/snd on a non-pair return the value unchanged; tensor applied to a
   non-pair duplicates it.
-* mod/div by zero yield 0.
+* mod by zero yields 0.
 
 A directive answer enters its extract expression as the pair
 ``(status, content)``.
@@ -47,23 +46,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .capability import CapMorphism, CapSet, Constructed, cap_empty, cap_singleton
-from .category import (
-    DecJz,
-    Halt,
-    Inc,
-    Morphism,
-    RegisterProgram,
-    branch,
-    call,
-    code,
-    memory,
-    reason,
-    tensor,
-    translate_register_program,
-)
-from .directives import Capability, CallMachine, LLMCall, MemoryOp
-from .itree import bind
+from . import capability
+from .capability import CapMorphism, CapSet
+from .category import DecJz, Halt, Inc, RegisterProgram
+from .directives import CallMachine, LLMCall, MemoryOp
 
 
 class ProgramError(ValueError):
@@ -106,9 +92,11 @@ def to_bool(v) -> bool:
     return False
 
 
-_BINARY = ("add", "sub", "mul", "mod", "concat", "pair", "eq", "lt", "and", "or")
-_UNARY = ("fst", "snd", "len", "not")
-_LEAF = ("input", "int", "str", "unit")
+_ARITY = {
+    **dict.fromkeys(("input", "int", "str", "unit"), 0),
+    **dict.fromkeys(("fst", "snd", "len", "not"), 1),
+    **dict.fromkeys(("add", "sub", "mul", "mod", "concat", "pair", "eq", "lt", "and", "or"), 2),
+}
 
 
 def validate_expr(expr) -> dict:
@@ -117,22 +105,19 @@ def validate_expr(expr) -> dict:
     if not isinstance(expr, dict) or "op" not in expr:
         raise ProgramError(f"expression must be an object with an op: {expr!r}")
     op = expr["op"]
-    if op in _LEAF:
+    arity = _ARITY.get(op) if type(op) is str else None
+    if arity == 0:
         # not isinstance: True is an int to Python, not an integer literal
         if op == "int" and type(expr.get("value")) is not int:
             raise ProgramError("int literal needs an integer value")
         if op == "str" and not isinstance(expr.get("value"), str):
             raise ProgramError("str literal needs a string value")
         return expr
-    args = expr.get("args")
-    if op in _UNARY:
-        if not isinstance(args, list) or len(args) != 1:
-            raise ProgramError(f"{op} takes one argument")
-    elif op in _BINARY:
-        if not isinstance(args, list) or len(args) != 2:
-            raise ProgramError(f"{op} takes two arguments")
-    else:
+    if arity is None:
         raise ProgramError(f"unknown expression op {op!r}")
+    args = expr.get("args")
+    if not isinstance(args, list) or len(args) != arity:
+        raise ProgramError(f"{op} takes {'one argument' if arity == 1 else 'two arguments'}")
     for a in args:
         validate_expr(a)
     return expr
@@ -222,77 +207,56 @@ def _answer_value(answer):
     return (answer.status, answer.content)
 
 
-_NO_CAPS = cap_empty()
-_LLM_CAPS = cap_singleton(Capability.LLM_REASON)
-_MEMORY_CAPS = cap_singleton(Capability.MEMORY)
-_CALL_CAPS = cap_singleton(Capability.MACHINE_CALL)
-
-
 def compile_ast(node) -> CapMorphism:
     """Check an AST node and compile it, in one depth-first walk, into its
-    morphism and capability bound; the first malformed node or expression
-    met is a ``ProgramError``."""
-    return CapMorphism(*_compile(node), Constructed())
-
-
-def _compile(node) -> "tuple[Morphism, CapSet]":
+    morphism and capability bound, built by the ``capability`` constructor
+    for its kind; the first malformed node or expression met is a
+    ``ProgramError``."""
     if not isinstance(node, dict) or "kind" not in node:
         raise ProgramError(f"node must be an object with a kind: {node!r}")
     kind = node["kind"]
     if kind == "code":
         expr = validate_expr(node.get("expr"))
-        return code(lambda a: eval_expr(expr, a)), _NO_CAPS
+        return capability.cap_code(lambda a: eval_expr(expr, a))
     if kind == "reason":
         model, prompt = _require_str(node, "model"), validate_expr(node.get("prompt"))
         extract = validate_expr(node.get("extract"))
-        return reason(
+        return capability.cap_reason(
             lambda a: LLMCall(model=model, prompt=to_str(eval_expr(prompt, a))),
             lambda ans: eval_expr(extract, _answer_value(ans)),
-        ), _LLM_CAPS
+        )
     if kind == "memory":
         mop, key = _require_str(node, "mop"), validate_expr(node.get("key"))
         value, extract = validate_expr(node.get("value")), validate_expr(node.get("extract"))
-        return memory(
+        return capability.cap_memory(
             lambda a: MemoryOp(
                 op=mop, key=to_str(eval_expr(key, a)), value=to_str(eval_expr(value, a))
             ),
             lambda ans: eval_expr(extract, _answer_value(ans)),
-        ), _MEMORY_CAPS
+        )
     if kind == "call":
         machine, payload = _require_str(node, "machine"), validate_expr(node.get("payload"))
         extract = validate_expr(node.get("extract"))
-        return call(
+        return capability.cap_call(
             lambda a: CallMachine(machine=machine, payload=to_str(eval_expr(payload, a))),
             lambda ans: eval_expr(extract, _answer_value(ans)),
-        ), _CALL_CAPS
+        )
     if kind == "seq":
         steps = node.get("steps")
         if not isinstance(steps, list) or not steps:
             raise ProgramError("seq needs a nonempty list of steps")
-        first, caps = _compile(steps[0])
-        rest = []
-        for s in steps[1:]:
-            m, c = _compile(s)
-            rest.append(m)
-            caps |= c
-
-        def run_seq(a):
-            t = first(a)
-            for m in rest:
-                t = bind(t, m)
-            return t
-
-        return run_seq, caps
+        return capability.cap_seq_compose(*map(compile_ast, steps))
     if kind == "tensor":
-        (left, left_caps), (right, right_caps) = _compile(node.get("left")), _compile(node.get("right"))
-        return tensor(left, right), left_caps | right_caps
+        return capability.cap_tensor(compile_ast(node.get("left")), compile_ast(node.get("right")))
     if kind == "branch":
         pred = validate_expr(node.get("pred"))
-        (then, then_caps), (orelse, else_caps) = _compile(node.get("then")), _compile(node.get("else"))
-        return branch(lambda a: to_bool(eval_expr(pred, a)), then, orelse), then_caps | else_caps
+        return capability.cap_branch(
+            lambda a: to_bool(eval_expr(pred, a)),
+            compile_ast(node.get("then")),
+            compile_ast(node.get("else")),
+        )
     if kind == "register_machine":
-        program, fuel = _parse_register(node)
-        return (lambda a: translate_register_program(program, fuel)), _NO_CAPS
+        return capability.cap_register_machine(*_parse_register(node))
     raise ProgramError(f"unknown node kind {kind!r}")
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Union
 
-from .itree import BoundedVerdict, bind, fails, holds, own_type_eq, unknown
+from .itree import own_type_eq
 
 
 @own_type_eq
@@ -54,34 +54,6 @@ def well_governed(trace: Iterable[TraceEvent]) -> bool:
                 return False
             approved = False
     return True
-
-
-def check_trace_of_bind(t, k, policy, handler, fuel: int) -> BoundedVerdict:
-    """Check that interpretation distributes over sequential composition.
-
-    Runs ``t``, then ``k(value)``, then ``bind(t, k)``, all under the same
-    policy and handler. The bind run must end with the second run's value,
-    and its trace must equal the concatenation element-wise. Unknown if
-    any run does not complete within fuel.
-    """
-    from .governance import govern, interpret_governed
-
-    gh = govern(handler)
-    first = interpret_governed(gh, policy, t, fuel)
-    if not first.completed:
-        return unknown("fuel-exhausted" if not first.denied else "denied")
-    second = interpret_governed(gh, policy, k(first.value), fuel)
-    if not second.completed:
-        return unknown("fuel-exhausted" if not second.denied else "denied")
-    whole = interpret_governed(gh, policy, bind(t, k), fuel)
-    if not whole.completed:
-        return unknown("bind run did not complete")
-    if whole.value != second.value:
-        return fails((f"value {whole.value!r} != second run's {second.value!r}",))
-    expected = first.trace + second.trace
-    if whole.trace == expected:
-        return holds()
-    return fails((f"trace {whole.trace!r} != concatenation {expected!r}",))
 
 
 def format_trace(trace: Iterable[TraceEvent]) -> str:

@@ -62,7 +62,7 @@ from govtree.governance import PERMISSIVE, bare_io, gov_safe_check, govern, inte
 from govtree.itree import ret, vis
 from govtree.ledger import ledger_valid, tamper_check, trace_to_ledger
 from govtree.program import compile_ast
-from govtree.trace import check_trace_of_bind
+from govtree.category import check_trace_of_bind
 from govtree.gen import gen_input, gen_program_ast
 
 SAMPLER = ResponseSampler(seed=0)

@@ -434,10 +434,30 @@ def test_unknown_policy_is_an_input_error():
     assert_one_line_error(result, EXIT_INPUT)
 
 
-def test_over_deep_json_is_an_input_error(tmp_path):
+# 1,200 steps each pairing the input with 0: the value they build nests too
+# deeply to print, and with a final `len` too deeply to measure.
+_PAIR_STEP = {"kind": "code",
+              "expr": {"op": "pair", "args": [{"op": "input"}, {"op": "int", "value": 0}]}}
+_LEN_STEP = {"kind": "code", "expr": {"op": "len", "args": [{"op": "input"}]}}
+
+
+def _seq_document(steps):
+    return json.dumps({"version": 1, "input": 0, "body": {"kind": "seq", "steps": steps}})
+
+
+@pytest.mark.parametrize("command, document, message", [
+    ("run", '{"version": 1, "input": ' + "[" * 100_000 + "]" * 100_000 + ', "body": {}}',
+     "program document nested too deeply"),
+    ("run", _seq_document([_PAIR_STEP] * 1200), "value nested too deeply"),
+    ("run", _seq_document([_PAIR_STEP] * 1200 + [_LEN_STEP]), "value nested too deeply"),
+    ("check", _seq_document([_PAIR_STEP] * 1200 + [_LEN_STEP]), "value nested too deeply"),
+], ids=["json", "pairs", "pairs-len", "check-pairs-len"])
+def test_over_deep_json_is_an_input_error(tmp_path, command, document, message):
     deep = tmp_path / "deep.json"
-    deep.write_text('{"version": 1, "input": ' + "[" * 100_000 + "]" * 100_000 + ', "body": {}}')
-    assert_one_line_error(run_module("run", str(deep)), EXIT_INPUT)
+    deep.write_text(document)
+    result = run_module(command, str(deep))
+    assert_one_line_error(result, EXIT_INPUT)
+    assert result.stderr == f"govtree: error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["run", "check"])

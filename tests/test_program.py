@@ -24,7 +24,7 @@ from govtree.category import DecJz, Halt, Inc, RegisterProgram
 from govtree.directives import Capability, ResponseSampler, mock_handler
 from govtree.gen import gen_expr, gen_input, gen_policy, gen_program_ast
 from govtree.governance import PERMISSIVE, govern, interpret_governed
-from govtree.itree import run_pure
+from govtree.itree import eutt_bounded, run_pure
 from govtree.program import (
     Program,
     ProgramError,
@@ -452,11 +452,19 @@ def test_compiling_refuses_each_malformed_shape(body):
 
 def test_compiled_caps_equal_the_oracle():
     rng = random.Random(5)
+    shared = compile_ast(_STEP).evidence
+    kinds = set()
     for i in range(3000):
         ast = gen_program_ast(
             rng, max_depth=i % 7, max_directives=rng.randrange(0, 9), allow_register=True
         )
-        assert compile_ast(ast).caps == _oracle_ast_caps(ast), i
+        compiled = compile_ast(ast)
+        assert compiled.caps == _oracle_ast_caps(ast), i
+        # every node kind is built by a capability constructor, all sharing one evidence
+        assert type(compiled) is CapMorphism and compiled.evidence is shared, i
+        assert compiled != tuple(compiled) and tuple(compiled) != compiled, i
+        kinds.add(ast["kind"])
+    assert shared == Constructed() and len(kinds) == 8  # every kind at the root
 
 
 @pytest.mark.parametrize("body", [
@@ -507,11 +515,19 @@ def test_dual_guarantee_holds_on_compiled_programs():
 
 def test_cap_composition_of_compiled_programs_carries_the_oracle_bound():
     rng = random.Random(23)
-    for _ in range(300):
+    for i in range(300):
         left, right = gen_program_ast(rng, max_depth=3), gen_program_ast(rng, max_depth=3)
-        f, g = compile_ast(left), compile_ast(right)
+        third = gen_program_ast(rng, max_depth=3)
+        f, g, h = compile_ast(left), compile_ast(right), compile_ast(third)
         seq = cap_seq_compose(f, g)
         par = cap_tensor(f, g)
         assert seq.caps == _oracle_ast_caps({"kind": "seq", "steps": [left, right]})
         assert par.caps == _oracle_ast_caps({"kind": "tensor", "left": left, "right": right})
         assert seq.evidence == par.evidence == Constructed()
+        # n-ary composition is the left-nested binary one: same bound, same tree
+        flat, nested = cap_seq_compose(f, g, h), cap_seq_compose(seq, h)
+        assert flat.caps == nested.caps == _oracle_ast_caps(
+            {"kind": "seq", "steps": [left, right, third]}
+        )
+        a = gen_input(rng)
+        assert eutt_bounded(flat(a), nested(a), 256, SAMPLER).is_holds, i

@@ -18,10 +18,10 @@ from govtree.directives import (
 from govtree.gen import gen_trace
 from govtree.governance import DENYING, PERMISSIVE, govern, interpret_governed
 from govtree.itree import Ret, ret, vis
+from govtree.category import check_trace_of_bind
 from govtree.trace import (
     GovEntry,
     IoEntry,
-    check_trace_of_bind,
     format_trace,
     parse_trace,
     well_governed,
