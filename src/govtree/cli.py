@@ -11,9 +11,10 @@ Exit codes: 0 success / value produced, 1 verification or suite failure,
 2 governance denial, 3 fuel exhausted, 64 usage error (bad arguments,
 negative counts, a non-integer ``GOVTREE_SEED``), 65 input error
 (unreadable, non-UTF-8 or malformed program file, unknown policy, a
-value that ``run`` or ``check`` builds nested too deeply).
-An input error or a bad ``GOVTREE_SEED`` prints one ``govtree: error:``
-line on stderr.
+value that ``run`` or ``check`` builds nested too deeply), 73 cannot
+create an output file (a ``--trace-out`` or ``--ledger-out`` path that
+cannot be written). An input error, an output file that cannot be written
+or a bad ``GOVTREE_SEED`` prints one ``govtree: error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ EXIT_DENIED = 2
 EXIT_FUEL = 3
 EXIT_USAGE = 64  # sysexits EX_USAGE
 EXIT_INPUT = 65  # sysexits EX_DATAERR
+EXIT_CANTCREAT = 73  # sysexits EX_CANTCREAT
 
 DEFAULT_FUEL = 100_000
 
@@ -98,10 +100,13 @@ def _cmd_run(args) -> int:
         return _error(e)
     gh = govern(mock_handler(args.handler_seed))
     outcome = interpret_governed(gh, policy, program.compile()(program.input_value), args.fuel)
-    if args.trace_out:
-        _write(args.trace_out, format_trace(outcome.trace))
-    if args.ledger_out:
-        _write(args.ledger_out, format_ledger(trace_to_ledger(outcome.trace)))
+    try:
+        if args.trace_out:
+            _write(args.trace_out, format_trace(outcome.trace))
+        if args.ledger_out:
+            _write(args.ledger_out, format_ledger(trace_to_ledger(outcome.trace)))
+    except OSError as e:
+        return _error(e, EXIT_CANTCREAT)
     if outcome.completed:
         print(format_value(outcome.value))
         return EXIT_OK

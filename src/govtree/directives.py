@@ -7,18 +7,18 @@ one capability. ``RecordStep`` and ``Observability`` are bookkeeping and
 require no capability at all.
 
 This module also owns the canonical textual encoding used by traces,
-ledger entries, and seeded answer generation: ``TAG{field=value,...}``
+ledger entries, and mock and sampled answers: ``TAG{field=value,...}``
 with fields in declaration order and no added whitespace. Delimiter
 characters and backslashes inside string values are backslash-escaped so
 the encoding stays injective. The layout of each variant (its template
 and field names) is read once, from ``DIRECTIVE_TYPES``, at import.
 
-Mock answers and checker samples come from ``random.Random`` generators
-seeded with a SHA-256 digest of the seed and the directive's encoding.
-Unit-answered directives (``RecordStep``, ``Broadcast``, ``EmitEvent``,
-``Observability``) have the one answer ``None`` and draw nothing. A
-``ResponseSampler`` draws each directive's samples once and keeps them in
-a bounded table keyed by the directive's encoding.
+Mock answers and checker samples are read off a SHA-256 digest of the
+seed and the directive's encoding, with no generator seeded. Unit-answered
+directives (``RecordStep``, ``Broadcast``, ``EmitEvent``, ``Observability``)
+have the one answer ``None`` and hash nothing. A ``ResponseSampler`` derives
+each directive's samples once and keeps them in a bounded table keyed by
+the directive's encoding.
 """
 
 from __future__ import annotations
@@ -292,38 +292,38 @@ def _encode(d: DirectiveEvent) -> str:
     return template % tuple(values)
 
 
+def _digest(*parts) -> bytes:
+    return hashlib.sha256("\x1f".join(map(str, parts)).encode("utf-8")).digest()
+
+
 def derive_rng(*parts) -> random.Random:
     """A deterministic RNG keyed by the given parts, stable across runs."""
-    key = "\x1f".join(map(str, parts)).encode("utf-8")
-    seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
-    return random.Random(seed)
+    return random.Random(int.from_bytes(_digest(*parts)[:8], "big"))
 
 
-def _make_answer(rng: random.Random, answer_type: type):
-    return answer_type(
-        status=rng.randrange(100, 600),
-        content=f"{answer_type.__name__.lower()}-{rng.randrange(1_000_000)}",
-    )
+def _answer(answer_type: type, *parts):
+    """Status and content number from bytes 0-8 and 8-16 of the digest."""
+    digest = _digest(*parts)
+    status = 100 + int.from_bytes(digest[:8], "big") % 500
+    n = int.from_bytes(digest[8:16], "big") % 1_000_000
+    return answer_type(status, f"{answer_type.__name__.lower()}-{n}")
 
 
 def mock_answer(seed: int, d: DirectiveEvent):
-    """The deterministic answer a seeded mock environment gives ``d``.
-
-    Unit-answered directives answer ``None`` without encoding ``d`` or
-    drawing from a generator; the others draw from ``derive_rng`` keyed by
-    the seed and the canonical encoding of ``d``.
-    """
+    """The answer a seeded mock environment gives ``d``: ``None``, with no
+    encoding or hashing, if ``d`` is unit-answered, else one read off the
+    digest of the seed and the canonical encoding of ``d``."""
     answer_type = ANSWER_TYPES[type(d)]
     if answer_type is None:
         return None
-    return _make_answer(derive_rng("mock", seed, encode_directive(d)), answer_type)
+    return _answer(answer_type, "mock", seed, encode_directive(d))
 
 
 Handler = Callable[[DirectiveEvent], ITree]
 
 
 def mock_handler(seed: int) -> Handler:
-    """A pure base handler: answers every directive from a seeded generator.
+    """A pure base handler: answers every directive with ``mock_answer``.
 
     The returned trees contain no events; same seed and directive always
     produce the same answer.
@@ -340,9 +340,9 @@ SAMPLER_TABLE_SIZE = 4096
 class ResponseSampler:
     """Finite, deterministic answer sampling for directive events.
 
-    Unit-answered directives have exactly one answer. Record-answered
-    directives get ``samples_per_event`` distinct seeded samples. Used by
-    bounded checkers wherever a property quantifies over all answers.
+    Unit-answered directives have one answer, record-answered ones
+    ``samples_per_event``: sample ``i`` is read off the digest of ``(seed,
+    i, encoding)``. Used by checkers that quantify over answers.
 
     The checkers ask for the answers of the same directive many times, so
     each sampler keeps a table from a directive's canonical encoding to
@@ -368,7 +368,7 @@ class ResponseSampler:
             if len(table) >= SAMPLER_TABLE_SIZE:
                 table.clear()
             found = table[enc] = tuple(
-                _make_answer(derive_rng("sample", self.seed, i, enc), answer_type)
+                _answer(answer_type, "sample", self.seed, i, enc)
                 for i in range(self.samples_per_event)
             )
         return found

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from . import capability
@@ -203,8 +204,42 @@ def _parse_register(node: dict) -> "tuple[RegisterProgram, int]":
     return program, fuel
 
 
-def _answer_value(answer):
-    return (answer.status, answer.content)
+# Closures are built in functions of their own: a cell in ``compile_ast``
+# would be made on every call, whatever the node kind. The recursive kinds
+# stay in ``compile_ast``, one frame per nesting level.
+
+def _extractor(node: dict):
+    """The node's extract expression, applied to an answer as the pair
+    ``(status, content)``."""
+    extract = validate_expr(node.get("extract"))
+    return lambda ans: eval_expr(extract, (ans.status, ans.content))
+
+
+def _compile_reason(node: dict) -> CapMorphism:
+    model, prompt = _require_str(node, "model"), validate_expr(node.get("prompt"))
+    return capability.cap_reason(
+        lambda a: LLMCall(model, to_str(eval_expr(prompt, a))), _extractor(node)
+    )
+
+
+def _compile_memory(node: dict) -> CapMorphism:
+    mop, key = _require_str(node, "mop"), validate_expr(node.get("key"))
+    value = validate_expr(node.get("value"))
+    return capability.cap_memory(
+        lambda a: MemoryOp(mop, to_str(eval_expr(key, a)), to_str(eval_expr(value, a))),
+        _extractor(node),
+    )
+
+
+def _compile_call(node: dict) -> CapMorphism:
+    machine, payload = _require_str(node, "machine"), validate_expr(node.get("payload"))
+    return capability.cap_call(
+        lambda a: CallMachine(machine, to_str(eval_expr(payload, a))), _extractor(node)
+    )
+
+
+def _predicate(pred: dict):
+    return lambda a: to_bool(eval_expr(pred, a))
 
 
 def compile_ast(node) -> CapMorphism:
@@ -216,31 +251,13 @@ def compile_ast(node) -> CapMorphism:
         raise ProgramError(f"node must be an object with a kind: {node!r}")
     kind = node["kind"]
     if kind == "code":
-        expr = validate_expr(node.get("expr"))
-        return capability.cap_code(lambda a: eval_expr(expr, a))
+        return capability.cap_code(partial(eval_expr, validate_expr(node.get("expr"))))
     if kind == "reason":
-        model, prompt = _require_str(node, "model"), validate_expr(node.get("prompt"))
-        extract = validate_expr(node.get("extract"))
-        return capability.cap_reason(
-            lambda a: LLMCall(model=model, prompt=to_str(eval_expr(prompt, a))),
-            lambda ans: eval_expr(extract, _answer_value(ans)),
-        )
+        return _compile_reason(node)
     if kind == "memory":
-        mop, key = _require_str(node, "mop"), validate_expr(node.get("key"))
-        value, extract = validate_expr(node.get("value")), validate_expr(node.get("extract"))
-        return capability.cap_memory(
-            lambda a: MemoryOp(
-                op=mop, key=to_str(eval_expr(key, a)), value=to_str(eval_expr(value, a))
-            ),
-            lambda ans: eval_expr(extract, _answer_value(ans)),
-        )
+        return _compile_memory(node)
     if kind == "call":
-        machine, payload = _require_str(node, "machine"), validate_expr(node.get("payload"))
-        extract = validate_expr(node.get("extract"))
-        return capability.cap_call(
-            lambda a: CallMachine(machine=machine, payload=to_str(eval_expr(payload, a))),
-            lambda ans: eval_expr(extract, _answer_value(ans)),
-        )
+        return _compile_call(node)
     if kind == "seq":
         steps = node.get("steps")
         if not isinstance(steps, list) or not steps:
@@ -249,9 +266,8 @@ def compile_ast(node) -> CapMorphism:
     if kind == "tensor":
         return capability.cap_tensor(compile_ast(node.get("left")), compile_ast(node.get("right")))
     if kind == "branch":
-        pred = validate_expr(node.get("pred"))
         return capability.cap_branch(
-            lambda a: to_bool(eval_expr(pred, a)),
+            _predicate(validate_expr(node.get("pred"))),
             compile_ast(node.get("then")),
             compile_ast(node.get("else")),
         )

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from govtree.cli import (
+    EXIT_CANTCREAT,
     EXIT_DENIED,
     EXIT_FAIL,
     EXIT_FUEL,
@@ -427,6 +428,16 @@ def test_bad_json_is_an_input_error(tmp_path):
 def test_unknown_node_kind_is_an_input_error(tmp_path):
     program = write_program(tmp_path / "p.json", {"kind": "teleport"})
     assert_one_line_error(run_module("run", program), EXIT_INPUT)
+
+
+@pytest.mark.parametrize("flag", ["--trace-out", "--ledger-out"])
+@pytest.mark.parametrize("target", ["missing-dir", "dir"])
+def test_unwritable_output_file_cannot_be_created(tmp_path, flag, target):
+    path = tmp_path / "no" / "such" / "out.txt" if target == "missing-dir" else tmp_path
+    result = run_module("run", str(PROGRAMS / "llm_pipeline.json"), flag, str(path))
+    assert EXIT_CANTCREAT == 73
+    assert_one_line_error(result, EXIT_CANTCREAT)
+    assert str(path) in result.stderr
 
 
 def test_unknown_policy_is_an_input_error():

@@ -78,32 +78,32 @@ def test_bugged_reference_is_caught(bug):
     assert not report.passed
 
 
-# Renders recorded before the campaigns shared one loop and one failure
-# record: the first ten disagreements in trial order, then the count.
+# Renders recorded since answers are read off the digest of their seed and
+# encoding: the first ten disagreements in trial order, then the count.
 PINNED_DIFF_RENDERS = {
     "mangle-status": (
         "differential campaign: 200 trials\n"
-        "disagreement at trial 1: tree=(True, 36450, denied=False, 10 events) ref=(True, 178802, denied=False, 10 events) policy=permissive\n"
-        "disagreement at trial 5: tree=(True, 204, denied=False, 2 events) ref=(True, 205, denied=False, 2 events) policy=permissive\n"
-        "disagreement at trial 6: tree=(True, (504, 172), denied=False, 4 events) ref=(True, (505, 173), denied=False, 4 events) policy=tags:CallMachine,LLMCall,MemoryOp,Observability\n"
-        "disagreement at trial 7: tree=(True, 502, denied=False, 40 events) ref=(True, 269, denied=False, 40 events) policy=tags:CallMachine,LLMCall,MemoryOp,Observability\n"
-        "disagreement at trial 9: tree=(True, 419, denied=False, 10 events) ref=(True, 420, denied=False, 10 events) policy=permissive\n"
-        "disagreement at trial 10: tree=(True, 326, denied=False, 2 events) ref=(True, 327, denied=False, 2 events) policy=permissive\n"
+        "disagreement at trial 1: tree=(True, 48050, denied=False, 10 events) ref=(True, 156800, denied=False, 10 events) policy=permissive\n"
+        "disagreement at trial 5: tree=(True, 356, denied=False, 2 events) ref=(True, 357, denied=False, 2 events) policy=permissive\n"
+        "disagreement at trial 6: tree=(True, (431, 312), denied=False, 4 events) ref=(True, (432, 313), denied=False, 4 events) policy=tags:CallMachine,LLMCall,MemoryOp,Observability\n"
+        "disagreement at trial 7: tree=(True, 431, denied=False, 40 events) ref=(True, 184, denied=False, 40 events) policy=tags:CallMachine,LLMCall,MemoryOp,Observability\n"
+        "disagreement at trial 9: tree=(True, 235, denied=False, 10 events) ref=(True, 236, denied=False, 10 events) policy=permissive\n"
+        "disagreement at trial 10: tree=(True, 283, denied=False, 2 events) ref=(True, 284, denied=False, 2 events) policy=permissive\n"
         "disagreement at trial 14: tree=(True, None, denied=False, 18 events) ref=(True, None, denied=False, 20 events) policy=permissive\n"
-        "disagreement at trial 17: tree=(True, ('4911', 196), denied=False, 12 events) ref=(True, ('4921', 521), denied=False, 10 events) policy=permissive\n"
-        "disagreement at trial 20: tree=(True, 117, denied=False, 2 events) ref=(True, 118, denied=False, 2 events) policy=permissive\n"
-        "disagreement at trial 24: tree=(True, 213, denied=False, 2 events) ref=(True, 214, denied=False, 2 events) policy=permissive\n"
+        "disagreement at trial 17: tree=(True, ('1461', 323), denied=False, 10 events) ref=(True, ('1471', 372), denied=False, 12 events) policy=permissive\n"
+        "disagreement at trial 20: tree=(True, 296, denied=False, 2 events) ref=(True, 297, denied=False, 2 events) policy=permissive\n"
+        "disagreement at trial 24: tree=(True, 237, denied=False, 2 events) ref=(True, 238, denied=False, 2 events) policy=permissive\n"
         "disagreements=86 FAIL\n"
     ),
     "drop-gov-trace": (
         "differential campaign: 200 trials\n"
         "disagreement at trial 0: tree=(False, None, denied=True, 1 events) ref=(False, None, denied=True, 0 events) policy=denying\n"
-        "disagreement at trial 1: tree=(True, 36450, denied=False, 10 events) ref=(True, 36450, denied=False, 5 events) policy=permissive\n"
-        "disagreement at trial 5: tree=(True, 204, denied=False, 2 events) ref=(True, 204, denied=False, 1 events) policy=permissive\n"
-        "disagreement at trial 6: tree=(True, (504, 172), denied=False, 4 events) ref=(True, (504, 172), denied=False, 2 events) policy=tags:CallMachine,LLMCall,MemoryOp,Observability\n"
-        "disagreement at trial 7: tree=(True, 502, denied=False, 40 events) ref=(True, 502, denied=False, 20 events) policy=tags:CallMachine,LLMCall,MemoryOp,Observability\n"
-        "disagreement at trial 9: tree=(True, 419, denied=False, 10 events) ref=(True, 419, denied=False, 5 events) policy=permissive\n"
-        "disagreement at trial 10: tree=(True, 326, denied=False, 2 events) ref=(True, 326, denied=False, 1 events) policy=permissive\n"
+        "disagreement at trial 1: tree=(True, 48050, denied=False, 10 events) ref=(True, 48050, denied=False, 5 events) policy=permissive\n"
+        "disagreement at trial 5: tree=(True, 356, denied=False, 2 events) ref=(True, 356, denied=False, 1 events) policy=permissive\n"
+        "disagreement at trial 6: tree=(True, (431, 312), denied=False, 4 events) ref=(True, (431, 312), denied=False, 2 events) policy=tags:CallMachine,LLMCall,MemoryOp,Observability\n"
+        "disagreement at trial 7: tree=(True, 431, denied=False, 40 events) ref=(True, 431, denied=False, 20 events) policy=tags:CallMachine,LLMCall,MemoryOp,Observability\n"
+        "disagreement at trial 9: tree=(True, 235, denied=False, 10 events) ref=(True, 235, denied=False, 5 events) policy=permissive\n"
+        "disagreement at trial 10: tree=(True, 283, denied=False, 2 events) ref=(True, 283, denied=False, 1 events) policy=permissive\n"
         "disagreement at trial 11: tree=(False, None, denied=True, 1 events) ref=(False, None, denied=True, 0 events) policy=tags:CallMachine,LLMCall,Observability\n"
         "disagreement at trial 12: tree=(True, 0, denied=False, 2 events) ref=(True, 0, denied=False, 1 events) policy=permissive\n"
         "disagreement at trial 13: tree=(False, None, denied=True, 1 events) ref=(False, None, denied=True, 0 events) policy=denying\n"
@@ -111,17 +111,17 @@ PINNED_DIFF_RENDERS = {
     ),
     "invert-deny": (
         "differential campaign: 200 trials\n"
-        "disagreement at trial 0: tree=(False, None, denied=True, 1 events) ref=(True, (526, (None, 89)), denied=False, 6 events) policy=denying\n"
-        "disagreement at trial 11: tree=(False, None, denied=True, 1 events) ref=(True, 287, denied=False, 2 events) policy=tags:CallMachine,LLMCall,Observability\n"
-        "disagreement at trial 13: tree=(False, None, denied=True, 1 events) ref=(True, 530, denied=False, 2 events) policy=denying\n"
+        "disagreement at trial 0: tree=(False, None, denied=True, 1 events) ref=(True, (162, (None, 89)), denied=False, 6 events) policy=denying\n"
+        "disagreement at trial 11: tree=(False, None, denied=True, 1 events) ref=(True, 384, denied=False, 2 events) policy=tags:CallMachine,LLMCall,Observability\n"
+        "disagreement at trial 13: tree=(False, None, denied=True, 1 events) ref=(True, 525, denied=False, 2 events) policy=denying\n"
         "disagreement at trial 19: tree=(False, None, denied=True, 1 events) ref=(True, 1, denied=False, 2 events) policy=tags:\n"
         "disagreement at trial 21: tree=(False, None, denied=True, 1 events) ref=(True, 4, denied=False, 2 events) policy=tags:LLMCall,MemoryOp,Observability\n"
         "disagreement at trial 25: tree=(False, None, denied=True, 1 events) ref=(True, None, denied=False, 10 events) policy=tags:CallMachine,LLMCall,MemoryOp\n"
         "disagreement at trial 26: tree=(False, None, denied=True, 1 events) ref=(True, (3, '9:omega43'), denied=False, 6 events) policy=denying\n"
-        "disagreement at trial 29: tree=(False, None, denied=True, 11 events) ref=(True, ((('delta100', 0), None), 308), denied=False, 12 events) policy=tags:CallMachine,Observability\n"
+        "disagreement at trial 29: tree=(False, None, denied=True, 11 events) ref=(True, ((('delta100', 0), None), 488), denied=False, 12 events) policy=tags:CallMachine,Observability\n"
         "disagreement at trial 42: tree=(False, None, denied=True, 1 events) ref=(True, (42, None), denied=False, 10 events) policy=denying\n"
-        "disagreement at trial 44: tree=(False, None, denied=True, 1 events) ref=(True, ((239, None), 0), denied=False, 4 events) policy=denying\n"
-        "disagreements=37 FAIL\n"
+        "disagreement at trial 44: tree=(False, None, denied=True, 1 events) ref=(True, ((234, None), 0), denied=False, 4 events) policy=denying\n"
+        "disagreements=38 FAIL\n"
     ),
 }
 

@@ -1,9 +1,12 @@
 import random
+import re
 from dataclasses import fields
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
+from govtree import directives
 from govtree.directives import (
     ANSWER_TYPES,
     DIRECTIVE_TYPES,
@@ -16,6 +19,7 @@ from govtree.directives import (
     SAMPLER_TABLE_SIZE,
     ResponseSampler,
     capability_for_directive,
+    derive_rng,
     directive_tag,
     encode_directive,
     is_observability,
@@ -159,45 +163,47 @@ def nasty_directives():
     ]
 
 
-# Recorded from the implementation that encoded every directive and seeded
-# a generator for every answer: per variant, encode_directive(d),
-# mock_answer(11, d) and ResponseSampler(seed=3).answers(d), with each
-# answer record written as (status, content).
+# Per variant: encode_directive(d), mock_answer(11, d) and
+# ResponseSampler(seed=3).answers(d), with each answer record written as
+# (status, content). The encodings were recorded from the implementation
+# that encoded every directive; the answers from the one that reads each
+# answer off the SHA-256 digest of its seed and encoding, seeding no
+# generator.
 PINNED = {
     'LLMCall': (
         'LLMCall{model=model0:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,prompt=prompt0:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
-        (405, 'llmresponse-58605'),
-        ((214, 'llmresponse-483583'), (509, 'llmresponse-914336')),
+        (367, 'llmresponse-324839'),
+        ((494, 'llmresponse-811226'), (433, 'llmresponse-505516')),
     ),
     'HTTPRequest': (
         'HTTPRequest{method=method1:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,url=url1:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,body=body1:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
-        (471, 'httpresponse-576290'),
-        ((449, 'httpresponse-520776'), (260, 'httpresponse-410000')),
+        (582, 'httpresponse-899806'),
+        ((564, 'httpresponse-982632'), (343, 'httpresponse-778478')),
     ),
     'FileOp': (
         'FileOp{op=op2:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,path=path2:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
-        (151, 'fileresult-29954'),
-        ((279, 'fileresult-56508'), (308, 'fileresult-91975')),
+        (130, 'fileresult-740804'),
+        ((272, 'fileresult-711722'), (419, 'fileresult-917694')),
     ),
     'CallMachine': (
         'CallMachine{machine=machine3:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,payload=payload3:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
-        (318, 'callmachineresult-879154'),
-        ((299, 'callmachineresult-839187'), (510, 'callmachineresult-48782')),
+        (226, 'callmachineresult-481664'),
+        ((293, 'callmachineresult-45709'), (324, 'callmachineresult-331387')),
     ),
     'MemoryOp': (
         'MemoryOp{op=op4:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,key=key4:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,value=value4:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
-        (280, 'memoryresult-59548'),
-        ((479, 'memoryresult-386206'), (598, 'memoryresult-34871')),
+        (402, 'memoryresult-515678'),
+        ((598, 'memoryresult-595138'), (337, 'memoryresult-628019')),
     ),
     'DBOp': (
         'DBOp{query=query5:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
-        (241, 'dbresult-735788'),
-        ((386, 'dbresult-840224'), (158, 'dbresult-777388')),
+        (152, 'dbresult-222077'),
+        ((135, 'dbresult-545795'), (448, 'dbresult-454579')),
     ),
     'ExecOp': (
         'ExecOp{command=command6:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
-        (587, 'execresult-283430'),
-        ((247, 'execresult-453447'), (117, 'execresult-393746')),
+        (571, 'execresult-861559'),
+        ((365, 'execresult-631971'), (471, 'execresult-500086')),
     ),
     'RecordStep': (
         'RecordStep{step=step7:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
@@ -216,18 +222,18 @@ PINNED = {
     ),
     'GraphQLRequest': (
         'GraphQLRequest{endpoint=endpoint10:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,query=query10:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
-        (305, 'httpresponse-708240'),
-        ((300, 'httpresponse-948902'), (111, 'httpresponse-767028')),
+        (146, 'httpresponse-591767'),
+        ((363, 'httpresponse-462653'), (484, 'httpresponse-222877')),
     ),
     'WebSocketOp': (
         'WebSocketOp{op=op11:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,url=url11:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,message=message11:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
-        (214, 'websocketresult-409725'),
-        ((181, 'websocketresult-895031'), (572, 'websocketresult-380150')),
+        (226, 'websocketresult-854850'),
+        ((493, 'websocketresult-867196'), (457, 'websocketresult-874892')),
     ),
     'MCPCall': (
         'MCPCall{server=server12:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞,method=method12:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
-        (103, 'callmachineresult-487924'),
-        ((101, 'callmachineresult-777639'), (396, 'callmachineresult-866524')),
+        (348, 'callmachineresult-203754'),
+        ((244, 'callmachineresult-714079'), (462, 'callmachineresult-919753')),
     ),
     'Observability': (
         'Observability{message=message13:a\\\\b\\{c\\}d\\,e\\=f\\ng é→𝄞}',
@@ -331,3 +337,85 @@ def test_sampler_table_stays_bounded():
         assert len(sampler._table) <= SAMPLER_TABLE_SIZE
     for d in directives[::97]:
         assert sampler.answers(d) == ResponseSampler(seed=5).answers(d)
+
+
+def record_directives(n, seed=0):
+    """``n`` generated directives with record answers."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        d = gen_directive(rng)
+        if ANSWER_TYPES[type(d)] is not None:
+            out.append(d)
+    return out
+
+
+def test_digest_answers_are_deterministic():
+    fresh = ResponseSampler(seed=4)
+    for d in record_directives(500):
+        copy = type(d)(*[getattr(d, f.name) for f in fields(d)])
+        assert mock_answer(4, d) == mock_answer(4, copy)
+        assert fresh.answers(d) == ResponseSampler(seed=4).answers(copy)
+
+
+def test_digest_answers_have_the_documented_form():
+    sampler = ResponseSampler(seed=2, samples_per_event=3)
+    for d in record_directives(2_000):
+        answer_type = ANSWER_TYPES[type(d)]
+        for answer in (mock_answer(2, d), *sampler.answers(d)):
+            assert type(answer) is answer_type
+            assert type(answer.status) is int and 100 <= answer.status < 600
+            m = re.fullmatch(rf"{answer_type.__name__.lower()}-(0|[1-9][0-9]*)", answer.content)
+            assert m and int(m.group(1)) < 1_000_000
+
+
+def test_seed_and_sample_index_each_move_the_answer():
+    ds = record_directives(2_000)
+    s0, s1 = ResponseSampler(seed=0), ResponseSampler(seed=1)
+    by_mock_seed = sum(mock_answer(0, d) != mock_answer(1, d) for d in ds)
+    by_sample_seed = sum(s0.answers(d)[0] != s1.answers(d)[0] for d in ds)
+    by_index = sum(s0.answers(d)[0] != s0.answers(d)[1] for d in ds)
+    assert min(by_mock_seed, by_sample_seed, by_index) >= 0.99 * len(ds)
+
+
+def test_statuses_spread_over_every_hundred():
+    counts = {}
+    ds = record_directives(20_000, seed=1)
+    for d in ds:
+        hundred = mock_answer(7, d).status // 100
+        counts[hundred] = counts.get(hundred, 0) + 1
+    assert sorted(counts) == [1, 2, 3, 4, 5]
+    assert all(0.15 * len(ds) <= c <= 0.25 * len(ds) for c in counts.values()), counts
+
+
+def test_unit_answers_encode_nothing(monkeypatch):
+    def refuse(d):
+        raise AssertionError(f"encoded {d!r}")
+
+    monkeypatch.setattr(directives, "encode_directive", refuse)
+    sampler = ResponseSampler(seed=1)
+    for d in sample_directives():
+        if ANSWER_TYPES[type(d)] is None:
+            assert mock_answer(1, d) is None
+            assert sampler.answers(d) == (None,)
+
+
+def test_answers_construct_no_generator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("random.Random constructed")
+
+    monkeypatch.setattr(directives.random, "Random", refuse)
+    for d in nasty_directives():
+        encoding, mock, samples = PINNED[directive_tag(d)]
+        assert as_pair(mock_answer(11, d)) == mock
+        assert tuple(as_pair(a) for a in ResponseSampler(seed=3).answers(d)) == samples
+    with pytest.raises(AssertionError):  # the patch took
+        derive_rng("x")
+
+
+def test_derive_rng_stream_is_pinned():
+    # Campaign draws, gen_* output and benchmark inputs all start here.
+    rng = derive_rng("diff", 123, 0)
+    assert [rng.randrange(2**32) for _ in range(3)] == [665837062, 3375245153, 2298321486]
+    assert rng.random() == 0.03222430915273966
+    assert derive_rng("sample", 3, 1, "LLMCall{model=m,prompt=p}").getrandbits(64) == 15562580910033776383

@@ -168,7 +168,7 @@ EXPECTED = {
             "0a1981bcdda247a1",
         ),
         "eutt": ((200, 0, 0), None, None, None, "37d77b027a3ddf80"),
-        "returns": (759, "3afd9feece6f68ec"),
+        "returns": (759, "e8d2dbf3f1b6bcf6"),
     },
     4: {
         "govern": ((156, 0, 44), None, None, "fuel-exhausted", "b4a2ffbe58bd49cf"),
@@ -182,7 +182,7 @@ EXPECTED = {
             "328eb83f2f920a19",
         ),
         "eutt": ((176, 0, 24), None, None, "fuel-exhausted", "527482e25bb27816"),
-        "returns": (485, "04bae94586a29740"),
+        "returns": (486, "ae4b90b675b5f210"),
     },
 }
 

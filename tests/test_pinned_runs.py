@@ -155,32 +155,32 @@ PINNED_RUNS = {
         "GOV LLMCall pass\n"
         "IO LLMCall{model=m1,prompt=summarize the incident}\n"
         "GOV MemoryOp pass\n"
-        "IO MemoryOp{op=put,key=summary,value=llmresponse-580116}\n"
+        "IO MemoryOp{op=put,key=summary,value=llmresponse-223263}\n"
         "GOV CallMachine pass\n",
         "GOVLEDGER v1 sha256\n"
         "0000000000000000000000000000000000000000000000000000000000000000 dd9f65479b55bacbb1b9bdb9c3a78ef769f5f7bb97f3c8465918049bce8f695f AQAAAAdMTE1DYWxsAQ==\n"
         "dd9f65479b55bacbb1b9bdb9c3a78ef769f5f7bb97f3c8465918049bce8f695f 0bb784f2557d52141d820b9b74e912446445063244f937ca3cdcfc25b765c6b7 AgAAAC9MTE1DYWxse21vZGVsPW0xLHByb21wdD1zdW1tYXJpemUgdGhlIGluY2lkZW50fQ==\n"
         "0bb784f2557d52141d820b9b74e912446445063244f937ca3cdcfc25b765c6b7 70f639b347a374eb3ee2a12b950ca17cf5c3ff2aec9d4432fd201c0687377742 AQAAAAhNZW1vcnlPcAE=\n"
-        "70f639b347a374eb3ee2a12b950ca17cf5c3ff2aec9d4432fd201c0687377742 4b414bd651e6bed701d1ae9a29a2c9442ecbdd64d07d90b659dc9a80bab53b2c AgAAADVNZW1vcnlPcHtvcD1wdXQsa2V5PXN1bW1hcnksdmFsdWU9bGxtcmVzcG9uc2UtNTgwMTE2fQ==\n"
-        "4b414bd651e6bed701d1ae9a29a2c9442ecbdd64d07d90b659dc9a80bab53b2c d9275b6b1751a37efd3d71743063553cafa39b7df6aac2d19ab25d212350e96c AQAAAAtDYWxsTWFjaGluZQE=\n",
+        "70f639b347a374eb3ee2a12b950ca17cf5c3ff2aec9d4432fd201c0687377742 dccd4b67ed544a59ab88763036ec710750023107d260793f705b3436564cab32 AgAAADVNZW1vcnlPcHtvcD1wdXQsa2V5PXN1bW1hcnksdmFsdWU9bGxtcmVzcG9uc2UtMjIzMjYzfQ==\n"
+        "dccd4b67ed544a59ab88763036ec710750023107d260793f705b3436564cab32 2cebbfd8fad657af14c9d27daf628c69aa6bcdd0a6d4adb38bee83e32c289c30 AQAAAAtDYWxsTWFjaGluZQE=\n",
     ),
     ("llm_pipeline", "permissive", None): (
         0,
-        "189\n",
+        "464\n",
         "",
         "GOV LLMCall pass\n"
         "IO LLMCall{model=m1,prompt=summarize the incident}\n"
         "GOV MemoryOp pass\n"
-        "IO MemoryOp{op=put,key=summary,value=llmresponse-580116}\n"
+        "IO MemoryOp{op=put,key=summary,value=llmresponse-223263}\n"
         "GOV CallMachine pass\n"
-        "IO CallMachine{machine=calc,payload=status:232}\n",
+        "IO CallMachine{machine=calc,payload=status:449}\n",
         "GOVLEDGER v1 sha256\n"
         "0000000000000000000000000000000000000000000000000000000000000000 dd9f65479b55bacbb1b9bdb9c3a78ef769f5f7bb97f3c8465918049bce8f695f AQAAAAdMTE1DYWxsAQ==\n"
         "dd9f65479b55bacbb1b9bdb9c3a78ef769f5f7bb97f3c8465918049bce8f695f 0bb784f2557d52141d820b9b74e912446445063244f937ca3cdcfc25b765c6b7 AgAAAC9MTE1DYWxse21vZGVsPW0xLHByb21wdD1zdW1tYXJpemUgdGhlIGluY2lkZW50fQ==\n"
         "0bb784f2557d52141d820b9b74e912446445063244f937ca3cdcfc25b765c6b7 70f639b347a374eb3ee2a12b950ca17cf5c3ff2aec9d4432fd201c0687377742 AQAAAAhNZW1vcnlPcAE=\n"
-        "70f639b347a374eb3ee2a12b950ca17cf5c3ff2aec9d4432fd201c0687377742 4b414bd651e6bed701d1ae9a29a2c9442ecbdd64d07d90b659dc9a80bab53b2c AgAAADVNZW1vcnlPcHtvcD1wdXQsa2V5PXN1bW1hcnksdmFsdWU9bGxtcmVzcG9uc2UtNTgwMTE2fQ==\n"
-        "4b414bd651e6bed701d1ae9a29a2c9442ecbdd64d07d90b659dc9a80bab53b2c d9275b6b1751a37efd3d71743063553cafa39b7df6aac2d19ab25d212350e96c AQAAAAtDYWxsTWFjaGluZQE=\n"
-        "d9275b6b1751a37efd3d71743063553cafa39b7df6aac2d19ab25d212350e96c d022900657cfacdde783f431034670b3b40b1502f43bf4d57a5600a306435bc2 AgAAACxDYWxsTWFjaGluZXttYWNoaW5lPWNhbGMscGF5bG9hZD1zdGF0dXM6MjMyfQ==\n",
+        "70f639b347a374eb3ee2a12b950ca17cf5c3ff2aec9d4432fd201c0687377742 dccd4b67ed544a59ab88763036ec710750023107d260793f705b3436564cab32 AgAAADVNZW1vcnlPcHtvcD1wdXQsa2V5PXN1bW1hcnksdmFsdWU9bGxtcmVzcG9uc2UtMjIzMjYzfQ==\n"
+        "dccd4b67ed544a59ab88763036ec710750023107d260793f705b3436564cab32 2cebbfd8fad657af14c9d27daf628c69aa6bcdd0a6d4adb38bee83e32c289c30 AQAAAAtDYWxsTWFjaGluZQE=\n"
+        "2cebbfd8fad657af14c9d27daf628c69aa6bcdd0a6d4adb38bee83e32c289c30 93525c09fc72059aac110a5956ec72c016ca97331b534ab62ec4c80bd4b3b33e AgAAACxDYWxsTWFjaGluZXttYWNoaW5lPWNhbGMscGF5bG9hZD1zdGF0dXM6NDQ5fQ==\n",
     ),
     ("llm_pipeline", "tags:LLMCall", 1): (
         3,
@@ -273,32 +273,32 @@ PINNED_TAU_RUNS = {
         "GOV LLMCall pass\n"
         "IO LLMCall{model=m1,prompt=summarize the incident}\n"
         "GOV MemoryOp pass\n"
-        "IO MemoryOp{op=put,key=summary,value=llmresponse-580116}\n"
+        "IO MemoryOp{op=put,key=summary,value=llmresponse-223263}\n"
         "GOV CallMachine pass\n",
         "GOVLEDGER v1 sha256\n"
         "0000000000000000000000000000000000000000000000000000000000000000 dd9f65479b55bacbb1b9bdb9c3a78ef769f5f7bb97f3c8465918049bce8f695f AQAAAAdMTE1DYWxsAQ==\n"
         "dd9f65479b55bacbb1b9bdb9c3a78ef769f5f7bb97f3c8465918049bce8f695f 0bb784f2557d52141d820b9b74e912446445063244f937ca3cdcfc25b765c6b7 AgAAAC9MTE1DYWxse21vZGVsPW0xLHByb21wdD1zdW1tYXJpemUgdGhlIGluY2lkZW50fQ==\n"
         "0bb784f2557d52141d820b9b74e912446445063244f937ca3cdcfc25b765c6b7 70f639b347a374eb3ee2a12b950ca17cf5c3ff2aec9d4432fd201c0687377742 AQAAAAhNZW1vcnlPcAE=\n"
-        "70f639b347a374eb3ee2a12b950ca17cf5c3ff2aec9d4432fd201c0687377742 4b414bd651e6bed701d1ae9a29a2c9442ecbdd64d07d90b659dc9a80bab53b2c AgAAADVNZW1vcnlPcHtvcD1wdXQsa2V5PXN1bW1hcnksdmFsdWU9bGxtcmVzcG9uc2UtNTgwMTE2fQ==\n"
-        "4b414bd651e6bed701d1ae9a29a2c9442ecbdd64d07d90b659dc9a80bab53b2c d9275b6b1751a37efd3d71743063553cafa39b7df6aac2d19ab25d212350e96c AQAAAAtDYWxsTWFjaGluZQE=\n",
+        "70f639b347a374eb3ee2a12b950ca17cf5c3ff2aec9d4432fd201c0687377742 dccd4b67ed544a59ab88763036ec710750023107d260793f705b3436564cab32 AgAAADVNZW1vcnlPcHtvcD1wdXQsa2V5PXN1bW1hcnksdmFsdWU9bGxtcmVzcG9uc2UtMjIzMjYzfQ==\n"
+        "dccd4b67ed544a59ab88763036ec710750023107d260793f705b3436564cab32 2cebbfd8fad657af14c9d27daf628c69aa6bcdd0a6d4adb38bee83e32c289c30 AQAAAAtDYWxsTWFjaGluZQE=\n",
     ),
     ("llm_pipeline", 12): (
         True,
-        189,
+        464,
         False,
         "GOV LLMCall pass\n"
         "IO LLMCall{model=m1,prompt=summarize the incident}\n"
         "GOV MemoryOp pass\n"
-        "IO MemoryOp{op=put,key=summary,value=llmresponse-580116}\n"
+        "IO MemoryOp{op=put,key=summary,value=llmresponse-223263}\n"
         "GOV CallMachine pass\n"
-        "IO CallMachine{machine=calc,payload=status:232}\n",
+        "IO CallMachine{machine=calc,payload=status:449}\n",
         "GOVLEDGER v1 sha256\n"
         "0000000000000000000000000000000000000000000000000000000000000000 dd9f65479b55bacbb1b9bdb9c3a78ef769f5f7bb97f3c8465918049bce8f695f AQAAAAdMTE1DYWxsAQ==\n"
         "dd9f65479b55bacbb1b9bdb9c3a78ef769f5f7bb97f3c8465918049bce8f695f 0bb784f2557d52141d820b9b74e912446445063244f937ca3cdcfc25b765c6b7 AgAAAC9MTE1DYWxse21vZGVsPW0xLHByb21wdD1zdW1tYXJpemUgdGhlIGluY2lkZW50fQ==\n"
         "0bb784f2557d52141d820b9b74e912446445063244f937ca3cdcfc25b765c6b7 70f639b347a374eb3ee2a12b950ca17cf5c3ff2aec9d4432fd201c0687377742 AQAAAAhNZW1vcnlPcAE=\n"
-        "70f639b347a374eb3ee2a12b950ca17cf5c3ff2aec9d4432fd201c0687377742 4b414bd651e6bed701d1ae9a29a2c9442ecbdd64d07d90b659dc9a80bab53b2c AgAAADVNZW1vcnlPcHtvcD1wdXQsa2V5PXN1bW1hcnksdmFsdWU9bGxtcmVzcG9uc2UtNTgwMTE2fQ==\n"
-        "4b414bd651e6bed701d1ae9a29a2c9442ecbdd64d07d90b659dc9a80bab53b2c d9275b6b1751a37efd3d71743063553cafa39b7df6aac2d19ab25d212350e96c AQAAAAtDYWxsTWFjaGluZQE=\n"
-        "d9275b6b1751a37efd3d71743063553cafa39b7df6aac2d19ab25d212350e96c d022900657cfacdde783f431034670b3b40b1502f43bf4d57a5600a306435bc2 AgAAACxDYWxsTWFjaGluZXttYWNoaW5lPWNhbGMscGF5bG9hZD1zdGF0dXM6MjMyfQ==\n",
+        "70f639b347a374eb3ee2a12b950ca17cf5c3ff2aec9d4432fd201c0687377742 dccd4b67ed544a59ab88763036ec710750023107d260793f705b3436564cab32 AgAAADVNZW1vcnlPcHtvcD1wdXQsa2V5PXN1bW1hcnksdmFsdWU9bGxtcmVzcG9uc2UtMjIzMjYzfQ==\n"
+        "dccd4b67ed544a59ab88763036ec710750023107d260793f705b3436564cab32 2cebbfd8fad657af14c9d27daf628c69aa6bcdd0a6d4adb38bee83e32c289c30 AQAAAAtDYWxsTWFjaGluZQE=\n"
+        "2cebbfd8fad657af14c9d27daf628c69aa6bcdd0a6d4adb38bee83e32c289c30 93525c09fc72059aac110a5956ec72c016ca97331b534ab62ec4c80bd4b3b33e AgAAACxDYWxsTWFjaGluZXttYWNoaW5lPWNhbGMscGF5bG9hZD1zdGF0dXM6NDQ5fQ==\n",
     ),
     ("llm_pipeline", 2): (
         False,

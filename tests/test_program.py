@@ -195,6 +195,12 @@ def test_format_value():
     assert format_value(7) == "7"
 
 
+def test_compile_ast_makes_no_closure_cells():
+    # A cell would be made on every call, whatever the node kind.
+    assert compile_ast.__code__.co_cellvars == ()
+    assert compile_ast.__code__.co_freevars == ()
+
+
 def test_program_compiles_once_and_only_when_asked(monkeypatch):
     calls = []
     compile_node = govtree.program.compile_ast
