@@ -1,4 +1,4 @@
-"""Conformance harness for governance operators.
+"""The seeded campaign loop, and the conformance harness for operators.
 
 An operator is anything that turns a base handler into a governed
 handler. The three axioms are checked statistically over seeded random
@@ -18,14 +18,14 @@ independent: one inserts no checks (breaks G1 only), one tweaks
 permitted answers (breaks G2 only), one stamps a per-handler token into
 its check stages (breaks G3 only).
 
-Every campaign, here and in ``boundary`` and the CLI's differential
-test, is a ``trial(rng, i)`` function run by ``run_campaign``: trial
-``i`` draws from ``derive_rng(label, seed, i)``, and its verdict is
-tallied in a ``CheckSummary`` whose ``fail_witnesses`` list every
-failing trial index with its witness. ``CampaignReport`` is the one
-report over several summaries: ``run_conformance`` and
-``boundary.run_coterminous`` each return one, and the differential test,
-a single campaign, returns its ``CheckSummary``.
+Every campaign (the ones here, the ledger ``tamper_check``, ``boundary``
+and the CLI's differential test) is a ``trial(rng, i)`` function run by
+``run_campaign``. Trial ``i`` draws from ``derive_rng(label, seed, i)``,
+and its verdict is tallied in a ``CheckSummary`` whose ``fail_witnesses``
+list every failing trial with its witness. ``CampaignReport`` is the one
+report over several summaries (``run_conformance``,
+``boundary.run_coterminous``); a single campaign returns its
+``CheckSummary``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ from .governance import (
 )
 from .itree import BoundedVerdict, Fuel, Vis, fails, holds, ret, unknown
 from .trace import IoEntry
-from .gen import gen_directive, gen_input, gen_program_ast, gen_register_program
+from .gen import gen_directive, gen_input, gen_program_ast, gen_register_program, gen_trace_event
+from .ledger import Ledger, _substitute, ledger_valid
 from .category import translate_register_program
 from .program import compile_ast
 
@@ -364,3 +365,20 @@ def run_conformance(
         f"conformance report for operator {op.name!r}",
         axioms + tuple(derived[key] for key in sorted(derived)),
     )
+
+
+def tamper_check(ledger: Ledger, mutations: int, seed: int) -> CheckSummary:
+    """Each trial substitutes a random event into a random entry under its
+    stored hashes and fails when ``ledger_valid`` rejects the result."""
+    if not ledger.entries:
+        raise ValueError("tamper_check needs a nonempty ledger")
+
+    def trial(rng, i):
+        idx = rng.randrange(len(ledger.entries))
+        new_event = gen_trace_event(rng)
+        while new_event == ledger.entries[idx].event:
+            new_event = gen_trace_event(rng)
+        ok, bad = ledger_valid(_substitute(ledger.entries, idx, new_event, rng.random() < 0.5))
+        return holds() if ok else fails((f"entry {idx} substituted, rejected at {bad}",))
+
+    return run_campaign("tamper", "tamper", seed, mutations, trial, expect_fails=True)

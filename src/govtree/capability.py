@@ -155,21 +155,19 @@ def check_bind_within_caps(
     """Capability bounds compose under bind: if ``t`` stays within caps1
     and every continuation within caps2, the bind stays within the union.
     Also re-checks weakening into the union and the full-set bound."""
-    pre_t = within_caps_check(caps1, t, fuel, sampler)
-    if not pre_t.is_holds:
+    if not within_caps_check(caps1, t, fuel, sampler).is_holds:
         return unknown("precondition on the first component did not hold")
+    pre_k = combine_verdicts(
+        within_caps_check(caps2, k(r), fuel, sampler) for r in sample_returns(t, fuel, sampler)
+    )
+    if not pre_k.is_holds:
+        return unknown("precondition on the continuation did not hold")
     union = cap_union(caps1, caps2)
-    for r in sample_returns(t, fuel, sampler):
-        pre_k = within_caps_check(caps2, k(r), fuel, sampler)
-        if not pre_k.is_holds:
-            return unknown("precondition on the continuation did not hold")
     bound = bind(t, k)
-    results = [
-        within_caps_check(union, bound, fuel, sampler),
-        within_caps_check(union, t, fuel, sampler),  # weakening caps1 -> union
-        within_caps_check(cap_full(), bound, fuel, sampler),
-    ]
-    return combine_verdicts(results)
+    return combine_verdicts(
+        within_caps_check(caps, tree, fuel, sampler)
+        for caps, tree in ((union, bound), (union, t), (cap_full(), bound))
+    )
 
 
 def no_ambient_effects_check(
@@ -272,13 +270,11 @@ def checked_cap_morphism(
 ) -> CapMorphism:
     """Bundle a morphism with a bound verified by bounded checking on the
     given inputs; raises if any check fails outright."""
-    count = 0
-    for a in inputs:
-        count += 1
-        v = within_caps_check(caps, morph(a), fuel, sampler)
-        if v.is_fails:
-            raise ValueError("morphism exceeds the declared capability set: " + v.describe())
-    return CapMorphism(morph, caps, Checked(count, fuel))
+    inputs = tuple(inputs)
+    v = combine_verdicts(within_caps_check(caps, morph(a), fuel, sampler) for a in inputs)
+    if v.is_fails:
+        raise ValueError("morphism exceeds the declared capability set: " + v.describe())
+    return CapMorphism(morph, caps, Checked(len(inputs), fuel))
 
 
 def cap_seq_compose(f: CapMorphism, *gs: CapMorphism) -> CapMorphism:
@@ -313,25 +309,15 @@ def principality_check(
 ) -> BoundedVerdict:
     """The declared bound is minimal: every strict subset fails on some
     input. Holds vacuously for the empty bound."""
-    inputs = list(inputs)
-    pending = None
-    for subset in _strict_subsets(cm.caps):
-        refuted = False
-        saw_unknown = False
-        for a in inputs:
-            v = within_caps_check(subset, cm.morph(a), fuel, sampler)
-            if v.is_fails:
-                refuted = True
-                break
-            if v.is_unknown:
-                saw_unknown = True
-        if refuted:
-            continue
-        if saw_unknown:
-            pending = unknown("could not resolve a strict subset")
-            continue
-        return fails((f"strict subset {format_caps(subset)} suffices",))
-    return pending if pending is not None else holds()
+    inputs = tuple(inputs)
+
+    def refuted(subset):
+        v = combine_verdicts(within_caps_check(subset, cm.morph(a), fuel, sampler) for a in inputs)
+        if v.is_holds:
+            return fails((f"strict subset {format_caps(subset)} suffices",))
+        return holds() if v.is_fails else unknown("could not resolve a strict subset")
+
+    return combine_verdicts(map(refuted, _strict_subsets(cm.caps)))
 
 
 def dual_guarantee_check(
@@ -349,17 +335,17 @@ def dual_guarantee_check(
     under the given policy leaves a well-governed trace.
     """
     gh = govern(handler)
-    verdicts = []
-    for a in inputs:
-        tree = cm.morph(a)
+
+    def guaranteed(a):
+        tree = cm.morph(a)  # trees are immutable, so all three walks share one
         v1 = within_caps_check(cm.caps, tree, fuel, sampler)
         if v1.is_fails:
             return fails((f"capability bound violated on {a!r}",) + v1.witness)
-        v2 = gov_safe_check(gh.transform(cm.morph(a)), False, fuel, sampler)
+        v2 = gov_safe_check(gh.transform(tree), False, fuel, sampler)
         if v2.is_fails:
             return fails((f"governance safety violated on {a!r}",) + v2.witness)
-        outcome = interpret_governed(gh, policy, cm.morph(a), fuel)
-        if not well_governed(outcome.trace):
+        if not well_governed(interpret_governed(gh, policy, tree, fuel).trace):
             return fails((f"run trace not well governed on {a!r}",))
-        verdicts.extend((v1, v2))
-    return combine_verdicts(verdicts)
+        return combine_verdicts((v1, v2))
+
+    return combine_verdicts(map(guaranteed, inputs))

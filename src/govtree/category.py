@@ -143,14 +143,16 @@ braiding: Morphism = code(lambda p: (p[1], p[0]))
 def _compare_paths(
     path1: Morphism, path2: Morphism, samples: Iterable, fuel: Fuel, label: str
 ) -> BoundedVerdict:
-    for s in samples:
+    def compare(s):
         ok1, v1 = run_pure(path1(s), fuel)
         ok2, v2 = run_pure(path2(s), fuel)
         if not ok1 or not ok2:
             return unknown(f"{label}: {v1 if not ok1 else v2}")
         if v1 != v2:
             return fails((f"{label} diverges on {s!r}: {v1!r} != {v2!r}",))
-    return holds()
+        return holds()
+
+    return combine_verdicts(map(compare, samples))
 
 
 def check_pentagon(samples: Iterable, fuel: Fuel = 64) -> BoundedVerdict:
@@ -217,14 +219,14 @@ def interp_tensor_distribute_check(
     """Interpretation of ``tensor(f, g)`` equals interpreting ``f``, then
     ``g`` with the first result paired in: values and traces both match.
     ``tensor`` is a bind, so this is ``check_trace_of_bind`` per input."""
-    for p in inputs:
+
+    def check(p):
         a, c = _as_pair(p)
-        v = check_trace_of_bind(
+        return check_trace_of_bind(
             f(a), lambda b: bind(g(c), lambda d: ret((b, d))), policy, handler, fuel
         )
-        if not v.is_holds:
-            return v
-    return holds()
+
+    return combine_verdicts(map(check, inputs))
 
 
 # Register machine.
@@ -360,8 +362,8 @@ def check_register_agreement(
     """Translated trees agree step-for-step with the reference interpreter,
     and their governed images pass the safety check at fuel 4096."""
     gh = govern(mock_handler(0))
-    verdicts = []
-    for p in programs:
+
+    def agree(p):
         _, steps = reference_register_run(p, fuel)
         expected = [_step_message(pc, regs) for pc, regs in steps]
         if register_tree_steps(p, fuel, drive_fuel=4 * fuel + 8) != expected:
@@ -374,5 +376,6 @@ def check_register_agreement(
         )
         if v.is_fails:
             return fails((f"governed register program unsafe: {p!r}",) + v.witness)
-        verdicts.append(v)
-    return combine_verdicts(verdicts) if verdicts else holds()
+        return v
+
+    return combine_verdicts(map(agree, programs))

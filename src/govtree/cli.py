@@ -11,10 +11,11 @@ Exit codes: 0 success / value produced, 1 verification or suite failure,
 2 governance denial, 3 fuel exhausted, 64 usage error (bad arguments,
 negative counts, a non-integer ``GOVTREE_SEED``), 65 input error
 (unreadable, non-UTF-8 or malformed program file, unknown policy, a
-value that ``run`` or ``check`` builds nested too deeply), 73 cannot
-create an output file (a ``--trace-out`` or ``--ledger-out`` path that
-cannot be written). An input error, an output file that cannot be written
-or a bad ``GOVTREE_SEED`` prints one ``govtree: error:`` line on stderr.
+value that ``run`` or ``check`` builds nested too deeply or an integer
+too long to convert to text), 73 cannot create an output file (a
+``--trace-out`` or ``--ledger-out`` path that cannot be written). An
+input error, an output file that cannot be written or a bad
+``GOVTREE_SEED`` prints one ``govtree: error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -23,14 +24,16 @@ import argparse
 import os
 import sys
 
-from .algebra import CheckSummary, operator_by_name, run_campaign, run_conformance
+from .algebra import (
+    ADVERSARIAL_OPERATORS, CheckSummary, operator_by_name, run_campaign, run_conformance,
+)
 from .boundary import run_coterminous
 from .capability import format_caps, within_caps_check
 from .category import check_hexagon, check_pentagon, check_triangle
 from .directives import ResponseSampler, derive_rng, mock_handler
 from .gen import gen_input, gen_policy, gen_program_ast
 from .governance import gov_safe_check, govern, interpret_governed, policy_by_name
-from .itree import fails, holds
+from .itree import combine_verdicts, fails, holds
 from .ledger import format_ledger, ledger_valid, parse_ledger, trace_to_ledger
 from .program import ProgramError, compile_ast, format_value, parse_program
 from .reference import run_reference
@@ -157,11 +160,9 @@ def _cmd_coherence(args) -> int:
     pent = check_pentagon([(((rng.randrange(100), rng.randrange(100)), nested(1)), nested(1)) for _ in range(args.samples)])
     tri = check_triangle([((rng.randrange(100), None), rng.randrange(100)) for _ in range(args.samples)])
     hexa = check_hexagon([((nested(1), rng.randrange(100)), nested(1)) for _ in range(args.samples)])
-    ok = True
     for name, verdict in (("pentagon", pent), ("triangle", tri), ("hexagon", hexa)):
         print(f"{name:<9} {verdict.describe()}")
-        ok = ok and verdict.is_holds
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if combine_verdicts((pent, tri, hexa)).is_holds else EXIT_FAIL
 
 
 def _cmd_conformance(args) -> int:
@@ -259,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_coh.set_defaults(func=_cmd_coherence)
 
     p_conf = sub.add_parser("conformance", help="axiom conformance for an operator")
-    p_conf.add_argument("--operator", default="bundled",
-                        help="bundled | no-check | mangle-results | fingerprint")
+    p_conf.add_argument("--operator", choices=("bundled", *ADVERSARIAL_OPERATORS),
+                        default="bundled")
     p_conf.add_argument("--trials", type=non_negative_int, default=200)
     _add_common(p_conf, fuel_default=4096)
     p_conf.set_defaults(func=_cmd_conformance)
@@ -288,6 +289,10 @@ def main(argv=None) -> int:
         if args.func not in (_cmd_run, _cmd_check):
             raise
         return _error("value nested too deeply")
+    except ValueError as e:  # int to str past sys.get_int_max_str_digits()
+        if args.func not in (_cmd_run, _cmd_check) or "integer string conversion" not in str(e):
+            raise
+        return _error("integer too long to convert to text")
 
 
 if __name__ == "__main__":

@@ -277,7 +277,8 @@ def unknown(reason: str) -> BoundedVerdict:
 
 
 def combine_verdicts(verdicts) -> BoundedVerdict:
-    """All-of combination: any fails wins, else any unknown, else holds."""
+    """All-of combination (Kleene's strong conjunction), lazy: the first
+    fails wins, else the first unknown, else holds. Every multi-input check folds here."""
     pending = None
     for v in verdicts:
         if v.is_fails:

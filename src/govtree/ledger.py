@@ -14,12 +14,13 @@ every entry is well formed and linked to the one before. On a ledger
 from ``parse_ledger`` (``_decoded``) the first half holds by
 construction, as ``encode_event(decode_event(b)) == b`` for every
 accepted ``b``, and is not rechecked. A recorded event changed under
-the stored hashes breaks well-formedness, up to SHA-256 collisions.
+the stored hashes breaks well-formedness (``algebra.tamper_check``).
 
 File format (UTF-8, LF): header line ``GOVLEDGER v1 sha256``, then one
-line per entry: ``hex(prev_hash) hex(hash) base64(data)``. Lines are
-split on LF alone, so a CRLF file is a ``ValueError``. Only the fields
-``format_ledger`` writes are read, so each ledger has one text: a hash
+line per entry: ``hex(prev_hash) hex(hash) base64(data)``. Each line
+ends in LF, the last too, and none is empty; a CRLF file is refused.
+Only the lines and fields ``format_ledger`` writes are read, so each
+ledger has one text: a hash
 field is exactly 64 lowercase hex digits, and the base64 field is read
 in strict mode (a non-ASCII or non-base64 character or misplaced
 padding is a ``ValueError``) and must have zero padding bits.
@@ -33,8 +34,6 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Iterable, NamedTuple
 
-from .directives import derive_rng
-from .gen import gen_trace_event
 from .trace import GovEntry, IoEntry, Trace, TraceEvent
 
 GENESIS_HASH = bytes(32)
@@ -117,43 +116,10 @@ def ledger_valid(ledger: Ledger) -> "tuple[bool, int | None]":
     return True, None
 
 
-@dataclass(frozen=True)
-class TamperReport:
-    mutations: int
-    detected: int
-
-    @property
-    def all_detected(self) -> bool:
-        return self.detected == self.mutations
-
-
-def _substitute(entries: list, idx: int, new_event: TraceEvent, keep_data: bool) -> Ledger:
+def _substitute(entries, idx: int, new_event: TraceEvent, keep_data: bool) -> Ledger:
     old = entries[idx]
     data = old.data if keep_data else encode_event(new_event)
-    entries = list(entries)
-    entries[idx] = LedgerEntry(new_event, data, old.prev_hash, old.hash)
-    return Ledger(tuple(entries))
-
-
-def tamper_check(ledger: Ledger, mutations: int, seed: int) -> TamperReport:
-    """Substitute random events into random entries, keeping the stored
-    hashes, and count how many substitutions break validity. Every one
-    must be detected."""
-    if not ledger.entries:
-        raise ValueError("tamper_check needs a nonempty ledger")
-    rng = derive_rng("tamper", seed)
-    detected = 0
-    for _ in range(mutations):
-        idx = rng.randrange(len(ledger.entries))
-        current = ledger.entries[idx].event
-        new_event = gen_trace_event(rng)
-        while new_event == current:
-            new_event = gen_trace_event(rng)
-        mutated = _substitute(list(ledger.entries), idx, new_event, rng.random() < 0.5)
-        ok, _ = ledger_valid(mutated)
-        if not ok:
-            detected += 1
-    return TamperReport(mutations, detected)
+    return Ledger((*entries[:idx], old._replace(event=new_event, data=data), *entries[idx + 1:]))
 
 
 LEDGER_HEADER = "GOVLEDGER v1 sha256"
@@ -186,13 +152,12 @@ def parse_ledger(text: str) -> Ledger:
         raise ValueError("missing ledger header")
     entries = []
     link, h = GENESIS_HASH.hex(), GENESIS_HASH  # the previous entry's hash field
-    for line_no, line in enumerate(lines[1:], 2):
-        if not line:
-            continue
+    for line_no, line in enumerate(lines[1:-1], 2):
         try:
             prev_text, hash_text, b64 = line.split(" ")
         except ValueError:
-            raise ValueError(f"line {line_no}: malformed ledger entry") from None
+            problem = "malformed ledger entry" if line else "empty line"
+            raise ValueError(f"line {line_no}: {problem}") from None
         prev_hash = h if prev_text == link else _hash_field(prev_text, line_no)
         link, h = hash_text, _hash_field(hash_text, line_no)
         data = binascii.a2b_base64(b64, strict_mode=True)
@@ -200,6 +165,8 @@ def parse_ledger(text: str) -> Ledger:
         if b64[-1:] == "=" and binascii.b2a_base64(data, newline=False).decode() != b64:
             raise ValueError(f"line {line_no}: base64 field has nonzero padding bits")
         entries.append(_new(LedgerEntry, (decode_event(data), data, prev_hash, h)))
+    if lines[-1]:
+        raise ValueError(f"line {len(lines)}: no LF at the end of the file")
     ledger = Ledger(tuple(entries))
     object.__setattr__(ledger, "_decoded", True)
     return ledger

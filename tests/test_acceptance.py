@@ -17,6 +17,7 @@ from govtree.algebra import (
     fingerprinting_operator,
     no_check_operator,
     result_mangling_operator,
+    tamper_check,
 )
 from govtree.boundary import EFFECTFUL_VARIANTS, run_coterminous
 from govtree.capability import (
@@ -60,7 +61,7 @@ from govtree.directives import (
 from govtree.gen import gen_directive, gen_trace
 from govtree.governance import PERMISSIVE, bare_io, gov_safe_check, govern, interpret_governed, interpret_ungoverned
 from govtree.itree import ret, vis
-from govtree.ledger import ledger_valid, tamper_check, trace_to_ledger
+from govtree.ledger import ledger_valid, trace_to_ledger
 from govtree.program import compile_ast
 from govtree.category import check_trace_of_bind
 from govtree.gen import gen_input, gen_program_ast
@@ -236,8 +237,8 @@ def test_criterion_08_trace_and_ledger():
     for i in range(100):
         ledger = trace_to_ledger(gen_trace(random.Random(i), 1 + (i % 10)))
         r = tamper_check(ledger, mutations=100, seed=i)
-        detected += r.detected
-        mutations += r.mutations
+        detected += r.fails
+        mutations += r.trials
     ok = ok and detected == mutations == 10_000
     report(
         8,

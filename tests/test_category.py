@@ -7,6 +7,7 @@ from govtree.category import (
     Halt,
     Inc,
     RegisterProgram,
+    _compare_paths,
     associator,
     associator_inv,
     braiding,
@@ -33,12 +34,14 @@ from govtree.category import (
 from govtree.directives import (
     CallMachine,
     LLMCall,
+    LLMResponse,
     MemoryOp,
+    Observability,
     ResponseSampler,
     mock_handler,
 )
 from govtree.governance import gov_safe_check, govern
-from govtree.itree import Ret, Vis, eutt_bounded, run_pure
+from govtree.itree import Ret, Vis, eutt_bounded, ret, run_pure, spin, vis
 from govtree.gen import gen_register_program
 
 import pytest
@@ -226,6 +229,27 @@ def test_interp_tensor_distribute_campaign():
             f, g, mock_handler(i), [(rng.randrange(50), rng.randrange(50))], 10000
         )
         assert v.is_holds, (i, v.describe())
+
+
+def test_interp_tensor_distribute_reports_a_failure_after_an_unknown():
+    # input 0 never gets its answer; input 1's answers change on every
+    # call, so the bind run's value is not the second run's
+    statuses = iter(range(100, 200))
+
+    def h(d):
+        return spin() if d.prompt == "0" else ret(LLMResponse(next(statuses), "c"))
+
+    v = interp_tensor_distribute_check(reason_inc(), reason_inc(), h, [(0, 0), (1, 1)], 100)
+    assert v.is_fails, v.describe()
+
+
+def test_compare_paths_reports_a_failure_after_an_unknown():
+    # sample 0 emits an event on one path (unknown); sample 1 differs (fails)
+    def path1(s):
+        return vis(Observability("step"), lambda _x: ret(s)) if s == 0 else ret(s)
+
+    v = _compare_paths(path1, lambda s: ret(2 * s), [0, 1], 64, "probe")
+    assert v.is_fails and v.witness == ("probe diverges on 1: 1 != 2",)
 
 
 def test_register_program_validation():

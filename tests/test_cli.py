@@ -143,6 +143,28 @@ def test_verify_rejects_crlf_ledger(tmp_path):
     assert len(stderr) == 1 and stderr[0].startswith("invalid ledger file: ")
 
 
+def _insert_blank_line(text):
+    header, first, rest = text.split("\n", 2)
+    return f"{header}\n{first}\n\n{rest}"
+
+
+# Each edit keeps every entry, so a reader that skipped empty lines or took
+# a last line without its LF would still print "valid (6 entries)".
+@pytest.mark.parametrize("edit, message", [
+    (_insert_blank_line, "line 3: empty line"),
+    (lambda text: text + "\n", "line 8: empty line"),
+    (lambda text: text[:-1], "line 7: no LF at the end of the file"),
+], ids=["blank-line", "extra-final-lf", "no-final-lf"])
+def test_verify_refuses_empty_lines_and_a_missing_final_lf(tmp_path, capsys, edit, message):
+    ledger_file = tmp_path / "e.ledger"
+    run_cli("run", str(PROGRAMS / "llm_pipeline.json"), "--ledger-out", str(ledger_file))
+    assert run_cli("verify", str(ledger_file)) == EXIT_OK
+    assert capsys.readouterr().out.endswith("\nvalid (6 entries)\n")
+    ledger_file.write_text(edit(ledger_file.read_text(encoding="utf-8")), encoding="utf-8")
+    assert run_cli("verify", str(ledger_file)) == EXIT_FAIL
+    assert capsys.readouterr() == ("", f"invalid ledger file: {message}\n")
+
+
 def test_check_safety_and_caps(capsys):
     assert run_cli("check", str(PROGRAMS / "llm_pipeline.json")) == EXIT_OK
     assert "safety: holds" in capsys.readouterr().out
@@ -471,6 +493,27 @@ def test_over_deep_json_is_an_input_error(tmp_path, command, document, message):
     assert result.stderr == f"govtree: error: {message}\n"
 
 
+# 3 squared 14 times has over 6,000 digits, past Python's limit on
+# converting an int to text: `run` meets it printing the value, `check`
+# building the prompt of the final `reason` step.
+_SQUARE_STEP = {"kind": "code", "expr": {"op": "mul", "args": [{"op": "input"}, {"op": "input"}]}}
+_REASON_STEP = {"kind": "reason", "model": "m", "prompt": {"op": "input"},
+                "extract": {"op": "input"}}
+
+
+@pytest.mark.parametrize("command, steps", [
+    ("run", [_SQUARE_STEP] * 14),
+    ("check", [_SQUARE_STEP] * 14 + [_REASON_STEP]),
+], ids=["run", "check"])
+def test_int_too_long_to_convert_is_an_input_error(tmp_path, command, steps):
+    program = tmp_path / "big.json"
+    body = {"kind": "seq", "steps": steps}
+    program.write_text(json.dumps({"version": 1, "input": 3, "body": body}))
+    result = run_module(command, str(program))
+    assert_one_line_error(result, EXIT_INPUT)
+    assert result.stderr == "govtree: error: integer too long to convert to text\n"
+
+
 @pytest.mark.parametrize("command", ["run", "check"])
 def test_non_utf8_program_is_an_input_error(tmp_path, command):
     bad = tmp_path / "bad.json"
@@ -531,6 +574,18 @@ def test_usage_error_has_its_own_exit_code():
     assert result.returncode == EXIT_USAGE
     assert "Traceback" not in result.stderr
     assert result.stderr.splitlines()[-1].startswith("govtree check: error: ")
+    assert result.stdout == ""
+
+
+def test_unknown_operator_is_a_usage_error():
+    result = run_module("conformance", "--operator", "bogus")
+    assert result.returncode == EXIT_USAGE
+    assert "Traceback" not in result.stderr
+    errors = [line for line in result.stderr.splitlines() if "error:" in line]
+    assert errors == [result.stderr.splitlines()[-1]]
+    assert errors[0].startswith(
+        "govtree conformance: error: argument --operator: invalid choice: 'bogus'"
+    )
     assert result.stdout == ""
 
 

@@ -1,14 +1,19 @@
 """Event encoding, hash chaining, validity, and tamper detection."""
 
 import binascii
+import os
 import random
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from govtree.algebra import tamper_check
 from govtree.directives import DIRECTIVE_TYPES
 from govtree.gen import gen_directive, gen_trace, gen_trace_event
 from govtree.ledger import (
@@ -16,7 +21,6 @@ from govtree.ledger import (
     LEDGER_HEADER,
     LedgerEntry,
     Ledger,
-    TamperReport,
     _substitute,
     decode_event,
     encode_event,
@@ -24,7 +28,6 @@ from govtree.ledger import (
     format_ledger,
     ledger_valid,
     parse_ledger,
-    tamper_check,
     trace_to_ledger,
 )
 from govtree.trace import GovEntry, IoEntry
@@ -122,7 +125,7 @@ def test_tamper_check_detects_everything():
     rng = random.Random(4)
     ledger = trace_to_ledger(gen_trace(rng, 8))
     report = tamper_check(ledger, mutations=500, seed=9)
-    assert report.all_detected and report.mutations == 500
+    assert report.passed and report.trials == 500
 
 
 def test_tamper_check_requires_entries():
@@ -226,13 +229,15 @@ def _reference_decode_event(data):
 
 
 def _reference_parse_ledger(text):
+    # every line ends in LF and none is empty, so the text after the last
+    # LF is empty and no other piece of the split is
     lines = text.split("\n")
     if lines[0] != LEDGER_HEADER:
         raise ValueError("missing ledger header")
     entries = []
-    for line_no, line in enumerate(lines[1:], 2):
+    for line_no, line in enumerate(lines[1:-1], 2):
         if not line:
-            continue
+            raise ValueError(f"line {line_no}: empty line")
         parts = line.split(" ")
         if len(parts) != 3:
             raise ValueError(f"line {line_no}: malformed ledger entry")
@@ -245,6 +250,8 @@ def _reference_parse_ledger(text):
         if binascii.b2a_base64(data, newline=False).decode("ascii") != parts[2]:
             raise ValueError(f"line {line_no}: base64 field has nonzero padding bits")
         entries.append(LedgerEntry(_reference_decode_event(data), data, prev_hash, h))
+    if lines[-1]:
+        raise ValueError(f"line {len(lines)}: no LF at the end of the file")
     return Ledger(tuple(entries))
 
 
@@ -378,7 +385,8 @@ def test_tamper_check_reports_on_parsed_and_built_ledgers():
         built = trace_to_ledger(gen_trace(random.Random(seed), 8))
         parsed = parse_ledger(format_ledger(built))
         for ledger in (built, parsed):
-            assert tamper_check(ledger, mutations=200, seed=seed) == TamperReport(200, 200)
+            report = tamper_check(ledger, mutations=200, seed=seed)
+            assert report.fails == report.trials == 200
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -400,3 +408,22 @@ def test_format_ledger_writes_every_stored_link(seed):
         parsed = parse_ledger(text)
         assert parsed == ledger
         assert ledger_valid(parsed) == _reference_ledger_valid(ledger)
+
+
+def test_every_pinned_ledger_text_verifies():
+    from test_pinned_runs import PINNED_RUNS, PINNED_TAU_RUNS
+
+    texts = [pinned[4] for pinned in (*PINNED_RUNS.values(), *PINNED_TAU_RUNS.values())]
+    for text in texts:
+        assert ledger_valid(parse_ledger(text)) == (True, None)
+
+
+def test_importing_the_ledger_loads_no_generator_or_campaign():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, govtree.ledger; "
+             "print(sorted({'govtree.gen', 'govtree.algebra'} & set(sys.modules)))")
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.stdout == "[]\n"
