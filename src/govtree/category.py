@@ -20,6 +20,12 @@ governance: programs over Inc / DecJz / Halt translate, fuel-unrolled,
 into directive trees that log every executed step as an observability
 directive. A separate direct interpreter over the same instruction set
 serves as the independent reference for the translation.
+
+A translated machine is a memoized lazy list: each forced state holds its
+one successor, so every path, check and call of ``register_machine``'s
+morphism walks the same nodes and each step is computed once. The cost is
+that a forced chain lives as long as its root; the machine's own ``fuel``
+bounds its length, and a caller's fuel bounds how much of it is forced.
 """
 
 from __future__ import annotations
@@ -286,8 +292,16 @@ def _step_message(pc: int, regs: tuple) -> str:
 
 
 def register_machine(p: RegisterProgram, fuel: int) -> Morphism:
-    """The program as a morphism: it ignores its input and returns unit."""
-    return lambda a: translate_register_program(p, fuel)
+    """The program as a morphism: it ignores its input and returns unit.
+
+    The program is translated once, and that one tree is returned for every
+    input, so the steps forced on one path or check are shared by all the
+    others. The forced part of the tree lives as long as the morphism; the
+    machine's ``fuel`` bounds it, and the callers' fuel bounds how much of
+    it they force.
+    """
+    t = translate_register_program(p, fuel)
+    return lambda a: t
 
 
 def translate_register_program(p: RegisterProgram, fuel: int) -> ITree:
@@ -296,8 +310,24 @@ def translate_register_program(p: RegisterProgram, fuel: int) -> ITree:
     Each executed instruction emits one observability directive recording
     the program counter and the post-step registers. Halt, running past
     the end, or running out of fuel all return unit.
+
+    Each state's successor is built once, when the state is forced, and
+    every answer resumes it: a forced chain lives as long as its root, at
+    most ``fuel`` states long.
     """
     return _translate(p, fuel, 0, (0,) * p.registers)
+
+
+class _State(ITree):
+    """A translated register state. Every answer resumes the one successor,
+    so the state itself is its predecessor's continuation: called with any
+    answer, it returns itself. A forced chain then holds no closure per
+    step."""
+
+    __slots__ = ()
+
+    def __call__(self, _x):
+        return self
 
 
 def _translate(p: RegisterProgram, fuel: int, pc: int, regs: tuple) -> ITree:
@@ -309,9 +339,9 @@ def _translate(p: RegisterProgram, fuel: int, pc: int, regs: tuple) -> ITree:
             return Ret(None)
         pc2, regs2 = outcome
         d = Observability(_step_message(pc, regs2))
-        return Vis(d, lambda _x: _translate(p, fuel - 1, pc2, regs2))
+        return Vis(d, _translate(p, fuel - 1, pc2, regs2))
 
-    return ITree(step)
+    return _State(step)
 
 
 def reference_register_run(p: RegisterProgram, fuel: int) -> "tuple[tuple, list]":
@@ -335,10 +365,10 @@ def reference_register_run(p: RegisterProgram, fuel: int) -> "tuple[tuple, list]
 _UNIT = ret(None)
 
 
-def register_tree_steps(p: RegisterProgram, fuel: int, drive_fuel: int) -> "list | None":
-    """The observability messages the translated tree emits, driven with
-    unit answers, or None if the run did not complete."""
-    out = drive(translate_register_program(p, fuel), drive_fuel, lambda d: (d.message, _UNIT))
+def register_tree_steps(t: ITree, drive_fuel: int) -> "list | None":
+    """The observability messages a translated register tree emits, driven
+    with unit answers, or None if the run did not complete."""
+    out = drive(t, drive_fuel, lambda d: (d.message, _UNIT))
     return list(out.trace) if out.completed else None
 
 
@@ -360,20 +390,17 @@ def check_register_agreement(
     sampler: ResponseSampler,
 ) -> BoundedVerdict:
     """Translated trees agree step-for-step with the reference interpreter,
-    and their governed images pass the safety check at fuel 4096."""
+    and their governed images pass the safety check at fuel 4096. Each
+    program is translated once; both walks share its forced steps."""
     gh = govern(mock_handler(0))
 
     def agree(p):
         _, steps = reference_register_run(p, fuel)
         expected = [_step_message(pc, regs) for pc, regs in steps]
-        if register_tree_steps(p, fuel, drive_fuel=4 * fuel + 8) != expected:
+        tree = translate_register_program(p, fuel)
+        if register_tree_steps(tree, drive_fuel=4 * fuel + 8) != expected:
             return fails((f"register trace mismatch for {p!r}",))
-        v = gov_safe_check(
-            gh.transform(translate_register_program(p, fuel)),
-            False,
-            4096,
-            sampler,
-        )
+        v = gov_safe_check(gh.transform(tree), False, 4096, sampler)
         if v.is_fails:
             return fails((f"governed register program unsafe: {p!r}",) + v.witness)
         return v

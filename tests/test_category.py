@@ -2,6 +2,9 @@
 
 import random
 
+from govtree import category
+from govtree.algebra import no_check_operator
+from govtree.capability import within_caps_check
 from govtree.category import (
     DecJz,
     Halt,
@@ -25,6 +28,7 @@ from govtree.category import (
     memory,
     reason,
     reference_register_run,
+    register_machine,
     register_tree_steps,
     right_unitor,
     seq_compose,
@@ -43,6 +47,7 @@ from govtree.directives import (
 from govtree.governance import gov_safe_check, govern
 from govtree.itree import Ret, Vis, eutt_bounded, ret, run_pure, spin, vis
 from govtree.gen import gen_register_program
+from govtree.program import compile_ast
 
 import pytest
 
@@ -265,7 +270,7 @@ def test_translate_empty_program():
 
 def test_translate_two_increments():
     p = RegisterProgram((Inc(0), Inc(0)), 1)
-    steps = register_tree_steps(p, 50, 500)
+    steps = register_tree_steps(translate_register_program(p, 50), 500)
     # the final observability event shows r0=2
     assert steps == ["pc=0;regs=1", "pc=1;regs=2"]
     regs, ref_steps = reference_register_run(p, 50)
@@ -274,7 +279,7 @@ def test_translate_two_increments():
 
 def test_translate_loop_respects_fuel():
     p = RegisterProgram((Inc(0), DecJz(1, 0)), 2)  # infinite loop
-    steps = register_tree_steps(p, 10, 500)
+    steps = register_tree_steps(translate_register_program(p, 10), 500)
     assert steps is not None and len(steps) == 10
 
 
@@ -284,7 +289,7 @@ def test_decjz_jump_and_decrement():
         (Inc(0), Inc(0), DecJz(0, 6), Inc(1), DecJz(2, 2), Halt(), Halt()), 3
     )
     regs, ref_steps = reference_register_run(p, 50)
-    assert register_tree_steps(p, 50, 500) == [
+    assert register_tree_steps(translate_register_program(p, 50), 500) == [
         f"pc={pc};regs={','.join(map(str, r))}" for pc, r in ref_steps
     ] == [
         "pc=0;regs=1,0,0", "pc=1;regs=2,0,0", "pc=2;regs=1,0,0", "pc=3;regs=1,1,0",
@@ -312,3 +317,32 @@ def test_translated_programs_are_governed():
         p = gen_register_program(rng)
         tree = gh.transform(translate_register_program(p, 20))
         assert gov_safe_check(tree, False, 4096, SAMPLER).is_holds
+
+
+def test_register_machine_translates_once():
+    m = register_machine(RegisterProgram((Inc(0), DecJz(1, 0)), 2), 10)
+    assert m(0) is m("x")
+
+
+def test_forced_register_state_has_one_successor():
+    node = translate_register_program(RegisterProgram((Inc(0), DecJz(1, 0)), 2), 10).step()
+    assert type(node) is Vis and node.cont(None) is node.cont(None)
+
+
+def test_checks_share_one_unrolled_machine(monkeypatch):
+    # every sampled path after the reason step, in each of the three checks,
+    # reaches the one compiled machine: each of its steps is computed once
+    calls = []
+    step = category._step
+    monkeypatch.setattr(category, "_step", lambda *a: calls.append(1) or step(*a))
+    machine = {"kind": "register_machine", "registers": 2, "fuel": 10,
+               "program": [["inc", 0], ["decjz", 1, 0]]}
+    reason_step = {"kind": "reason", "model": "m", "prompt": {"op": "input"},
+                   "extract": {"op": "input"}}
+    compiled = compile_ast({"kind": "seq", "steps": [reason_step, machine]})
+    handler = mock_handler(0)
+    assert gov_safe_check(govern(handler).transform(compiled(1)), False, 4096, SAMPLER).is_holds
+    unchecked = no_check_operator().transform(handler).transform(compiled(1))
+    assert gov_safe_check(unchecked, False, 4096, SAMPLER).is_fails
+    assert within_caps_check(compiled.caps, compiled(1), 4096, SAMPLER).is_holds
+    assert len(calls) == 10
