@@ -11,26 +11,23 @@ level plus a declared capability list into the set actually granted:
 the top two levels get everything, untrusted code keeps at most the LLM
 capability, and the middle levels keep exactly what they declared.
 
-A ``CapMorphism`` bundles a morphism with its capability bound and the
-evidence for it; calling one applies its morphism. The ``cap_*``
-constructors are the one statement of the bound: none for ``code`` and
-``register_machine``, one capability for ``reason``, ``memory`` and
-``call``, the union of the parts under ``cap_seq_compose``,
-``cap_tensor`` and ``cap_branch``. What they build shares one
-``Constructed`` evidence, and ``program.compile_ast`` builds every
-program through them. ``Checked`` evidence comes from bounded checking
-on sampled inputs instead. ``principality_check`` brute-forces
-every strict subset of the bound to show the bound is tight, and
-``dual_guarantee_check`` confirms that staying within the bound and
-passing governance safety hold at the same time.
+A ``CapMorphism`` is a morphism paired with its capability bound;
+calling one applies its morphism. The ``cap_*`` constructors are the
+one statement of the bound, and ``program.compile_ast`` builds every
+program through them: none for ``code`` and ``register_machine``, one
+capability for ``reason``, ``memory`` and ``call``, the union of the
+parts under ``cap_seq_compose``, ``cap_tensor`` and ``cap_branch``.
+``principality_check`` brute-forces every strict subset of the bound to
+show the bound is tight, and ``dual_guarantee_check`` confirms that
+staying within the bound and passing governance safety hold at the same
+time.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, NamedTuple, Union
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .directives import (
     Capability,
@@ -65,7 +62,6 @@ from .trace import well_governed
 
 CapSet = frozenset
 
-CAP_UNIVERSE = tuple(Capability)
 NO_CAPS = frozenset()
 LLM_CAPS = frozenset((Capability.LLM_REASON,))
 MEMORY_CAPS = frozenset((Capability.MEMORY,))
@@ -85,7 +81,7 @@ def cap_union(s1: CapSet, s2: CapSet) -> CapSet:
 
 
 def cap_full() -> CapSet:
-    return frozenset(CAP_UNIVERSE)
+    return frozenset(Capability)
 
 
 def cap_subset(s1: CapSet, s2: CapSet) -> bool:
@@ -154,7 +150,9 @@ def check_bind_within_caps(
 ) -> BoundedVerdict:
     """Capability bounds compose under bind: if ``t`` stays within caps1
     and every continuation within caps2, the bind stays within the union.
-    Also re-checks weakening into the union and the full-set bound."""
+    Weakening into the union needs no walk of its own: the precondition
+    puts ``t`` within caps1, and ``within_caps_check`` is monotone in its
+    set."""
     if not within_caps_check(caps1, t, fuel, sampler).is_holds:
         return unknown("precondition on the first component did not hold")
     pre_k = combine_verdicts(
@@ -162,12 +160,7 @@ def check_bind_within_caps(
     )
     if not pre_k.is_holds:
         return unknown("precondition on the continuation did not hold")
-    union = cap_union(caps1, caps2)
-    bound = bind(t, k)
-    return combine_verdicts(
-        within_caps_check(caps, tree, fuel, sampler)
-        for caps, tree in ((union, bound), (union, t), (cap_full(), bound))
-    )
+    return within_caps_check(cap_union(caps1, caps2), bind(t, k), fuel, sampler)
 
 
 def no_ambient_effects_check(
@@ -211,90 +204,58 @@ def allowed_cap_set(level: TrustLevel, declared: Iterable[Capability]) -> CapSet
     return declared_set
 
 
-@dataclass(frozen=True)
-class Constructed:
-    pass
-
-
-@dataclass(frozen=True)
-class Checked:
-    samples: int
-    fuel: int
-
-
-Evidence = Union[Constructed, Checked]
-
-
 @own_type_eq
 class CapMorphism(NamedTuple):
     morph: Morphism
     caps: CapSet
-    evidence: Evidence
 
     def __call__(self, a) -> ITree:
         return self.morph(a)
 
 
-_CONSTRUCTED = Constructed()
 _new = tuple.__new__  # a NamedTuple from its fields, without its Python __new__
 
 
 def cap_code(f) -> CapMorphism:
-    return _new(CapMorphism, (category.code(f), NO_CAPS, _CONSTRUCTED))
+    return _new(CapMorphism, (category.code(f), NO_CAPS))
 
 
 def cap_reason(build, extract) -> CapMorphism:
-    return _new(CapMorphism, (category.reason(build, extract), LLM_CAPS, _CONSTRUCTED))
+    return _new(CapMorphism, (category.reason(build, extract), LLM_CAPS))
 
 
 def cap_memory(build, extract) -> CapMorphism:
-    return _new(CapMorphism, (category.memory(build, extract), MEMORY_CAPS, _CONSTRUCTED))
+    return _new(CapMorphism, (category.memory(build, extract), MEMORY_CAPS))
 
 
 def cap_call(build, extract) -> CapMorphism:
-    return _new(CapMorphism, (category.call(build, extract), CALL_CAPS, _CONSTRUCTED))
+    return _new(CapMorphism, (category.call(build, extract), CALL_CAPS))
 
 
 def cap_register_machine(p: category.RegisterProgram, fuel: int) -> CapMorphism:
     """Register steps emit only observability directives, which need no
     capability."""
-    return _new(CapMorphism, (category.register_machine(p, fuel), NO_CAPS, _CONSTRUCTED))
-
-
-def checked_cap_morphism(
-    morph: Morphism,
-    caps: CapSet,
-    inputs: Iterable,
-    fuel: Fuel,
-    sampler: ResponseSampler,
-) -> CapMorphism:
-    """Bundle a morphism with a bound verified by bounded checking on the
-    given inputs; raises if any check fails outright."""
-    inputs = tuple(inputs)
-    v = combine_verdicts(within_caps_check(caps, morph(a), fuel, sampler) for a in inputs)
-    if v.is_fails:
-        raise ValueError("morphism exceeds the declared capability set: " + v.describe())
-    return CapMorphism(morph, caps, Checked(len(inputs), fuel))
+    return _new(CapMorphism, (category.register_machine(p, fuel), NO_CAPS))
 
 
 def cap_seq_compose(f: CapMorphism, *gs: CapMorphism) -> CapMorphism:
     """``f`` then each of ``gs`` in order; the bound is the union of all."""
-    morphs, caps, _ = zip(f, *gs)
+    morphs, caps = zip(f, *gs)
     morph = category.seq_compose(*morphs)
-    return _new(CapMorphism, (morph, NO_CAPS.union(*caps), _CONSTRUCTED))
+    return _new(CapMorphism, (morph, NO_CAPS.union(*caps)))
 
 
 def cap_tensor(f: CapMorphism, g: CapMorphism) -> CapMorphism:
-    fm, fc, _ = f
-    gm, gc, _ = g
-    return _new(CapMorphism, (category.tensor(fm, gm), fc | gc, _CONSTRUCTED))
+    fm, fc = f
+    gm, gc = g
+    return _new(CapMorphism, (category.tensor(fm, gm), fc | gc))
 
 
 def cap_branch(pred, f: CapMorphism, g: CapMorphism) -> CapMorphism:
     """Either arm may execute, so the bound is the union of both."""
-    fm, fc, _ = f
-    gm, gc, _ = g
-    return _new(CapMorphism, (category.branch(pred, fm, gm), fc | gc, _CONSTRUCTED))
+    fm, fc = f
+    gm, gc = g
+    return _new(CapMorphism, (category.branch(pred, fm, gm), fc | gc))
 
 
 def _strict_subsets(caps: CapSet):

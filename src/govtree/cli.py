@@ -10,9 +10,10 @@ given ``--handler-seed``, and each command that draws values given
 Exit codes: 0 success / value produced, 1 verification or suite failure,
 2 governance denial, 3 fuel exhausted, 64 usage error (bad arguments,
 negative counts, a non-integer ``GOVTREE_SEED``), 65 input error
-(unreadable, non-UTF-8 or malformed program file, unknown policy, a
-value that ``run`` or ``check`` builds nested too deeply or an integer
-too long to convert to text), 73 cannot create an output file (a
+(unreadable, non-UTF-8 or malformed program file, a program string
+holding an unpaired surrogate such as a ``\\ud800`` escape, unknown
+policy, a value that ``run`` or ``check`` builds nested too deeply or an
+integer too long to convert to text), 73 cannot create an output file (a
 ``--trace-out`` or ``--ledger-out`` path that cannot be written). An
 input error, an output file that cannot be written or a bad
 ``GOVTREE_SEED`` prints one ``govtree: error:`` line on stderr.

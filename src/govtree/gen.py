@@ -180,8 +180,6 @@ def gen_program_ast(
     ast = gen(max_depth)
     extras = []
     if must_include is not None and ast_kind_count(ast, must_include) == 0:
-        budget[0] = max(budget[0], 1)
-        budget[0] -= 1
         extras.append(_gen_effectful(rng, must_include))
     if force_effectful and ast_directive_count(ast) == 0 and not extras:
         extras.append(_gen_effectful(rng))

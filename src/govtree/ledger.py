@@ -60,9 +60,9 @@ def decode_event(data: bytes) -> TraceEvent:
     kind, n = _HEAD.unpack_from(data)
     end = 5 + n
     raw = data[5:end]
-    text = raw.decode("utf-8")
     if len(raw) != n:
         raise ValueError("truncated event field")
+    text = raw.decode("utf-8")
     if kind == _TYPE_IO:
         if len(data) != end:
             raise ValueError("trailing bytes after io entry")
@@ -160,11 +160,14 @@ def parse_ledger(text: str) -> Ledger:
             raise ValueError(f"line {line_no}: {problem}") from None
         prev_hash = h if prev_text == link else _hash_field(prev_text, line_no)
         link, h = hash_text, _hash_field(hash_text, line_no)
-        data = binascii.a2b_base64(b64, strict_mode=True)
-        # strict mode ignores the padding bits, which only a padded field has
-        if b64[-1:] == "=" and binascii.b2a_base64(data, newline=False).decode() != b64:
-            raise ValueError(f"line {line_no}: base64 field has nonzero padding bits")
-        entries.append(_new(LedgerEntry, (decode_event(data), data, prev_hash, h)))
+        try:
+            data = binascii.a2b_base64(b64, strict_mode=True)
+            # strict mode ignores the padding bits, which only a padded field has
+            if b64[-1:] == "=" and binascii.b2a_base64(data, newline=False).decode() != b64:
+                raise ValueError("base64 field has nonzero padding bits")
+            entries.append(_new(LedgerEntry, (decode_event(data), data, prev_hash, h)))
+        except ValueError as e:  # base64 and event errors, given the line they are on
+            raise ValueError(f"line {line_no}: {e}") from None
     if lines[-1]:
         raise ValueError(f"line {len(lines)}: no LF at the end of the file")
     ledger = Ledger(tuple(entries))

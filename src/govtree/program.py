@@ -100,6 +100,17 @@ _ARITY = {
 }
 
 
+def _valid_text(v: str, what: str) -> str:
+    """``v`` if it encodes as UTF-8. A JSON escape can leave an unpaired
+    surrogate in a string, which no digest, trace or ledger can encode."""
+    if not v.isascii():  # ASCII always encodes; only other text pays for the check
+        try:
+            v.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ProgramError(f"{what} holds an unpaired surrogate") from None
+    return v
+
+
 def validate_expr(expr) -> dict:
     """``expr`` unchanged if it is a well-formed expression, else a
     ``ProgramError``."""
@@ -111,8 +122,11 @@ def validate_expr(expr) -> dict:
         # not isinstance: True is an int to Python, not an integer literal
         if op == "int" and type(expr.get("value")) is not int:
             raise ProgramError("int literal needs an integer value")
-        if op == "str" and not isinstance(expr.get("value"), str):
-            raise ProgramError("str literal needs a string value")
+        if op == "str":
+            value = expr.get("value")
+            if not isinstance(value, str):
+                raise ProgramError("str literal needs a string value")
+            _valid_text(value, "str literal")
         return expr
     if arity is None:
         raise ProgramError(f"unknown expression op {op!r}")
@@ -171,7 +185,7 @@ def _require_str(node: dict, key: str) -> str:
     v = node.get(key)
     if not isinstance(v, str):
         raise ProgramError(f"{node.get('kind')} needs a string {key!r}")
-    return v
+    return v if v.isascii() else _valid_text(v, f"{node.get('kind')} {key!r}")
 
 
 def _parse_register(node: dict) -> "tuple[RegisterProgram, int]":
@@ -277,8 +291,10 @@ def compile_ast(node) -> CapMorphism:
 
 
 def _value_from_json(v):
-    if v is None or isinstance(v, (bool, int, str)):
+    if v is None or isinstance(v, (bool, int)):
         return v
+    if isinstance(v, str):
+        return _valid_text(v, "input value")
     if isinstance(v, list) and len(v) == 2:
         return (_value_from_json(v[0]), _value_from_json(v[1]))
     raise ProgramError(f"unsupported value {v!r} (pairs are 2-element lists)")

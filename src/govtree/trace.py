@@ -32,10 +32,6 @@ class GovEntry(NamedTuple):
 class IoEntry(NamedTuple):
     directive: str  # canonical TAG{...} encoding
 
-    @property
-    def tag(self) -> str:
-        return self.directive.split("{", 1)[0]
-
 
 TraceEvent = Union[GovEntry, IoEntry]
 Trace = tuple

@@ -165,6 +165,21 @@ def test_verify_refuses_empty_lines_and_a_missing_final_lf(tmp_path, capsys, edi
     assert capsys.readouterr() == ("", f"invalid ledger file: {message}\n")
 
 
+# A data field the writer never writes is refused on its line, whether the
+# base64 or the event inside it is at fault.
+@pytest.mark.parametrize("data, message", [
+    ("!!!!", "Only base64 data is allowed"),
+    ("AwAAAAA=", "unknown event type byte 0x3"),
+    ("AQAAAAA=", "malformed governance entry"),
+    ("AgAAAAPD", "truncated event field"),  # an IO field cut inside a two-byte character
+], ids=["not-base64", "unknown-type", "governance-without-flag", "cut-field"])
+def test_verify_names_the_line_of_a_bad_data_field(tmp_path, capsys, data, message):
+    ledger_file = tmp_path / "d.ledger"
+    ledger_file.write_text(f"GOVLEDGER v1 sha256\n{'0' * 64} {'0' * 64} {data}\n")
+    assert run_cli("verify", str(ledger_file)) == EXIT_FAIL
+    assert capsys.readouterr() == ("", f"invalid ledger file: line 2: {message}\n")
+
+
 def test_check_safety_and_caps(capsys):
     assert run_cli("check", str(PROGRAMS / "llm_pipeline.json")) == EXIT_OK
     assert "safety: holds" in capsys.readouterr().out
@@ -519,6 +534,44 @@ def test_non_utf8_program_is_an_input_error(tmp_path, command):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff" + (PROGRAMS / "pure.json").read_bytes())
     assert_one_line_error(run_module(command, str(bad)), EXIT_INPUT)
+
+
+# A JSON escape can spell an unpaired surrogate, which is no UTF-8 text: no
+# answer digest, trace or ledger can encode it. The documents are written as
+# text, so each \u escape reaches the JSON reader as it stands.
+_SURROGATE_DOCUMENTS = {
+    "input": ('{"version": 1, "input": "\\ud800", "body": {"kind": "reason", '
+              '"model": "m", "prompt": {"op": "input"}, "extract": {"op": "input"}}}',
+              "input value holds an unpaired surrogate"),
+    "str-literal": ('{"version": 1, "input": 0, "body": {"kind": "code", '
+                    '"expr": {"op": "str", "value": "a\\udfff"}}}',
+                    "str literal holds an unpaired surrogate"),
+    "model": ('{"version": 1, "input": 0, "body": {"kind": "reason", "model": "\\ud800", '
+              '"prompt": {"op": "input"}, "extract": {"op": "input"}}}',
+              "reason 'model' holds an unpaired surrogate"),
+}
+
+
+@pytest.mark.parametrize("command, files", [("run", False), ("run", True), ("check", False)],
+                         ids=["run", "run-with-files", "check"])
+@pytest.mark.parametrize("where", list(_SURROGATE_DOCUMENTS))
+def test_unpaired_surrogate_is_an_input_error(tmp_path, command, files, where):
+    document, message = _SURROGATE_DOCUMENTS[where]
+    program = tmp_path / "s.json"
+    program.write_text(document, encoding="utf-8")
+    outputs = ("--trace-out", str(tmp_path / "t"), "--ledger-out", str(tmp_path / "l"))
+    result = run_module(command, str(program), *(outputs if files else ()))
+    assert_one_line_error(result, EXIT_INPUT)
+    assert result.stderr == f"govtree: error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_paired_surrogate_escape_runs(tmp_path, command):
+    document = _SURROGATE_DOCUMENTS["input"][0].replace("\\ud800", "\\ud83d\\ude00")
+    program = tmp_path / "s.json"
+    program.write_text(document, encoding="utf-8")
+    result = run_module(command, str(program))
+    assert result.returncode == EXIT_OK and result.stderr == ""
 
 
 def test_non_utf8_ledger_is_an_invalid_ledger(tmp_path):

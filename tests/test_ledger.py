@@ -214,9 +214,9 @@ def _reference_decode_event(data):
     kind, n = struct.unpack_from(">BI", data)
     end = 5 + n
     raw = data[5:end]
-    text = raw.decode("utf-8")
     if len(raw) != n:
         raise ValueError("truncated event field")
+    text = raw.decode("utf-8")
     if kind == 0x02:
         if len(data) != end:
             raise ValueError("trailing bytes after io entry")
@@ -246,10 +246,17 @@ def _reference_parse_ledger(text):
                 raise ValueError(f"line {line_no}: hash field is not 64 lowercase hex digits")
         prev_hash = bytes.fromhex(parts[0])
         h = bytes.fromhex(parts[1])
-        data = binascii.a2b_base64(parts[2], strict_mode=True)
+        try:
+            data = binascii.a2b_base64(parts[2], strict_mode=True)
+        except ValueError as e:
+            raise ValueError(f"line {line_no}: {e}") from None
         if binascii.b2a_base64(data, newline=False).decode("ascii") != parts[2]:
             raise ValueError(f"line {line_no}: base64 field has nonzero padding bits")
-        entries.append(LedgerEntry(_reference_decode_event(data), data, prev_hash, h))
+        try:
+            event = _reference_decode_event(data)
+        except ValueError as e:
+            raise ValueError(f"line {line_no}: {e}") from None
+        entries.append(LedgerEntry(event, data, prev_hash, h))
     if lines[-1]:
         raise ValueError(f"line {len(lines)}: no LF at the end of the file")
     return Ledger(tuple(entries))

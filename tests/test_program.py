@@ -12,7 +12,6 @@ import hypothesis.strategies as st
 import govtree.program
 from govtree.capability import (
     CapMorphism,
-    Constructed,
     cap_empty,
     cap_seq_compose,
     cap_singleton,
@@ -143,7 +142,7 @@ def test_ast_caps():
     ]}
     compiled = compile_ast(seq)
     assert compiled.caps == frozenset((Capability.LLM_REASON, Capability.MACHINE_CALL))
-    assert type(compiled) is CapMorphism and compiled.evidence == Constructed()
+    assert type(compiled) is CapMorphism and compiled._fields == ("morph", "caps")
     assert Program(0, seq).caps() == compiled.caps
 
 
@@ -458,7 +457,6 @@ def test_compiling_refuses_each_malformed_shape(body):
 
 def test_compiled_caps_equal_the_oracle():
     rng = random.Random(5)
-    shared = compile_ast(_STEP).evidence
     kinds = set()
     for i in range(3000):
         ast = gen_program_ast(
@@ -466,11 +464,11 @@ def test_compiled_caps_equal_the_oracle():
         )
         compiled = compile_ast(ast)
         assert compiled.caps == _oracle_ast_caps(ast), i
-        # every node kind is built by a capability constructor, all sharing one evidence
-        assert type(compiled) is CapMorphism and compiled.evidence is shared, i
+        # every node kind is built by a capability constructor
+        assert type(compiled) is CapMorphism, i
         assert compiled != tuple(compiled) and tuple(compiled) != compiled, i
         kinds.add(ast["kind"])
-    assert shared == Constructed() and len(kinds) == 8  # every kind at the root
+    assert len(kinds) == 8  # every kind at the root
 
 
 @pytest.mark.parametrize("body", [
@@ -529,7 +527,6 @@ def test_cap_composition_of_compiled_programs_carries_the_oracle_bound():
         par = cap_tensor(f, g)
         assert seq.caps == _oracle_ast_caps({"kind": "seq", "steps": [left, right]})
         assert par.caps == _oracle_ast_caps({"kind": "tensor", "left": left, "right": right})
-        assert seq.evidence == par.evidence == Constructed()
         # n-ary composition is the left-nested binary one: same bound, same tree
         flat, nested = cap_seq_compose(f, g, h), cap_seq_compose(seq, h)
         assert flat.caps == nested.caps == _oracle_ast_caps(

@@ -85,10 +85,6 @@ def test_trace_of_denied_file_op():
     assert out.trace == (GovEntry("FileOp", False),)
 
 
-def test_io_entry_tag():
-    assert IoEntry("LLMCall{model=m,prompt=p}").tag == "LLMCall"
-
-
 def test_entries_equal_only_entries_of_their_own_type():
     assert GovEntry("a", True) != ("a", True)
     assert not GovEntry("a", True) == ("a", True)
