@@ -59,7 +59,7 @@ from .itree import BoundedVerdict, Fuel, Vis, fails, holds, ret, unknown
 from .trace import IoEntry
 from .gen import gen_directive, gen_input, gen_program_ast, gen_register_program, gen_trace_event
 from .ledger import Ledger, _substitute, ledger_valid
-from .category import translate_register_program
+from .category import register_machine
 from .program import compile_ast
 
 
@@ -319,7 +319,7 @@ def check_derived(
         # Safety again, over fuel-unrolled register programs.
         program = gen_register_program(rng)
         gh = op.transform(mock_handler(rng.randrange(2**32)))
-        tree = translate_register_program(program, rng.randrange(1, 16))
+        tree = register_machine(program, rng.randrange(1, 16))(None)
         return gov_safe_check(gh.transform(tree), False, fuel, sampler)
 
     def subsumption_pos(rng, i):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .algebra import BUNDLED_OPERATOR, CampaignReport, check_G1, check_derived, run_campaign
 from .directives import DIRECTIVE_TYPES, ResponseSampler, mock_handler
-from .gen import ast_kind_count, gen_directive, gen_input, gen_program_ast
+from .gen import gen_directive, gen_input, gen_program_ast
 from .governance import PERMISSIVE, bare_io, gov_safe_check, govern, interpret_governed
 from .itree import Fuel, fails
 from .program import compile_ast
@@ -54,9 +54,7 @@ def run_coterminous(
 
     def cognitive(rng, i):
         role = _PRIMITIVE_ROLES[i % len(_PRIMITIVE_ROLES)]
-        ast = gen_program_ast(rng, must_include=role if role != "code" else None)
-        if role == "code" and ast_kind_count(ast, "code") == 0:
-            ast = {"kind": "seq", "steps": [ast, {"kind": "code", "expr": {"op": "input"}}]}
+        ast = gen_program_ast(rng, must_include=role)
         tree = compile_ast(ast)(gen_input(rng))
         gh = govern(mock_handler(rng.randrange(2**32)))
         if not interpret_governed(gh, PERMISSIVE, tree, fuel).completed:

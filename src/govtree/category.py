@@ -18,8 +18,8 @@ The register machine at the bottom of the module is the Turing-complete
 core used to demonstrate that unbounded computation stays inside
 governance: programs over Inc / DecJz / Halt translate, fuel-unrolled,
 into directive trees that log every executed step as an observability
-directive. A separate direct interpreter over the same instruction set
-serves as the independent reference for the translation.
+directive. Their oracle is ``reference.register_steps``, which shares no
+code with the translation and runs the program's ``register_listing``.
 
 A translated machine is a memoized lazy list: each forced state holds its
 one successor, so every path, check and call of ``register_machine``'s
@@ -66,6 +66,7 @@ from .itree import (
     unknown,
     vis,
 )
+from .reference import register_steps
 
 Morphism = Callable[[Any], ITree]
 
@@ -294,28 +295,24 @@ def _step_message(pc: int, regs: tuple) -> str:
 def register_machine(p: RegisterProgram, fuel: int) -> Morphism:
     """The program as a morphism: it ignores its input and returns unit.
 
-    The program is translated once, and that one tree is returned for every
-    input, so the steps forced on one path or check are shared by all the
-    others. The forced part of the tree lives as long as the morphism; the
-    machine's ``fuel`` bounds it, and the callers' fuel bounds how much of
-    it they force.
+    The program is translated once, fuel-unrolled, into one directive tree
+    for every input, whose forced steps all paths and checks share (see the
+    module docstring). Each executed instruction emits one observability
+    directive of the program counter and the post-step registers; halt,
+    running past the end or running out of fuel return unit.
     """
-    t = translate_register_program(p, fuel)
+    t = _translate(p, fuel, 0, (0,) * p.registers)
     return lambda a: t
 
 
-def translate_register_program(p: RegisterProgram, fuel: int) -> ITree:
-    """Fuel-unrolled translation into a directive tree.
-
-    Each executed instruction emits one observability directive recording
-    the program counter and the post-step registers. Halt, running past
-    the end, or running out of fuel all return unit.
-
-    Each state's successor is built once, when the state is forced, and
-    every answer resumes it: a forced chain lives as long as its root, at
-    most ``fuel`` states long.
-    """
-    return _translate(p, fuel, 0, (0,) * p.registers)
+def register_listing(p: RegisterProgram) -> list:
+    """The program's instruction list as a program file writes it."""
+    return [
+        ["inc", ins.reg] if type(ins) is Inc
+        else ["decjz", ins.reg, ins.target] if type(ins) is DecJz
+        else ["halt"]
+        for ins in p.instructions
+    ]
 
 
 class _State(ITree):
@@ -342,23 +339,6 @@ def _translate(p: RegisterProgram, fuel: int, pc: int, regs: tuple) -> ITree:
         return Vis(d, _translate(p, fuel - 1, pc2, regs2))
 
     return _State(step)
-
-
-def reference_register_run(p: RegisterProgram, fuel: int) -> "tuple[tuple, list]":
-    """Direct loop over the instruction set; the independent oracle for
-    the tree translation. Returns final registers and the per-step log of
-    (pc, post-step registers)."""
-    regs = (0,) * p.registers
-    pc = 0
-    steps = []
-    while fuel > 0 and 0 <= pc < len(p.instructions):
-        outcome = _step(p.instructions[pc], pc, regs)
-        if outcome is None:
-            break
-        steps.append((pc, outcome[1]))
-        pc, regs = outcome
-        fuel -= 1
-    return regs, steps
 
 
 # Every step is answered with unit; a forced tree never changes, so one serves all.
@@ -389,15 +369,14 @@ def check_register_agreement(
     fuel: int,
     sampler: ResponseSampler,
 ) -> BoundedVerdict:
-    """Translated trees agree step-for-step with the reference interpreter,
-    and their governed images pass the safety check at fuel 4096. Each
-    program is translated once; both walks share its forced steps."""
+    """Translated trees agree step-for-step with ``reference.register_steps``
+    on the program's listing, and their governed images pass the safety
+    check at fuel 4096. Both walks share the one translation's steps."""
     gh = govern(mock_handler(0))
 
     def agree(p):
-        _, steps = reference_register_run(p, fuel)
-        expected = [_step_message(pc, regs) for pc, regs in steps]
-        tree = translate_register_program(p, fuel)
+        expected = list(register_steps(register_listing(p), p.registers, fuel))
+        tree = register_machine(p, fuel)(None)
         if register_tree_steps(tree, drive_fuel=4 * fuel + 8) != expected:
             return fails((f"register trace mismatch for {p!r}",))
         v = gov_safe_check(gh.transform(tree), False, 4096, sampler)

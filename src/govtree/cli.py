@@ -122,8 +122,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    with open(args.ledger, "rb") as f:
+        data = f.read()
     try:
-        ledger = parse_ledger(_read(args.ledger))
+        ledger = parse_ledger(data.decode("utf-8"))
+    except UnicodeDecodeError as e:  # numbered, as parse_ledger numbers its own errors
+        line = data.count(b"\n", 0, e.start) + 1
+        print(f"invalid ledger file: line {line}: not UTF-8", file=sys.stderr)
+        return EXIT_FAIL
     except ValueError as e:
         print(f"invalid ledger file: {e}", file=sys.stderr)
         return EXIT_FAIL
@@ -193,7 +199,7 @@ def _error(message, code: int = EXIT_INPUT) -> int:
 
 
 def _read(path: str) -> str:
-    # newline="" keeps line endings as they are, so a CRLF ledger is refused
+    # newline="" keeps line endings as they are, so a parse error's position counts a CR
     with open(path, "r", encoding="utf-8", newline="") as f:
         return f.read()
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from .category import DecJz, Halt, Inc, RegisterProgram
+from .category import DecJz, Halt, Inc, RegisterProgram, register_listing
 from .directives import (
     Broadcast,
     CallMachine,
@@ -106,6 +106,8 @@ def _gen_effectful(rng: random.Random, kind: str | None = None) -> dict:
             "value": gen_expr(rng, 1),
             "extract": _gen_extract(rng),
         }
+    if kind != "call":
+        raise ValueError(f"not an effectful kind: {kind!r}")
     return {
         "kind": "call",
         "machine": rng.choice(("calc", "index")),
@@ -120,12 +122,7 @@ def gen_register_ast(rng: random.Random, max_len: int = 6, max_fuel: int = 12) -
         "kind": "register_machine",
         "registers": p.registers,
         "fuel": rng.randrange(1, max_fuel + 1),
-        "program": [
-            ["inc", ins.reg] if type(ins) is Inc
-            else ["decjz", ins.reg, ins.target] if type(ins) is DecJz
-            else ["halt"]
-            for ins in p.instructions
-        ],
+        "program": register_listing(p),
     }
 
 
@@ -139,7 +136,8 @@ def gen_program_ast(
 ) -> dict:
     """A random program AST closed over code, reason, memory, call, seq,
     tensor, and branch (plus register machines when allowed). At most
-    ``max_directives`` record-answered directives are emitted."""
+    ``max_directives`` record-answered directives are emitted, plus one
+    ``must_include`` node (``code`` or an effectful kind) if none was."""
     budget = [max_directives]
 
     def gen(depth: int) -> dict:
@@ -179,9 +177,11 @@ def gen_program_ast(
 
     ast = gen(max_depth)
     extras = []
-    if must_include is not None and ast_kind_count(ast, must_include) == 0:
+    if must_include == "code" and ast_kind_count(ast, "code") == 0:
+        extras.append({"kind": "code", "expr": {"op": "input"}})
+    elif must_include is not None and ast_kind_count(ast, must_include) == 0:
         extras.append(_gen_effectful(rng, must_include))
-    if force_effectful and ast_directive_count(ast) == 0 and not extras:
+    if force_effectful and ast_directive_count({"kind": "seq", "steps": [ast] + extras}) == 0:
         extras.append(_gen_effectful(rng))
     if extras:
         ast = {"kind": "seq", "steps": [ast] + extras}

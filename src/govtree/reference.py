@@ -11,6 +11,9 @@ It does share the *environment* with the tree pipeline: the directive
 dataclasses, the canonical encoding, seeded mock answers, and policy
 objects. Those define what is being interpreted, not how.
 
+``register_steps`` is also the oracle for ``category``'s register
+translation, so nothing here is imported from ``category`` either.
+
 The ``bug`` parameter deliberately miscomputes in one of a few known
 ways. It is the harness's self-test hook: a differential campaign against
 a bugged reference must report disagreements, otherwise the comparison
@@ -174,10 +177,10 @@ def _run_node(node: dict, x, ctx: _Ctx):
     raise ValueError(f"unknown node kind {kind!r}")
 
 
-def _run_register(node: dict, ctx: _Ctx):
-    program = node["program"]
-    regs = [0] * node["registers"]
-    fuel = node["fuel"]
+def register_steps(program: list, registers: int, fuel: int):
+    """The ``pc=...;regs=...`` message of each step a register machine
+    listing executes, from all-zero registers, at most ``fuel`` of them."""
+    regs = [0] * registers
     pc = 0
     while fuel > 0 and 0 <= pc < len(program):
         ins = program[pc]
@@ -192,10 +195,14 @@ def _run_register(node: dict, ctx: _Ctx):
         else:
             regs[ins[1]] -= 1
             next_pc = pc + 1
-        message = f"pc={pc};regs={','.join(str(r) for r in regs)}"
-        _effect(Observability(message), ctx)
+        yield f"pc={pc};regs={','.join(str(r) for r in regs)}"
         pc = next_pc
         fuel -= 1
+
+
+def _run_register(node: dict, ctx: _Ctx):
+    for message in register_steps(node["program"], node["registers"], node["fuel"]):
+        _effect(Observability(message), ctx)
     return None
 
 

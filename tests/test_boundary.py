@@ -3,10 +3,12 @@ from govtree.boundary import (
     run_coterminous,
 )
 from govtree.directives import ResponseSampler
-from govtree.gen import gen_program_ast
+from govtree.gen import ast_kind_count, gen_program_ast
 from govtree.program import compile_ast
 
 import random
+
+import pytest
 
 SAMPLER = ResponseSampler(seed=0)
 
@@ -47,3 +49,21 @@ def test_generator_closure():
         rng = random.Random(i)
         ast = gen_program_ast(rng, allow_register=True)
         compile_ast(ast)
+
+
+@pytest.mark.parametrize("kind", ["code", "reason", "memory", "call"])
+def test_must_include_adds_only_the_kind_asked_for(kind):
+    for i in range(200):
+        base = gen_program_ast(random.Random(i), max_depth=1)
+        ast = gen_program_ast(random.Random(i), max_depth=1, must_include=kind)
+        if ast_kind_count(base, kind):
+            assert ast == base, i
+        else:  # the same program, then one node of the kind asked for
+            assert ast["steps"][0] == base and len(ast["steps"]) == 2, i
+            assert ast["steps"][1]["kind"] == kind, i
+
+
+def test_must_include_refuses_a_kind_it_cannot_add():
+    with pytest.raises(ValueError, match="not an effectful kind: 'seq'"):
+        for i in range(200):
+            gen_program_ast(random.Random(i), max_depth=0, must_include="seq")

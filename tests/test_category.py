@@ -1,8 +1,10 @@
 """Combinators, structural isomorphisms, coherence, register machines."""
 
+import ast
 import random
+from pathlib import Path
 
-from govtree import category
+from govtree import category, reference
 from govtree.algebra import no_check_operator
 from govtree.capability import within_caps_check
 from govtree.category import (
@@ -27,13 +29,12 @@ from govtree.category import (
     left_unitor,
     memory,
     reason,
-    reference_register_run,
+    register_listing,
     register_machine,
     register_tree_steps,
     right_unitor,
     seq_compose,
     tensor,
-    translate_register_program,
 )
 from govtree.directives import (
     CallMachine,
@@ -48,6 +49,7 @@ from govtree.governance import gov_safe_check, govern
 from govtree.itree import Ret, Vis, eutt_bounded, ret, run_pure, spin, vis
 from govtree.gen import gen_register_program
 from govtree.program import compile_ast
+from govtree.reference import register_steps
 
 import pytest
 
@@ -265,21 +267,21 @@ def test_register_program_validation():
 
 
 def test_translate_empty_program():
-    assert run_pure(translate_register_program(RegisterProgram((), 2), 10), 10) == (True, None)
+    assert run_pure(register_machine(RegisterProgram((), 2), 10)(None), 10) == (True, None)
 
 
 def test_translate_two_increments():
     p = RegisterProgram((Inc(0), Inc(0)), 1)
-    steps = register_tree_steps(translate_register_program(p, 50), 500)
+    steps = register_tree_steps(register_machine(p, 50)(None), 500)
     # the final observability event shows r0=2
     assert steps == ["pc=0;regs=1", "pc=1;regs=2"]
-    regs, ref_steps = reference_register_run(p, 50)
-    assert regs == (2,) and ref_steps == [(0, (1,)), (1, (2,))]
+    ref_steps = list(register_steps(register_listing(p), 1, 50))
+    assert ref_steps == steps and ref_steps[-1] == "pc=1;regs=2"
 
 
 def test_translate_loop_respects_fuel():
     p = RegisterProgram((Inc(0), DecJz(1, 0)), 2)  # infinite loop
-    steps = register_tree_steps(translate_register_program(p, 10), 500)
+    steps = register_tree_steps(register_machine(p, 10)(None), 500)
     assert steps is not None and len(steps) == 10
 
 
@@ -288,15 +290,14 @@ def test_decjz_jump_and_decrement():
     p = RegisterProgram(
         (Inc(0), Inc(0), DecJz(0, 6), Inc(1), DecJz(2, 2), Halt(), Halt()), 3
     )
-    regs, ref_steps = reference_register_run(p, 50)
-    assert register_tree_steps(translate_register_program(p, 50), 500) == [
-        f"pc={pc};regs={','.join(map(str, r))}" for pc, r in ref_steps
-    ] == [
+    ref_steps = list(register_steps(register_listing(p), 3, 50))
+    assert register_tree_steps(register_machine(p, 50)(None), 500) == ref_steps == [
         "pc=0;regs=1,0,0", "pc=1;regs=2,0,0", "pc=2;regs=1,0,0", "pc=3;regs=1,1,0",
         "pc=4;regs=1,1,0", "pc=2;regs=0,1,0", "pc=3;regs=0,2,0", "pc=4;regs=0,2,0",
         "pc=2;regs=0,2,0",
     ]
-    assert regs == (0, 2, 0)
+    # the final registers are the last message's
+    assert ref_steps[-1].endswith("regs=0,2,0")
 
 
 def test_register_agreement_random_programs():
@@ -310,12 +311,37 @@ def test_register_agreement_exhaustive_small():
     assert check_register_agreement(programs, 50, SAMPLER).is_holds
 
 
+def test_register_agreement_fails_on_a_wrong_step(monkeypatch):
+    # DecJz jumps while its register is still 1: the oracle states the
+    # semantics on its own, so the translation no longer agrees with it
+    def wrong_step(ins, pc, regs):
+        if type(ins) is DecJz and regs[ins.reg] <= 1:
+            return ins.target, regs
+        return step(ins, pc, regs)
+
+    step = category._step
+    monkeypatch.setattr(category, "_step", wrong_step)
+    programs = list(enumerate_register_programs(3))
+    assert check_register_agreement(programs, 50, SAMPLER).is_fails
+
+
+def test_register_oracle_imports_nothing_from_the_translation():
+    # every module, and every name imported from one, as dotted paths
+    names = set()
+    for n in ast.walk(ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))):
+        if isinstance(n, ast.ImportFrom):
+            names |= {n.module or ""} | {f"{n.module or ''}.{a.name}" for a in n.names}
+        elif isinstance(n, ast.Import):
+            names |= {a.name for a in n.names}
+    assert not {name.rsplit(".", 1)[-1] for name in names} & {"category", "program"}, names
+
+
 def test_translated_programs_are_governed():
     gh = govern(mock_handler(0))
     rng = random.Random(3)
     for _ in range(50):
         p = gen_register_program(rng)
-        tree = gh.transform(translate_register_program(p, 20))
+        tree = gh.transform(register_machine(p, 20)(None))
         assert gov_safe_check(tree, False, 4096, SAMPLER).is_holds
 
 
@@ -325,7 +351,7 @@ def test_register_machine_translates_once():
 
 
 def test_forced_register_state_has_one_successor():
-    node = translate_register_program(RegisterProgram((Inc(0), DecJz(1, 0)), 2), 10).step()
+    node = register_machine(RegisterProgram((Inc(0), DecJz(1, 0)), 2), 10)(None).step()
     assert type(node) is Vis and node.cont(None) is node.cont(None)
 
 

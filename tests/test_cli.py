@@ -583,6 +583,20 @@ def test_non_utf8_ledger_is_an_invalid_ledger(tmp_path):
     assert len(stderr) == 1 and stderr[0].startswith("invalid ledger file: ")
 
 
+# A byte that is not UTF-8 is refused on its line, like any other bad field,
+# whether it is in the header or in an entry.
+@pytest.mark.parametrize("line", [1, 3], ids=["header", "entry"])
+def test_verify_names_the_line_of_a_non_utf8_byte(tmp_path, capsys, line):
+    ledger_file = tmp_path / "u.ledger"
+    run_cli("run", str(PROGRAMS / "llm_pipeline.json"), "--ledger-out", str(ledger_file))
+    lines = ledger_file.read_bytes().split(b"\n")
+    lines[line - 1] += b"\xff"
+    ledger_file.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert run_cli("verify", str(ledger_file)) == EXIT_FAIL
+    assert capsys.readouterr() == ("", f"invalid ledger file: line {line}: not UTF-8\n")
+
+
 # Each edit leaves a text that bytes.fromhex or strict base64 still reads
 # as the same ledger, but that format_ledger never writes.
 @pytest.mark.parametrize("edit", [

@@ -224,12 +224,44 @@ def test_program_compiles_once_and_only_when_asked(monkeypatch):
 #
 # The oracle is the validator that ran before compiling did the checks: a
 # second walk over the same grammar, raising the same messages in the same
-# depth-first order.
+# depth-first order. It calls no checking code of ``program``'s own.
 
 _ORACLE_NODE_KINDS = (
     "code", "reason", "memory", "call", "seq", "tensor", "branch",
     "register_machine",
 )
+
+
+_ORACLE_ARITY = {
+    **dict.fromkeys(("input", "int", "str", "unit"), 0),
+    **dict.fromkeys(("fst", "snd", "len", "not"), 1),
+    **dict.fromkeys(("add", "sub", "mul", "mod", "concat", "pair", "eq", "lt", "and", "or"), 2),
+}
+
+
+def _oracle_expr(expr):
+    if not isinstance(expr, dict) or "op" not in expr:
+        raise ProgramError(f"expression must be an object with an op: {expr!r}")
+    op = expr["op"]
+    arity = _ORACLE_ARITY.get(op) if type(op) is str else None
+    if arity is None:
+        raise ProgramError(f"unknown expression op {op!r}")
+    if op == "int" and type(expr.get("value")) is not int:
+        raise ProgramError("int literal needs an integer value")
+    if op == "str":
+        if not isinstance(expr.get("value"), str):
+            raise ProgramError("str literal needs a string value")
+        try:
+            expr["value"].encode("utf-8")
+        except UnicodeEncodeError:
+            raise ProgramError("str literal holds an unpaired surrogate") from None
+    if arity == 0:
+        return
+    args = expr.get("args")
+    if not isinstance(args, list) or len(args) != arity:
+        raise ProgramError(f"{op} takes {'one argument' if arity == 1 else 'two arguments'}")
+    for a in args:
+        _oracle_expr(a)
 
 
 def _oracle_require_str(node, key):
@@ -273,20 +305,20 @@ def _oracle_validate_ast(node):
     if kind not in _ORACLE_NODE_KINDS:
         raise ProgramError(f"unknown node kind {kind!r}")
     if kind == "code":
-        validate_expr(node.get("expr"))
+        _oracle_expr(node.get("expr"))
     elif kind == "reason":
         _oracle_require_str(node, "model")
-        validate_expr(node.get("prompt"))
-        validate_expr(node.get("extract"))
+        _oracle_expr(node.get("prompt"))
+        _oracle_expr(node.get("extract"))
     elif kind == "memory":
         _oracle_require_str(node, "mop")
-        validate_expr(node.get("key"))
-        validate_expr(node.get("value"))
-        validate_expr(node.get("extract"))
+        _oracle_expr(node.get("key"))
+        _oracle_expr(node.get("value"))
+        _oracle_expr(node.get("extract"))
     elif kind == "call":
         _oracle_require_str(node, "machine")
-        validate_expr(node.get("payload"))
-        validate_expr(node.get("extract"))
+        _oracle_expr(node.get("payload"))
+        _oracle_expr(node.get("extract"))
     elif kind == "seq":
         steps = node.get("steps")
         if not isinstance(steps, list) or not steps:
@@ -297,7 +329,7 @@ def _oracle_validate_ast(node):
         _oracle_validate_ast(node.get("left"))
         _oracle_validate_ast(node.get("right"))
     elif kind == "branch":
-        validate_expr(node.get("pred"))
+        _oracle_expr(node.get("pred"))
         _oracle_validate_ast(node.get("then"))
         _oracle_validate_ast(node.get("else"))
     else:
@@ -419,6 +451,7 @@ def _machine(registers=1, fuel=1, program=None):
     {"kind": "code", "expr": {"op": "frobnicate", "args": []}},
     {"kind": "code", "expr": {"op": "len", "args": []}},
     {"kind": "code", "expr": {"op": "add", "args": [{"op": "input"}]}},
+    {"kind": "code", "expr": {"op": "len", "args": [{"op": "input"}] * 3}},
     {"kind": "code", "expr": {"op": "int", "value": "7"}},
     {"kind": "code", "expr": {"op": "str", "value": 7}},
     {"kind": "code", "expr": {"op": "int", "value": True}},
