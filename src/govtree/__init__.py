@@ -15,7 +15,6 @@ from .itree import (
     Vis,
     bind,
     eutt_bounded,
-    observe,
     ret,
     spin,
     tau,
@@ -28,7 +27,6 @@ from .directives import (
     capability_for_directive,
     directive_tag,
     encode_directive,
-    is_observability,
     mock_handler,
 )
 from .governance import (
@@ -50,10 +48,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundedVerdict", "ITree", "Ret", "Tau", "Vis", "bind", "eutt_bounded",
-    "observe", "ret", "spin", "tau", "vis",
+    "ret", "spin", "tau", "vis",
     "Capability", "DirectiveEvent", "ResponseSampler",
-    "capability_for_directive", "directive_tag", "encode_directive",
-    "is_observability", "mock_handler",
+    "capability_for_directive", "directive_tag", "encode_directive", "mock_handler",
     "DENYING", "PERMISSIVE", "GovernancePolicy", "GovernedHandler",
     "RunOutcome", "gov_safe_check", "govern", "interpret_governed",
     "interpret_ungoverned", "tag_filter",

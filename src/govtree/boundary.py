@@ -26,15 +26,13 @@ tested.
 from __future__ import annotations
 
 from .algebra import BUNDLED_OPERATOR, CampaignReport, check_G1, check_derived, run_campaign
-from .directives import DIRECTIVE_TYPES, ResponseSampler, mock_handler
+from .directives import SIGNATURE, ResponseSampler, mock_handler
 from .gen import gen_directive, gen_input, gen_program_ast
 from .governance import PERMISSIVE, bare_io, gov_safe_check, govern, interpret_governed
 from .itree import Fuel, fails
 from .program import compile_ast
 
-EFFECTFUL_VARIANTS = tuple(
-    t for t in DIRECTIVE_TYPES if t.__name__ not in ("RecordStep", "Observability")
-)
+EFFECTFUL_VARIANTS = tuple(t for t, (_, cap) in SIGNATURE.items() if cap is not None)
 
 _PRIMITIVE_ROLES = ("code", "reason", "memory", "call")
 

@@ -30,8 +30,12 @@ from enum import Enum
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .directives import (
+    SIGNATURE,
+    CallMachine,
     Capability,
     Handler,
+    LLMCall,
+    MemoryOp,
     ResponseSampler,
     capability_for_directive,
     directive_tag,
@@ -63,9 +67,11 @@ from .trace import well_governed
 CapSet = frozenset
 
 NO_CAPS = frozenset()
-LLM_CAPS = frozenset((Capability.LLM_REASON,))
-MEMORY_CAPS = frozenset((Capability.MEMORY,))
-CALL_CAPS = frozenset((Capability.MACHINE_CALL,))
+# The bounds of the three effectful primitives: the capability each one's
+# directive requires.
+LLM_CAPS = frozenset((SIGNATURE[LLMCall][1],))
+MEMORY_CAPS = frozenset((SIGNATURE[MemoryOp][1],))
+CALL_CAPS = frozenset((SIGNATURE[CallMachine][1],))
 
 
 def cap_empty() -> CapSet:

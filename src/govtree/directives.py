@@ -1,10 +1,13 @@
 """The fixed directive signature: every effect the runtime can request.
 
-There are exactly 14 directive variants. Each one is a frozen dataclass
-whose fields are printable scalars (strings and ints), each declares the
-type of answer the environment produces for it, and each maps to at most
-one capability. ``RecordStep`` and ``Observability`` are bookkeeping and
-require no capability at all.
+There are exactly 14 directive variants, each a frozen dataclass whose
+fields are printable scalars (strings and ints). ``SIGNATURE`` is the one
+table of them: in a fixed order, it maps each variant to the record type
+of its answer (None for a unit answer) and to the one capability it
+requires (None for the bookkeeping ``RecordStep`` and ``Observability``).
+``DIRECTIVE_TYPES``, ``DirectiveEvent``, ``ANSWER_TYPES`` and
+``capability_for_directive`` are read off it, as are the primitive bounds
+in ``capability`` and ``boundary.EFFECTFUL_VARIANTS``.
 
 This module also owns the canonical textual encoding used by traces,
 ledger entries, and mock and sampled answers: ``TAG{field=value,...}``
@@ -115,19 +118,6 @@ class Observability:
     message: str
 
 
-DirectiveEvent = Union[
-    LLMCall, HTTPRequest, FileOp, CallMachine, MemoryOp, DBOp, ExecOp,
-    RecordStep, Broadcast, EmitEvent, GraphQLRequest, WebSocketOp, MCPCall,
-    Observability,
-]
-
-DIRECTIVE_TYPES = (
-    LLMCall, HTTPRequest, FileOp, CallMachine, MemoryOp, DBOp, ExecOp,
-    RecordStep, Broadcast, EmitEvent, GraphQLRequest, WebSocketOp, MCPCall,
-    Observability,
-)
-
-
 # Answer records. Unit-valued directives answer with None.
 
 @dataclass(frozen=True, slots=True)
@@ -178,24 +168,6 @@ class WebSocketResult:
     content: str
 
 
-ANSWER_TYPES: dict[type, type | None] = {
-    LLMCall: LLMResponse,
-    HTTPRequest: HTTPResponse,
-    FileOp: FileResult,
-    CallMachine: CallMachineResult,
-    MemoryOp: MemoryResult,
-    DBOp: DBResult,
-    ExecOp: ExecResult,
-    RecordStep: None,
-    Broadcast: None,
-    EmitEvent: None,
-    GraphQLRequest: HTTPResponse,
-    WebSocketOp: WebSocketResult,
-    MCPCall: CallMachineResult,
-    Observability: None,
-}
-
-
 class Capability(Enum):
     """The finite capability universe gating effectful directives."""
 
@@ -210,31 +182,33 @@ class Capability(Enum):
     WEBSOCKET = "websocket"
 
 
-_CAPABILITY_FOR: dict[type, Capability | None] = {
-    LLMCall: Capability.LLM_REASON,
-    MemoryOp: Capability.MEMORY,
-    CallMachine: Capability.MACHINE_CALL,
-    MCPCall: Capability.MACHINE_CALL,
-    HTTPRequest: Capability.HTTP,
-    GraphQLRequest: Capability.HTTP,
-    FileOp: Capability.FILE,
-    DBOp: Capability.DB,
-    ExecOp: Capability.EXEC,
-    Broadcast: Capability.BROADCAST,
-    EmitEvent: Capability.BROADCAST,
-    WebSocketOp: Capability.WEBSOCKET,
-    RecordStep: None,
-    Observability: None,
+# variant: (answer record type or None, capability or None)
+SIGNATURE: dict[type, tuple[type | None, Capability | None]] = {
+    LLMCall: (LLMResponse, Capability.LLM_REASON),
+    HTTPRequest: (HTTPResponse, Capability.HTTP),
+    FileOp: (FileResult, Capability.FILE),
+    CallMachine: (CallMachineResult, Capability.MACHINE_CALL),
+    MemoryOp: (MemoryResult, Capability.MEMORY),
+    DBOp: (DBResult, Capability.DB),
+    ExecOp: (ExecResult, Capability.EXEC),
+    RecordStep: (None, None),
+    Broadcast: (None, Capability.BROADCAST),
+    EmitEvent: (None, Capability.BROADCAST),
+    GraphQLRequest: (HTTPResponse, Capability.HTTP),
+    WebSocketOp: (WebSocketResult, Capability.WEBSOCKET),
+    MCPCall: (CallMachineResult, Capability.MACHINE_CALL),
+    Observability: (None, None),
 }
+
+DIRECTIVE_TYPES = tuple(SIGNATURE)
+DirectiveEvent = Union[DIRECTIVE_TYPES]
+ANSWER_TYPES = {t: answer for t, (answer, _) in SIGNATURE.items()}
+_CAPABILITY_FOR = {t: cap for t, (_, cap) in SIGNATURE.items()}
 
 
 def directive_tag(d: DirectiveEvent) -> str:
     """The variant name of a directive; injective over the 14 variants."""
     return type(d).__name__
-
-
-def is_observability(d: DirectiveEvent) -> bool:
-    return type(d) is Observability
 
 
 def capability_for_directive(d: DirectiveEvent) -> Capability | None:

@@ -63,13 +63,6 @@ class Vis(NamedTuple):
     cont: Callable[[Any], "ITree"]
 
 
-class FuelExhausted(NamedTuple):
-    """Marker returned by ``observe`` when the step budget ran out."""
-
-
-FUEL_EXHAUSTED = FuelExhausted()
-
-
 class ITree:
     """A lazily unfolded interaction tree.
 
@@ -196,7 +189,8 @@ def bind(t: ITree, k: Callable[[Any], ITree]) -> ITree:
 
 
 def skip_taus(t: ITree, fuel: Fuel) -> "tuple[Any, Fuel, bool]":
-    """Unfold through Tau nodes, spending one fuel per skip.
+    """Force the head of ``t``: unfold through Tau nodes, spending one fuel
+    per skip, to the first Ret or Vis node.
 
     Returns ``(node, fuel_left, looped)``. ``node`` is the first non-Tau
     node, or ``None`` if fuel ran out or a Tau self-loop was detected;
@@ -212,19 +206,6 @@ def skip_taus(t: ITree, fuel: Fuel) -> "tuple[Any, Fuel, bool]":
         t = node.rest
         node = t.step()
     return node, fuel, False
-
-
-def observe(t: ITree, fuel: Fuel):
-    """Force the head of ``t``: the first Ret or Vis node.
-
-    Ret and Vis cost no fuel to report; each Tau skipped on the way costs
-    one. Returns ``FUEL_EXHAUSTED`` if the budget runs out first (a Tau
-    self-loop exhausts immediately rather than spinning).
-    """
-    node, _, looped = skip_taus(t, fuel)
-    if node is None or looped:
-        return FUEL_EXHAUSTED
-    return node
 
 
 HOLDS = "holds"

@@ -20,7 +20,11 @@ keeps the result; a ``Program`` built directly compiles on its first
 limit allows is a ``ProgramError`` too.
 
 Pure functions inside nodes are written in a tiny total expression
-language evaluated against the node's input value. Operations never
+language evaluated against the node's input value. Besides the payload
+forms ``input``, ``int``, ``str`` and ``unit``, each operation is stated
+once, as the function of its argument values in the table for its arity
+(``_UNARY``, ``_BINARY``); ``validate_expr`` reads an op's arity from
+that table and ``eval_expr`` dispatches through it. Operations never
 raise; mixed types go through fixed coercions:
 
 * to_int: ints as-is, booleans 0/1, strings their length, unit 0,
@@ -93,10 +97,24 @@ def to_bool(v) -> bool:
     return False
 
 
-_ARITY = {
-    **dict.fromkeys(("input", "int", "str", "unit"), 0),
-    **dict.fromkeys(("fst", "snd", "len", "not"), 1),
-    **dict.fromkeys(("add", "sub", "mul", "mod", "concat", "pair", "eq", "lt", "and", "or"), 2),
+# op: the total function of its argument values
+_UNARY = {
+    "fst": lambda v: v[0] if isinstance(v, tuple) else v,
+    "snd": lambda v: v[1] if isinstance(v, tuple) else v,
+    "len": to_int,
+    "not": lambda v: not to_bool(v),
+}
+_BINARY = {
+    "add": lambda a, b: to_int(a) + to_int(b),
+    "sub": lambda a, b: to_int(a) - to_int(b),
+    "mul": lambda a, b: to_int(a) * to_int(b),
+    "mod": lambda a, b: to_int(a) % to_int(b) if to_int(b) != 0 else 0,
+    "concat": lambda a, b: to_str(a) + to_str(b),
+    "pair": lambda a, b: (a, b),
+    "eq": lambda a, b: a == b,
+    "lt": lambda a, b: to_int(a) < to_int(b),
+    "and": lambda a, b: to_bool(a) and to_bool(b),
+    "or": lambda a, b: to_bool(a) or to_bool(b),
 }
 
 
@@ -117,28 +135,30 @@ def validate_expr(expr) -> dict:
     if not isinstance(expr, dict) or "op" not in expr:
         raise ProgramError(f"expression must be an object with an op: {expr!r}")
     op = expr["op"]
-    arity = _ARITY.get(op) if type(op) is str else None
-    if arity == 0:
+    if type(op) is str and (op in _UNARY or op in _BINARY):
+        arity = 1 if op in _UNARY else 2
+        args = expr.get("args")
+        if not isinstance(args, list) or len(args) != arity:
+            raise ProgramError(f"{op} takes {'one argument' if arity == 1 else 'two arguments'}")
+        for a in args:
+            validate_expr(a)
+    elif op == "int":
         # not isinstance: True is an int to Python, not an integer literal
-        if op == "int" and type(expr.get("value")) is not int:
+        if type(expr.get("value")) is not int:
             raise ProgramError("int literal needs an integer value")
-        if op == "str":
-            value = expr.get("value")
-            if not isinstance(value, str):
-                raise ProgramError("str literal needs a string value")
-            _valid_text(value, "str literal")
-        return expr
-    if arity is None:
+    elif op == "str":
+        value = expr.get("value")
+        if not isinstance(value, str):
+            raise ProgramError("str literal needs a string value")
+        _valid_text(value, "str literal")
+    elif op != "input" and op != "unit":
         raise ProgramError(f"unknown expression op {op!r}")
-    args = expr.get("args")
-    if not isinstance(args, list) or len(args) != arity:
-        raise ProgramError(f"{op} takes {'one argument' if arity == 1 else 'two arguments'}")
-    for a in args:
-        validate_expr(a)
     return expr
 
 
 def eval_expr(expr: dict, x):
+    """The value of a valid expression on the input ``x``; an op in neither
+    table is a ``KeyError``."""
     op = expr["op"]
     if op == "input":
         return x
@@ -147,38 +167,10 @@ def eval_expr(expr: dict, x):
     if op == "unit":
         return None
     args = expr["args"]
-    if op == "pair":
-        return (eval_expr(args[0], x), eval_expr(args[1], x))
-    if op == "fst":
-        v = eval_expr(args[0], x)
-        return v[0] if isinstance(v, tuple) else v
-    if op == "snd":
-        v = eval_expr(args[0], x)
-        return v[1] if isinstance(v, tuple) else v
-    if op == "len":
-        return to_int(eval_expr(args[0], x))
-    if op == "not":
-        return not to_bool(eval_expr(args[0], x))
-    a = eval_expr(args[0], x)
-    b = eval_expr(args[1], x)
-    if op == "add":
-        return to_int(a) + to_int(b)
-    if op == "sub":
-        return to_int(a) - to_int(b)
-    if op == "mul":
-        return to_int(a) * to_int(b)
-    if op == "mod":
-        n = to_int(b)
-        return to_int(a) % n if n != 0 else 0
-    if op == "concat":
-        return to_str(a) + to_str(b)
-    if op == "eq":
-        return a == b
-    if op == "lt":
-        return to_int(a) < to_int(b)
-    if op == "and":
-        return to_bool(a) and to_bool(b)
-    return to_bool(a) or to_bool(b)
+    unary = _UNARY.get(op)
+    if unary is not None:
+        return unary(eval_expr(args[0], x))
+    return _BINARY[op](eval_expr(args[0], x), eval_expr(args[1], x))
 
 
 def _require_str(node: dict, key: str) -> str:

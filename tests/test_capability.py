@@ -1,10 +1,7 @@
 """Capability lattice, within-caps checking, trust, and cap morphisms."""
 
-import ast
 import itertools
 import random
-import tokenize
-from pathlib import Path
 
 import hypothesis.strategies as st
 from hypothesis import given
@@ -278,56 +275,3 @@ def test_dual_guarantee_composite_campaign():
             cm, mock_handler(i), PERMISSIVE, [rng.randrange(50), (3, 4)], 2000, SAMPLER
         )
         assert v.is_holds, (i, v.describe())
-
-
-# --- every public name has a caller -------------------------------------------
-
-ROOT = Path(__file__).resolve().parents[1]
-CAPABILITY = ROOT / "src" / "govtree" / "capability.py"
-
-# Tests are their only callers today; the capability campaign decides
-# whether each joins the shipped path or leaves the module.
-PENDING_CAMPAIGN = {"allowed_cap_set", "dual_guarantee_check"}
-
-
-def _top_level_definitions(tree):
-    """Public name -> line span of the statement that defines it."""
-    spans = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        start = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
-        for name in names:
-            if not name.startswith("_"):
-                spans[name] = range(start, node.end_lineno + 1)
-    return spans
-
-
-def _name_tokens(path):
-    """(name, line) for every identifier in code; strings and comments
-    are not references."""
-    with tokenize.open(path) as f:
-        return [(tok.string, tok.start[0]) for tok in tokenize.generate_tokens(f.readline)
-                if tok.type == tokenize.NAME]
-
-
-def test_every_public_capability_name_has_a_caller_outside_tests():
-    spans = _top_level_definitions(ast.parse(CAPABILITY.read_text(encoding="utf-8")))
-    used = set()
-    for directory in ("src/govtree", "perfbench", "scripts"):
-        for path in (ROOT / directory).glob("*.py"):
-            own = path == CAPABILITY
-            used.update(name for name, line in _name_tokens(path)
-                        if not (own and name in spans and line in spans[name]))
-    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
-    named_by_criteria = {
-        alias.name for node in ast.walk(acceptance)
-        if isinstance(node, ast.ImportFrom) and node.module == "govtree.capability"
-        for alias in node.names
-    }
-    assert PENDING_CAMPAIGN <= set(spans)
-    assert sorted(set(spans) - used - named_by_criteria - PENDING_CAMPAIGN) == []

@@ -11,7 +11,6 @@ from govtree.directives import (
     ANSWER_TYPES,
     DIRECTIVE_TYPES,
     Capability,
-    HTTPRequest,
     LLMCall,
     MCPCall,
     Observability,
@@ -22,7 +21,6 @@ from govtree.directives import (
     derive_rng,
     directive_tag,
     encode_directive,
-    is_observability,
     mock_answer,
     mock_handler,
 )
@@ -51,10 +49,8 @@ def test_tag_examples():
 
 
 def test_is_observability_selects_exactly_one_variant():
-    hits = [d for d in sample_directives() if is_observability(d)]
-    assert len(hits) == 1 and type(hits[0]) is Observability
-    assert is_observability(Observability("log"))
-    assert not is_observability(HTTPRequest("GET", "u", "b"))
+    hits = [d for d in sample_directives() if type(d) is Observability]
+    assert len(hits) == 1 and directive_tag(hits[0]) == "Observability"
 
 
 def test_capability_mapping():

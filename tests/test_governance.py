@@ -66,12 +66,13 @@ def test_govern_inserts_check_before_io():
 
 
 def test_denied_check_diverges():
-    from govtree.itree import FUEL_EXHAUSTED, observe
+    from govtree.itree import skip_taus
 
     gh = govern(mock_handler(0))
     tree = gh.transform(llm_program())
     denied_branch = tree.step().cont(False)
-    assert observe(denied_branch, 1000) is FUEL_EXHAUSTED
+    node, _, looped = skip_taus(denied_branch, 1000)
+    assert node is None and looped
     out = interpret_governed(gh, DENYING, llm_program(), 1000)
     assert not out.completed and out.denied
 

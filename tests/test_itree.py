@@ -14,13 +14,11 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from govtree.itree import (
-    FUEL_EXHAUSTED,
     Ret,
     Tau,
     Vis,
     bind,
     eutt_bounded,
-    observe,
     ret,
     run_pure,
     skip_taus,
@@ -101,8 +99,8 @@ def tree_paths(t, depth, fuel=200):
 
 
 def test_ret_observes_as_ret():
-    assert observe(ret(7), 0) == Ret(7)
-    assert observe(ret(None), 0) == Ret(None)
+    assert skip_taus(ret(7), 0) == (Ret(7), 0, False)
+    assert skip_taus(ret(None), 0) == (Ret(None), 0, False)
 
 
 def test_nodes_equal_only_nodes_of_their_own_type():
@@ -111,7 +109,6 @@ def test_nodes_equal_only_nodes_of_their_own_type():
     assert Ret(7) != (7,) and (7,) != Ret(7) and not Ret(7) == (7,)
     assert Tau(None) != Ret(None) and Ret(None) != Tau(None)
     assert Vis(1, k) == Vis(1, k) and Vis(1, k) != (1, k)
-    assert FUEL_EXHAUSTED != Ret(None)
     assert hash(Ret(7)) == hash((7,)) and repr(Ret(7)) == "Ret(value=7)"
 
 
@@ -121,26 +118,27 @@ def test_bind_ret_is_continuation():
 
 
 def test_observe_costs_fuel_only_for_taus():
-    assert observe(tau(ret(1)), 1) == Ret(1)
-    assert observe(tau(ret(1)), 0) is FUEL_EXHAUSTED
+    assert skip_taus(tau(ret(1)), 1) == (Ret(1), 0, False)
+    assert skip_taus(tau(ret(1)), 5) == (Ret(1), 4, False)
+    assert skip_taus(tau(ret(1)), 0) == (None, 0, False)
 
 
 def test_observe_spin_always_exhausts():
     for fuel in (0, 1, 1000):
-        assert observe(spin(), fuel) is FUEL_EXHAUSTED
+        assert skip_taus(spin(), fuel) == (None, fuel, True)
 
 
 def test_observe_is_pure():
     t = bind(tau(ret(2)), lambda x: ret(x * 2))
-    first = observe(t, 10)
-    second = observe(t, 10)
+    first, _, _ = skip_taus(t, 10)
+    second, _, _ = skip_taus(t, 10)
     assert first == second
     assert first is second
 
 
 def test_vis_head_is_returned_without_answer():
     t = vis(Evt(1), lambda x: ret(x))
-    node = observe(t, 0)
+    node, _, _ = skip_taus(t, 0)
     assert type(node) is Vis and node.event == Evt(1)
 
 
@@ -267,8 +265,8 @@ def test_spin_through_reassociated_bind_is_detected():
 
 def test_reassociated_bind_is_memoized():
     t = bind(bind(bind(tau(ret(2)), lambda x: tau(ret(x * 2))), ret), lambda x: ret(x + 1))
-    first = observe(t, 10)
-    second = observe(t, 10)
+    first, _, _ = skip_taus(t, 10)
+    second, _, _ = skip_taus(t, 10)
     assert first == Ret(5)
     assert first is second
     assert t.step() is t.step()

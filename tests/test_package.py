@@ -1,0 +1,75 @@
+"""Package-wide rules: every public name in ``src/govtree`` has a caller."""
+
+import ast
+import tokenize
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "govtree"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("__"))
+
+# Public names whose only callers are tests, each with the reason it stays.
+KEEP = {
+    "itree.eutt_bounded": "the oracle of the bind-law tests",
+    "itree.tau": "a tree constructor, beside ret and vis",
+    "category.associator_inv": "a structural inverse the monoidal-law tests check",
+    "category.left_unitor_inv": "a structural inverse the monoidal-law tests check",
+    "category.right_unitor_inv": "a structural inverse the monoidal-law tests check",
+    "category.interp_tensor_distribute_check": "a monoidal law in tests/test_category.py",
+    "capability.allowed_cap_set": "pending the capability campaign (ROADMAP item 9)",
+    "capability.dual_guarantee_check": "pending the capability campaign (ROADMAP item 9)",
+}
+
+
+def _top_level_definitions(tree):
+    """Public name -> line span of the statement that defines it."""
+    spans = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        start = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+        for name in names:
+            if not name.startswith("_"):
+                spans[name] = range(start, node.end_lineno + 1)
+    return spans
+
+
+def _name_tokens(path):
+    """(name, line) for every identifier in code; strings and comments
+    are not references."""
+    with tokenize.open(path) as f:
+        return [(tok.string, tok.start[0]) for tok in tokenize.generate_tokens(f.readline)
+                if tok.type == tokenize.NAME]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_name_has_a_caller_outside_tests(module):
+    source = PACKAGE / f"{module}.py"
+    spans = _top_level_definitions(ast.parse(source.read_text(encoding="utf-8")))
+    used = set()
+    for directory in ("src/govtree", "perfbench", "scripts"):
+        for path in (ROOT / directory).glob("*.py"):
+            if path == PACKAGE / "__init__.py":  # a re-export is not a caller
+                continue
+            own = path == source
+            used.update(name for name, line in _name_tokens(path)
+                        if not (own and name in spans and line in spans[name]))
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    named_by_criteria = {
+        alias.name for node in ast.walk(acceptance)
+        if isinstance(node, ast.ImportFrom) and node.module == f"govtree.{module}"
+        for alias in node.names
+    }
+    assert {key.partition(".")[0] for key in KEEP} <= set(MODULES)
+    kept = {key.partition(".")[2] for key in KEEP if key.partition(".")[0] == module}
+    uncalled = set(spans) - used - named_by_criteria
+    assert sorted(kept - uncalled) == []  # each kept name exists and still lacks a caller
+    assert sorted(uncalled - kept) == []

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import govtree.program
+from govtree import reference
 from govtree.capability import (
     CapMorphism,
     cap_empty,
@@ -97,6 +98,58 @@ def test_generated_expressions_total_and_deterministic(seed):
     validate_expr(expr)
     x = gen_input(rng)
     assert eval_expr(expr, x) == eval_expr(expr, x)
+
+
+# Values of every type the language has: negative ints, booleans, empty and
+# other strings, unit, and pairs nested on either side.
+_VALUE_POOL = (
+    -7, -1, 0, 2, True, False, "", "ab", "x:y", None,
+    (1, "a"), (-3, (True, "")), ((None, 4), ("z", False)),
+)
+
+
+def _same(a, b):
+    """Equal values of equal types; pairs are compared part by part."""
+    if type(a) is not type(b):
+        return False
+    return all(map(_same, a, b)) if type(a) is tuple else a == b
+
+
+def _every_op_on_the_pool():
+    """(expression, input) pairs: each op of the grammar applied to the pool,
+    a binary op to every ordered pair of pool values."""
+    arg = {"op": "input"}
+    halves = [{"op": "fst", "args": [arg]}, {"op": "snd", "args": [arg]}]
+    yield {"op": "unit"}, 0
+    yield from (({"op": "int", "value": v}, None) for v in (-7, 0, 5))
+    yield from (({"op": "str", "value": v}, None) for v in ("", "ab"))
+    for op, arity in _ORACLE_ARITY.items():
+        if arity == 0:
+            continue
+        if arity == 1:
+            cases = (({"op": op, "args": [arg]}, v) for v in _VALUE_POOL)
+        else:
+            cases = (({"op": op, "args": halves}, pair)
+                     for pair in itertools.product(_VALUE_POOL, repeat=2))
+        yield from cases
+    yield from ((arg, v) for v in _VALUE_POOL)
+
+
+def test_every_expression_op_agrees_with_the_reference_evaluator():
+    seen = set()
+    for expr, x in _every_op_on_the_pool():
+        validate_expr(expr)
+        got, want = eval_expr(expr, x), reference._eval(expr, x)
+        assert _same(got, want), (expr, x, got, want)
+        seen.add(expr["op"])
+    assert seen == set(_ORACLE_ARITY)
+
+
+def test_eval_expr_refuses_an_op_outside_the_grammar():
+    one = {"op": "int", "value": 1}
+    for args in ([one, {"op": "int", "value": 0}], [one]):
+        with pytest.raises(KeyError):
+            eval_expr({"op": "xor", "args": args}, 0)
 
 
 def test_tensor_duplicates_non_pair_input():
