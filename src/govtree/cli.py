@@ -34,7 +34,7 @@ from .category import check_hexagon, check_pentagon, check_triangle
 from .directives import ResponseSampler, derive_rng, mock_handler
 from .gen import gen_input, gen_policy, gen_program_ast
 from .governance import gov_safe_check, govern, interpret_governed, policy_by_name
-from .itree import combine_verdicts, fails, holds
+from .itree import combine_verdicts, fails, holds, unknown
 from .ledger import format_ledger, ledger_valid, parse_ledger, trace_to_ledger
 from .program import ProgramError, compile_ast, format_value, parse_program
 from .reference import run_reference
@@ -63,6 +63,8 @@ def render_diff(summary: CheckSummary) -> str:
     lines = [f"differential campaign: {summary.trials} trials"]
     for key, witness in summary.fail_witnesses[:10]:
         lines.append(f"disagreement at trial {key}: {' / '.join(witness)}")
+    if summary.unknowns:  # the only unknowns: tree runs cut short by fuel
+        lines.append(f"fuel-starved={summary.unknowns}")
     lines.append(f"disagreements={summary.fails} " + ("PASS" if summary.passed else "FAIL"))
     return "".join(line + "\n" for line in lines)
 
@@ -72,7 +74,8 @@ def diff_campaign(trials: int, seed: int, fuel: int, bug: str | None = None) -> 
 
     Each trial draws a program, input, policy, and handler seed; the tree
     pipeline and the reference interpreter must agree on completion,
-    value, denial, and the exact trace.
+    value, denial, and the exact trace; a tree run that spent all its fuel
+    on a prefix of the reference trace (which takes none) is ``unknown``.
     """
 
     def trial(rng, i):
@@ -86,6 +89,9 @@ def diff_campaign(trials: int, seed: int, fuel: int, bug: str | None = None) -> 
         ref_out = run_reference(ast, input_value, policy, handler_seed, bug=bug)
         if tree_out == ref_out:  # completion, value, trace and denial
             return holds()
+        starved = not tree_out.completed and not tree_out.denied and tree_out.fuel_used == fuel
+        if starved and ref_out.trace[: len(tree_out.trace)] == tree_out.trace:
+            return unknown("fuel-starved")
         return fails((
             f"tree=({tree_out.completed}, {tree_out.value!r}, denied={tree_out.denied}, "
             f"{len(tree_out.trace)} events) "

@@ -42,6 +42,7 @@ _WORDS = ("alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "zeta")
 _NASTY = ("a,b", "x=y", "p{q}", "tail}", "line\nbreak", "back\\slash")
 
 EFFECTFUL_KINDS = ("reason", "memory", "call")
+_DIRECTIVE_KINDS = EFFECTFUL_KINDS + ("register_machine",)
 PROGRAM_TAGS = ("LLMCall", "MemoryOp", "CallMachine", "Observability")
 
 
@@ -181,28 +182,23 @@ def gen_program_ast(
         extras.append({"kind": "code", "expr": {"op": "input"}})
     elif must_include is not None and ast_kind_count(ast, must_include) == 0:
         extras.append(_gen_effectful(rng, must_include))
-    if force_effectful and ast_directive_count({"kind": "seq", "steps": [ast] + extras}) == 0:
+    if force_effectful and not any(map(_has_directive, [ast] + extras)):
         extras.append(_gen_effectful(rng))
     if extras:
         ast = {"kind": "seq", "steps": [ast] + extras}
     return ast
 
 
+def _children(ast: dict) -> list:
+    return ast.get("steps", []) + [ast[k] for k in ("left", "right", "then", "else") if k in ast]
+
+
 def ast_kind_count(ast: dict, kind: str) -> int:
-    count = 1 if ast.get("kind") == kind else 0
-    for key in ("steps",):
-        for child in ast.get(key, ()):
-            count += ast_kind_count(child, kind)
-    for key in ("left", "right", "then", "else"):
-        if key in ast:
-            count += ast_kind_count(ast[key], kind)
-    return count
+    return (ast.get("kind") == kind) + sum(ast_kind_count(c, kind) for c in _children(ast))
 
 
-def ast_directive_count(ast: dict) -> int:
-    return sum(ast_kind_count(ast, k) for k in EFFECTFUL_KINDS) + ast_kind_count(
-        ast, "register_machine"
-    )
+def _has_directive(ast: dict) -> bool:
+    return ast.get("kind") in _DIRECTIVE_KINDS or any(map(_has_directive, _children(ast)))
 
 
 def gen_register_program(

@@ -170,6 +170,7 @@ class RunOutcome:
     value: Any
     trace: Trace
     denied: bool
+    fuel_used: int = field(default=0, compare=False)  # what ``drive`` spent; not compared
 
 
 def drive(
@@ -190,12 +191,13 @@ def drive(
     it, ends the run before ``answer``.
     """
     events: list = []
+    budget = fuel
     while True:
         node, fuel, looped = skip_taus(t, fuel)
         if node is None or looped:
             break
         if type(node) is Ret:
-            return RunOutcome(True, node.value, tuple(events), False)
+            return RunOutcome(True, node.value, tuple(events), False, budget - fuel)
         if fuel <= 0:
             break
         fuel -= 1
@@ -212,7 +214,7 @@ def drive(
         events.append(entry)
         t = node.cont(reply.value)
     denied = any(type(e) is GovEntry and not e.passed for e in events)
-    return RunOutcome(False, None, tuple(events), denied)
+    return RunOutcome(False, None, tuple(events), denied, budget - fuel)
 
 
 # The two check answers: a forced tree never changes, so every run shares them.

@@ -1,6 +1,8 @@
 """Program files: a serializable AST compiled into directive trees.
 
-A program file is a JSON document::
+A program file is a JSON document; its canonical text, ``json.dumps(doc,
+indent=2)`` and a LF (2-space indent, ASCII escapes, keys in order), is
+written by ``serialize_program`` itself: the stdlib's C encoder ignores ``indent``::
 
     {"version": 1, "input": <value>, "body": <node>}
 
@@ -49,6 +51,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from . import capability
@@ -338,12 +341,45 @@ def parse_program(text: str) -> Program:
     return program
 
 
+def _json_scalar(v) -> str:
+    """``v`` as ``json.dumps`` spells a non-container; another type is a ``TypeError``."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):  # v - v is 0 exactly when v is finite
+        return float.__repr__(v) if v - v == 0 else (
+            "NaN" if v != v else "Infinity" if v > 0 else "-Infinity")
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _write_json(v, indent: str, out: list) -> list:
+    """Append ``json.dumps(v, indent=2)``'s text for ``v`` nested at ``indent``; return ``out``."""
+    if isinstance(v, dict):
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in v.items():
+            key = key if isinstance(key, str) else _json_scalar(key)  # json quotes its spelling
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}" if v else "{}")
+    elif isinstance(v, (list, tuple)):
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in v:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]" if v else "[]")
+    else:
+        out.append(_json_scalar(v))
+    return out
+
+
 def serialize_program(program: Program) -> str:
-    return json.dumps(
-        {
-            "version": 1,
-            "input": value_to_json(program.input_value),
-            "body": program.body,
-        },
-        indent=2,
-    ) + "\n"
+    """The canonical program text: ``json.dumps(doc, indent=2)`` and a LF."""
+    doc = {"version": 1, "input": value_to_json(program.input_value), "body": program.body}
+    return "".join(_write_json(doc, "", [])) + "\n"

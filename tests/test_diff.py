@@ -2,10 +2,13 @@
 
 import random
 
+from govtree import cli
 from govtree.cli import diff_campaign, render_diff
 from govtree.directives import LLMCall, mock_answer, mock_handler
 from govtree.gen import gen_input, gen_program_ast, gen_policy
-from govtree.governance import DENYING, PERMISSIVE, govern, interpret_governed, tag_filter
+from govtree.governance import (
+    DENYING, PERMISSIVE, RunOutcome, govern, interpret_governed, tag_filter,
+)
 from govtree.program import compile_ast
 from govtree.reference import BUGS, run_reference
 from govtree.trace import GovEntry, IoEntry
@@ -147,3 +150,39 @@ def test_pipelines_agree_pointwise():
         ref = run_reference(ast, x, policy, seed)
         tree = interpret_governed(govern(mock_handler(seed)), policy, compile_ast(ast)(x), 100_000)
         assert ref == tree, (i, ast)
+
+
+@pytest.mark.parametrize("fuel, starved", [(3, 35), (0, 130)])
+def test_fuel_starved_trials_are_unknown_not_disagreements(fuel, starved):
+    report = diff_campaign(trials=200, seed=0, fuel=fuel)
+    assert (report.fails, report.unknowns) == (0, starved)
+    assert render_diff(report).endswith(f"fuel-starved={starved}\ndisagreements=0 PASS\n")
+
+
+def test_diff_prints_no_fuel_starved_line_when_none_starved():
+    assert "fuel-starved" not in render_diff(diff_campaign(trials=50, seed=0, fuel=100_000))
+
+
+A, B = GovEntry("LLMCall", True), GovEntry("MemoryOp", True)
+REFERENCE = RunOutcome(True, 1, (A, B), False)
+
+
+@pytest.mark.parametrize(
+    "tree, verdict",
+    [
+        (RunOutcome(True, 1, (A, B), False, 2), "holds"),
+        (RunOutcome(False, None, (A,), False, 5), "unknown"),  # starved on a prefix
+        (RunOutcome(False, None, (), False, 5), "unknown"),
+        (RunOutcome(False, None, (A,), False, 4), "fails"),  # stopped with fuel left
+        (RunOutcome(False, None, (B,), False, 5), "fails"),  # not a prefix
+        (RunOutcome(False, None, (A, B, A), False, 5), "fails"),  # longer than the reference
+        (RunOutcome(False, None, (A,), True, 5), "fails"),  # denied
+    ],
+)
+def test_only_a_fuel_starved_prefix_is_unknown(monkeypatch, tree, verdict):
+    monkeypatch.setattr(cli, "interpret_governed", lambda gh, policy, t, fuel: tree)
+    monkeypatch.setattr(cli, "run_reference", lambda *args, **kwargs: REFERENCE)
+    report = diff_campaign(trials=1, seed=0, fuel=5)
+    assert (report.holds, report.unknowns, report.fails) == (
+        verdict == "holds", verdict == "unknown", verdict == "fails"
+    )

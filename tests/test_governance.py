@@ -1,5 +1,6 @@
 """Governance wrapping, interpretation, and the bounded safety check."""
 
+import dataclasses
 import random
 
 import pytest
@@ -238,6 +239,13 @@ def test_governed_answer_tree_taus_cost_fuel(fuel, completed, value, trace):
     )
 
 
+@pytest.mark.parametrize("fuel, used", [(1, 1), (2, 2), (3, 3), (10, 3)])
+def test_drive_records_the_fuel_it_spent(fuel, used):
+    out = interpret_governed(govern(lambda d: tau(ret(7))), PERMISSIVE, one_call(), fuel)
+    assert out.fuel_used == used
+    assert out == dataclasses.replace(out, fuel_used=used + 1)  # not compared
+
+
 @pytest.mark.parametrize(
     "reply", [spin, lambda: vis(ONE_CALL, ret)], ids=["spin", "vis"]
 )
@@ -327,7 +335,9 @@ def test_fused_drive_matches_the_governed_image_at_every_fuel():
                 fused = interpret_governed(govern(fused_h), policy, morph(x), fuel)
                 image = interpret_governed(image_gh, policy, morph(x), fuel)
                 cases += 1
-                if (fused, len(fused_calls)) != (image, len(image_calls)):
+                if (fused, fused.fuel_used, len(fused_calls)) != (
+                    image, image.fuel_used, len(image_calls)
+                ):
                     differ.append((i, k, fuel))
     assert cases == 27_000
     assert differ == [], f"{len(differ)} cases differ, first {differ[:5]}"

@@ -1,6 +1,7 @@
 """Program file parsing, the expression language, and compilation."""
 
 import copy
+import enum
 import itertools
 import json
 import random
@@ -37,6 +38,7 @@ from govtree.program import (
     to_int,
     to_str,
     validate_expr,
+    value_to_json,
 )
 
 
@@ -206,6 +208,87 @@ def test_serialize_round_trip():
         text = serialize_program(program)
         again = parse_program(text)
         assert again == program
+
+
+def dumps_text(program: Program) -> str:
+    """The canonical text as ``json.dumps`` writes it, its pure-Python
+    encoder being the one that honours ``indent``."""
+    doc = {"version": 1, "input": value_to_json(program.input_value), "body": program.body}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_serializer_agrees_with_json_dumps_on_generated_programs():
+    rng = random.Random(2024)
+    for i in range(2000):
+        ast = gen_program_ast(rng, allow_register=i % 2 == 0, force_effectful=i % 3 == 0)
+        program = Program(gen_input(rng), ast)
+        assert serialize_program(program) == dumps_text(program), i
+
+
+CODE = {"kind": "code", "expr": {"op": "input"}}
+Tag = enum.IntEnum("Tag", "A B")
+EDGE_PROGRAMS = {
+    "text": Program(
+        "caf\u00e9 \u2028 \U0001f600 \ud800 \x00\x1f\x7f \" \\ \t\n",
+        {"kind": "reason", "model": "m\u00fc\"\\", "prompt": {"op": "str", "value": "\udfff\r"},
+         "extract": {"op": "input"}},
+    ),
+    "empty containers": Program(None, {**CODE, "note": [], "meta": {}, "deeper": [[], {}, [{}]]}),
+    "bools next to ints": Program(
+        (True, (1, False)),
+        {"kind": "code", "expr": {"op": "int", "value": 0}, "flags": [True, 1, False, 0, None]},
+    ),
+    "a 40-digit int": Program(10**40 - 1, {"kind": "code", "expr": {"op": "int", "value": -10**39}}),
+    "nested pairs": Program(
+        ((1, ("a", None)), (True, ((2, 3), ""))),
+        {"kind": "code", "expr": {"op": "pair", "args": [CODE["expr"], CODE["expr"]]}},
+    ),
+    "keys json converts": Program(0, {**CODE, "note": {3: "a", None: "b", False: "c", 2.5: "d"}}),
+    "a tuple and an int subclass": Program(0, {**CODE, "note": (Tag.B, ("x",))}),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_PROGRAMS)
+def test_serializer_agrees_with_json_dumps_on_edge_values(name):
+    program = EDGE_PROGRAMS[name]
+    assert serialize_program(program) == dumps_text(program)
+
+
+def test_serializer_writes_json_float_spellings_from_a_parsed_body():
+    text = ('{"version": 1, "input": 0, "body": {"kind": "code", "expr": {"op": "input"}, '
+            '"note": [NaN, Infinity, -Infinity, 1.5, -0.0, 1e300]}}')
+    program = parse_program(text)  # compile_ast ignores the note
+    written = serialize_program(program)
+    assert written == dumps_text(program)
+    assert '"note": [\n      NaN,\n      Infinity,\n      -Infinity,\n      1.5,' in written
+
+
+def test_serializer_writes_the_deepest_seq_parse_program_accepts():
+    def document(n):
+        body = '{"kind": "seq", "steps": [' * n + json.dumps(CODE) + "]}" * n
+        return f'{{"version": 1, "input": 0, "body": {body}}}'
+
+    def accepted(n):
+        try:
+            parse_program(document(n))
+        except ProgramError:
+            return False
+        return True
+
+    lo, hi = 1, 1024  # accepted(lo) and not accepted(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    program = parse_program(document(lo))
+    assert lo > 400 and serialize_program(program) == dumps_text(program)
+
+
+def test_serializer_refuses_what_json_refuses():
+    program = Program(0, {**CODE, "tags": {1, 2}})
+    with pytest.raises(TypeError):
+        dumps_text(program)
+    with pytest.raises(TypeError):
+        serialize_program(program)
 
 
 # Program values: ints, booleans, null, any Unicode text, and pairs of them.
