@@ -294,6 +294,7 @@ def mock_answer(seed: int, d: DirectiveEvent):
 
 
 Handler = Callable[[DirectiveEvent], ITree]
+_UNIT = ret(None)  # a forced tree never changes, so unit answers share one
 
 
 def mock_handler(seed: int) -> Handler:
@@ -302,7 +303,7 @@ def mock_handler(seed: int) -> Handler:
     The returned trees contain no events; same seed and directive always
     produce the same answer.
     """
-    return lambda d: ret(mock_answer(seed, d))
+    return lambda d: _UNIT if ANSWER_TYPES[type(d)] is None else ret(mock_answer(seed, d))
 
 
 # Entries a sampler's answer table holds before it is cleared: one sampler

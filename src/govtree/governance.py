@@ -223,7 +223,7 @@ _VERDICTS = (ret(False), ret(True))
 
 def _perform(h: Handler):
     """The answer rule for released I/O: record it, let ``h`` answer."""
-    return lambda d: (IoEntry(encode_directive(d)), h(d))
+    return lambda d: (tuple.__new__(IoEntry, (encode_directive(d),)), h(d))
 
 
 def interpret_governed(

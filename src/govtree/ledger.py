@@ -10,25 +10,26 @@ entry's hash, and ``sha256(prev_hash || data)``. The chain is rooted at
 
 An entry is well formed when its stored data is its event's encoding
 and its stored hash satisfies the hash equation; a ledger is valid when
-every entry is well formed and linked to the one before. On a ledger
-from ``parse_ledger`` (``_decoded``) the first half holds by
-construction, as ``encode_event(decode_event(b)) == b`` for every
-accepted ``b``, and is not rechecked. A recorded event changed under
-the stored hashes breaks well-formedness (``algebra.tamper_check``).
+every entry is well formed and linked to the one before.
+``parse_ledger`` checks the chain as it reads and keeps the verdict for
+``ledger_valid``; its data needs no check, as ``encode_event(decode_event(b))
+== b`` for every accepted ``b``. Other ledgers are checked in full, so an
+event changed under the stored hashes fails there (``algebra.tamper_check``).
 
 File format (UTF-8, LF): header line ``GOVLEDGER v1 sha256``, then one
 line per entry: ``hex(prev_hash) hex(hash) base64(data)``. Each line
 ends in LF, the last too, and none is empty; a CRLF file is refused.
 Only the lines and fields ``format_ledger`` writes are read, so each
-ledger has one text: a hash
-field is exactly 64 lowercase hex digits, and the base64 field is read
-in strict mode (a non-ASCII or non-base64 character or misplaced
-padding is a ``ValueError``) and must have zero padding bits.
+ledger has one text: a hash field is exactly 64 lowercase hex digits,
+and the base64 field is read in strict mode (a non-ASCII or non-base64
+character or misplaced padding is a ``ValueError``) and must have zero
+padding bits.
 """
 
 from __future__ import annotations
 
 import binascii
+import re
 import struct
 from dataclasses import dataclass, field
 from hashlib import sha256
@@ -88,7 +89,7 @@ class LedgerEntry(NamedTuple):
 @dataclass(frozen=True)
 class Ledger:
     entries: tuple
-    _decoded: bool = field(default=False, init=False, repr=False, compare=False)
+    _verdict: "tuple | None" = field(default=None, init=False, repr=False, compare=False)
 
     def events(self) -> Trace:
         return tuple(e.event for e in self.entries)
@@ -96,9 +97,12 @@ class Ledger:
 
 def trace_to_ledger(trace: Iterable[TraceEvent]) -> Ledger:
     entries = []
+    encoded = {}  # a run repeats its GovEntrys; equal events encode equally
     prev = GENESIS_HASH
     for ev in trace:
-        data = encode_event(ev)
+        data = encoded.get(ev)
+        if data is None:
+            data = encoded[ev] = encode_event(ev)
         h = entry_hash(prev, data)
         entries.append(_new(LedgerEntry, (ev, data, prev, h)))
         prev = h
@@ -107,12 +111,13 @@ def trace_to_ledger(trace: Iterable[TraceEvent]) -> Ledger:
 
 def ledger_valid(ledger: Ledger) -> "tuple[bool, int | None]":
     """(True, None) for a valid ledger, else (False, first bad index)."""
+    if ledger._verdict is not None:
+        return ledger._verdict
     prev = GENESIS_HASH
-    for i, entry in enumerate(ledger.entries):
-        if (entry.prev_hash != prev or entry.hash != entry_hash(prev, entry.data)
-                or not (ledger._decoded or entry.data == encode_event(entry.event))):
+    for i, (event, data, prev_hash, h) in enumerate(ledger.entries):
+        if prev_hash != prev or h != entry_hash(prev, data) or data != encode_event(event):
             return False, i
-        prev = entry.hash
+        prev = h
     return True, None
 
 
@@ -123,6 +128,7 @@ def _substitute(entries, idx: int, new_event: TraceEvent, keep_data: bool) -> Le
 
 
 LEDGER_HEADER = "GOVLEDGER v1 sha256"
+_HASH_FIELD = re.compile("[0-9a-f]{64}")  # bytes.fromhex also takes uppercase and spaces
 
 
 def format_ledger(ledger: Ledger) -> str:
@@ -136,14 +142,9 @@ def format_ledger(ledger: Ledger) -> str:
 
 
 def _hash_field(text: str, line_no: int) -> bytes:
-    # bytes.fromhex alone also takes uppercase digits and skips whitespace
-    try:
-        h = bytes.fromhex(text)
-    except ValueError:
-        h = b""
-    if len(h) != 32 or h.hex() != text:
+    if not _HASH_FIELD.fullmatch(text):
         raise ValueError(f"line {line_no}: hash field is not 64 lowercase hex digits")
-    return h
+    return bytes.fromhex(text)
 
 
 def parse_ledger(text: str) -> Ledger:
@@ -151,6 +152,8 @@ def parse_ledger(text: str) -> Ledger:
     if lines[0] != LEDGER_HEADER:
         raise ValueError("missing ledger header")
     entries = []
+    decoded = {}  # base64 field -> (data, event): each distinct field decoded once
+    bad = 0  # line number of the first entry whose link or hash equation fails
     link, h = GENESIS_HASH.hex(), GENESIS_HASH  # the previous entry's hash field
     for line_no, line in enumerate(lines[1:-1], 2):
         try:
@@ -159,17 +162,27 @@ def parse_ledger(text: str) -> Ledger:
             problem = "malformed ledger entry" if line else "empty line"
             raise ValueError(f"line {line_no}: {problem}") from None
         prev_hash = h if prev_text == link else _hash_field(prev_text, line_no)
-        link, h = hash_text, _hash_field(hash_text, line_no)
-        try:
-            data = binascii.a2b_base64(b64, strict_mode=True)
-            # strict mode ignores the padding bits, which only a padded field has
-            if b64[-1:] == "=" and binascii.b2a_base64(data, newline=False).decode() != b64:
-                raise ValueError("base64 field has nonzero padding bits")
-            entries.append(_new(LedgerEntry, (decode_event(data), data, prev_hash, h)))
-        except ValueError as e:  # base64 and event errors, given the line they are on
-            raise ValueError(f"line {line_no}: {e}") from None
+        known = decoded.get(b64)
+        if known is None:
+            try:
+                data = binascii.a2b_base64(b64, strict_mode=True)
+                # strict mode ignores the padding bits, which only a padded field has
+                if b64[-1:] == "=" and binascii.b2a_base64(data, newline=False).decode() != b64:
+                    raise ValueError("base64 field has nonzero padding bits")
+                known = decoded[b64] = data, decode_event(data)
+            except ValueError as e:  # base64 and event errors, given the line they are on
+                _hash_field(hash_text, line_no)  # but the hash field's error comes first
+                raise ValueError(f"line {line_no}: {e}") from None
+        data, event = known
+        digest = sha256(prev_hash + data).digest()
+        # a digest that spells the field proves it canonical and the equation true
+        h = digest if digest.hex() == hash_text else _hash_field(hash_text, line_no)
+        if not bad and (prev_text != link or h != digest):
+            bad = line_no
+        link = hash_text
+        entries.append(_new(LedgerEntry, (event, data, prev_hash, h)))
     if lines[-1]:
         raise ValueError(f"line {len(lines)}: no LF at the end of the file")
     ledger = Ledger(tuple(entries))
-    object.__setattr__(ledger, "_decoded", True)
+    object.__setattr__(ledger, "_verdict", (False, bad - 2) if bad else (True, None))
     return ledger

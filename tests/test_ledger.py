@@ -1,6 +1,7 @@
 """Event encoding, hash chaining, validity, and tamper detection."""
 
 import binascii
+import dataclasses
 import os
 import random
 import re
@@ -375,16 +376,75 @@ def test_parsed_ledger_with_a_substituted_entry_is_rejected_there(keep_data):
 
 
 def test_ledger_rebuilt_from_parsed_entries_is_checked_event_against_data():
+    # parse_ledger's kept verdict must not reach a ledger made from its entries
     parsed = _parsed(5, 11)
     assert ledger_valid(Ledger(parsed.entries)) == (True, None)
+    assert ledger_valid(dataclasses.replace(parsed)) == (True, None)
     for idx in range(5):
         entries = list(parsed.entries)
         e = entries[idx]
         flipped = GovEntry(e.event.stage, not e.event.passed) if type(e.event) is GovEntry \
             else IoEntry(e.event.directive + "x")
         entries[idx] = e._replace(event=flipped)
-        rebuilt = Ledger(tuple(entries))
-        assert ledger_valid(rebuilt) == _reference_ledger_valid(rebuilt) == (False, idx)
+        for rebuilt in (Ledger(tuple(entries)), dataclasses.replace(parsed, entries=tuple(entries))):
+            assert ledger_valid(rebuilt) == _reference_ledger_valid(rebuilt) == (False, idx)
+
+
+def _with_field(text, line_no, column, value):
+    lines = text.split("\n")
+    fields = lines[line_no - 1].split(" ")
+    fields[column] = value
+    lines[line_no - 1] = " ".join(fields)
+    return "\n".join(lines)
+
+
+def _other_hash(text, line_no, column):
+    old = text.split("\n")[line_no - 1].split(" ")[column]
+    return ("1" if old[0] == "0" else "0") + old[1:]
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_a_broken_link_never_masks_a_later_format_error(k):
+    text = format_ledger(trace_to_ledger(gen_trace(random.Random(k), 7)))
+    text = _with_field(text, k + 2, 0, _other_hash(text, k + 2, 0))
+    # the last edit breaks a hash field and the base64 field: the hash field's error wins
+    edits = (((0, "00"),), ((1, "X" * 64),), ((2, "*"),), ((1, "X" * 64), (2, "*")))
+    for j in range(k + 1, 7):
+        for edit in edits:
+            bad = text
+            for column, value in edit:
+                bad = _with_field(bad, j + 2, column, value)
+            with pytest.raises(ValueError, match=f"^line {j + 2}: "):
+                parse_ledger(bad)
+            assert _outcome(parse_ledger, bad) == _outcome(_reference_parse_ledger, bad)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_the_parse_time_verdict_is_the_first_bad_entry(k):
+    entries = trace_to_ledger(gen_trace(random.Random(k), 8)).entries
+    text = format_ledger(Ledger(entries[:7]))
+    # entry k is dropped: the next one keeps its hash equation but not its link
+    broken_link = format_ledger(Ledger(entries[:k] + entries[k + 1:]))
+    assert ledger_valid(parse_ledger(broken_link)) == (False, k)
+    for j in range(k, 7):
+        wrong_hash = _with_field(text, j + 2, 1, _other_hash(text, j + 2, 1))
+        assert ledger_valid(parse_ledger(wrong_hash)) == (False, j)
+        both = _with_field(broken_link, j + 2, 1, _other_hash(broken_link, j + 2, 1))
+        expected = _reference_ledger_valid(_reference_parse_ledger(both))
+        assert ledger_valid(parse_ledger(both)) == expected == (False, k)
+
+
+def test_equal_events_of_other_field_types_get_their_own_bytes():
+    # GovEntry("s", True) == GovEntry("s", 1), and both hash alike
+    trace = [GovEntry("s", True), GovEntry("s", 1), GovEntry("s", 2), GovEntry("s", False),
+             IoEntry("Observability{message=m}")]
+    trace += trace[::-1] + [GovEntry("s", 0), GovEntry("s", True)]
+    ledger = trace_to_ledger(trace)
+    assert [e.data for e in ledger.entries] == [encode_event(ev) for ev in trace]
+    assert [e.event for e in ledger.entries] == trace
+    assert ledger_valid(ledger) == (True, None)
+    text = format_ledger(ledger)
+    assert parse_ledger(text) == _reference_parse_ledger(text)
 
 
 def test_tamper_check_reports_on_parsed_and_built_ledgers():
