@@ -41,6 +41,7 @@ from .directives import (
     MemoryOp,
     Observability,
     ResponseSampler,
+    _UNIT,
     mock_handler,
 )
 from .governance import (
@@ -339,10 +340,6 @@ def _translate(p: RegisterProgram, fuel: int, pc: int, regs: tuple) -> ITree:
         return Vis(d, _translate(p, fuel - 1, pc2, regs2))
 
     return _State(step)
-
-
-# Every step is answered with unit; a forced tree never changes, so one serves all.
-_UNIT = ret(None)
 
 
 def register_tree_steps(t: ITree, drive_fuel: int) -> "list | None":
