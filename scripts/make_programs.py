@@ -4,6 +4,7 @@
 import argparse
 from pathlib import Path
 
+from govtree.cli import non_negative_int
 from govtree.directives import derive_rng
 from govtree.gen import gen_input, gen_program_ast
 from govtree.program import Program, serialize_program
@@ -11,7 +12,7 @@ from govtree.program import Program, serialize_program
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--count", type=int, default=10)
+    parser.add_argument("--count", type=non_negative_int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="generated_programs")
     args = parser.parse_args()

@@ -30,11 +30,11 @@ from .directives import SIGNATURE, ResponseSampler, mock_handler
 from .gen import gen_directive, gen_input, gen_program_ast
 from .governance import PERMISSIVE, bare_io, gov_safe_check, govern, interpret_governed
 from .itree import Fuel, fails
-from .program import compile_ast
+from .program import PRIMITIVES, compile_ast
 
 EFFECTFUL_VARIANTS = tuple(t for t, (_, cap) in SIGNATURE.items() if cap is not None)
 
-_PRIMITIVE_ROLES = ("code", "reason", "memory", "call")
+_PRIMITIVE_ROLES = ("code", *PRIMITIVES)
 
 
 def run_coterminous(

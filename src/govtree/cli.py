@@ -12,8 +12,9 @@ Exit codes: 0 success / value produced, 1 verification or suite failure,
 negative counts, a non-integer ``GOVTREE_SEED``), 65 input error
 (unreadable, non-UTF-8 or malformed program file, a program string
 holding an unpaired surrogate such as a ``\\ud800`` escape, unknown
-policy, a value that ``run`` or ``check`` builds nested too deeply or an
-integer too long to convert to text), 73 cannot create an output file (a
+policy or a ``tags:`` policy tag that names no directive variant, a
+value that ``run`` or ``check`` builds nested too deeply or an integer
+too long to convert to text), 73 cannot create an output file (a
 ``--trace-out`` or ``--ledger-out`` path that cannot be written). An
 input error, an output file that cannot be written or a bad
 ``GOVTREE_SEED`` prints one ``govtree: error:`` line on stderr.

@@ -4,7 +4,10 @@ Everything here is driven by an explicit ``random.Random`` so that every
 campaign is reproducible from its seed. Programs are generated as the
 same field-tagged AST dictionaries the program-file parser accepts, so
 one generator feeds the in-memory campaigns, the file-based CLI runs,
-and the differential tester alike.
+and the differential tester alike. An effectful node's fields are read
+from ``program.PRIMITIVES`` and a directive's from its own dataclass
+fields, so neither signature is restated here; only the choices for
+fields that are not free words are.
 
 Generated extract expressions are biased toward actually using the
 directive answer, so that a run's final value depends on the answers it
@@ -15,35 +18,28 @@ observably wrong, not silently equivalent.
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 from .category import DecJz, Halt, Inc, RegisterProgram, register_listing
 from .directives import (
-    Broadcast,
-    CallMachine,
-    DBOp,
+    DIRECTIVE_TYPES,
     DirectiveEvent,
-    EmitEvent,
-    ExecOp,
     FileOp,
-    GraphQLRequest,
     HTTPRequest,
-    LLMCall,
-    MCPCall,
     MemoryOp,
-    Observability,
-    RecordStep,
     WebSocketOp,
     encode_directive,
 )
 from .governance import DENYING, PERMISSIVE, GovernancePolicy, tag_filter
+from .program import PRIMITIVES
 from .trace import GovEntry, IoEntry
 
 _WORDS = ("alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "zeta")
 _NASTY = ("a,b", "x=y", "p{q}", "tail}", "line\nbreak", "back\\slash")
 
-EFFECTFUL_KINDS = ("reason", "memory", "call")
+EFFECTFUL_KINDS = tuple(PRIMITIVES)
 _DIRECTIVE_KINDS = EFFECTFUL_KINDS + ("register_machine",)
-PROGRAM_TAGS = ("LLMCall", "MemoryOp", "CallMachine", "Observability")
+PROGRAM_TAGS = (*(row[1].__name__ for row in PRIMITIVES.values()), "Observability")
 
 
 def gen_word(rng: random.Random, nasty_fraction: float = 0.0) -> str:
@@ -90,31 +86,18 @@ def _gen_extract(rng: random.Random) -> dict:
     return {"op": "int", "value": rng.randrange(10)}
 
 
+# effectful kind: the choices for its string field
+_STR_CHOICES = {"reason": ("m1", "m2"), "memory": ("get", "put", "del"), "call": ("calc", "index")}
+
+
 def _gen_effectful(rng: random.Random, kind: str | None = None) -> dict:
+    """A node of ``kind`` (else a random effectful kind), drawn field by field in node order."""
     kind = kind or rng.choice(EFFECTFUL_KINDS)
-    if kind == "reason":
-        return {
-            "kind": "reason",
-            "model": rng.choice(("m1", "m2")),
-            "prompt": gen_expr(rng, 1),
-            "extract": _gen_extract(rng),
-        }
-    if kind == "memory":
-        return {
-            "kind": "memory",
-            "mop": rng.choice(("get", "put", "del")),
-            "key": gen_expr(rng, 1),
-            "value": gen_expr(rng, 1),
-            "extract": _gen_extract(rng),
-        }
-    if kind != "call":
+    if kind not in PRIMITIVES:
         raise ValueError(f"not an effectful kind: {kind!r}")
-    return {
-        "kind": "call",
-        "machine": rng.choice(("calc", "index")),
-        "payload": gen_expr(rng, 1),
-        "extract": _gen_extract(rng),
-    }
+    _, _, name, exprs = PRIMITIVES[kind]
+    return {"kind": kind, name: rng.choice(_STR_CHOICES[kind]),
+            **{f: gen_expr(rng, 1) for f in exprs}, "extract": _gen_extract(rng)}
 
 
 def gen_register_ast(rng: random.Random, max_len: int = 6, max_fuel: int = 12) -> dict:
@@ -227,27 +210,18 @@ def gen_policy(rng: random.Random) -> GovernancePolicy:
     return tag_filter(allowed)
 
 
+# (directive type, field): the choices its value is drawn from; any other field draws a word
+_FIELD_CHOICES = {(HTTPRequest, "method"): ("GET", "POST"), (FileOp, "op"): ("read", "write"),
+                  (MemoryOp, "op"): ("get", "put", "del"), (WebSocketOp, "op"): ("send", "recv")}
+# tag: (directive type, each field's choices in declaration order, None for a word)
+_DIRECTIVE_DRAWS = {t.__name__: (t, tuple(_FIELD_CHOICES.get((t, f.name)) for f in fields(t)))
+                    for t in DIRECTIVE_TYPES}
+
+
 def gen_directive(rng: random.Random, tag: str | None = None) -> DirectiveEvent:
-    w = lambda: gen_word(rng, nasty_fraction=0.05)
-    builders = {
-        "LLMCall": lambda: LLMCall(model=w(), prompt=w()),
-        "HTTPRequest": lambda: HTTPRequest(method=rng.choice(("GET", "POST")), url=w(), body=w()),
-        "FileOp": lambda: FileOp(op=rng.choice(("read", "write")), path=w()),
-        "CallMachine": lambda: CallMachine(machine=w(), payload=w()),
-        "MemoryOp": lambda: MemoryOp(op=rng.choice(("get", "put", "del")), key=w(), value=w()),
-        "DBOp": lambda: DBOp(query=w()),
-        "ExecOp": lambda: ExecOp(command=w()),
-        "RecordStep": lambda: RecordStep(step=w()),
-        "Broadcast": lambda: Broadcast(channel=w(), message=w()),
-        "EmitEvent": lambda: EmitEvent(name=w(), payload=w()),
-        "GraphQLRequest": lambda: GraphQLRequest(endpoint=w(), query=w()),
-        "WebSocketOp": lambda: WebSocketOp(op=rng.choice(("send", "recv")), url=w(), message=w()),
-        "MCPCall": lambda: MCPCall(server=w(), method=w()),
-        "Observability": lambda: Observability(message=w()),
-    }
-    if tag is None:
-        tag = rng.choice(tuple(builders))
-    return builders[tag]()
+    """A directive of variant ``tag`` (else a random one), drawn field by field in order."""
+    t, draws = _DIRECTIVE_DRAWS[rng.choice(DIRECTIVE_TYPES).__name__ if tag is None else tag]
+    return t(*[gen_word(rng, 0.05) if c is None else rng.choice(c) for c in draws])
 
 
 def gen_trace_event(rng: random.Random):

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from .directives import (
+    DIRECTIVE_TYPES,
     DirectiveEvent,
     Handler,
     ResponseSampler,
@@ -93,13 +94,18 @@ def tag_filter(allowed: Iterable[str]) -> GovernancePolicy:
 
 
 def policy_by_name(spec: str) -> GovernancePolicy:
+    """``permissive``, ``denying`` or ``tags:`` and directive tags, comma-separated."""
     if spec == "permissive":
         return PERMISSIVE
     if spec == "denying":
         return DENYING
     if spec.startswith("tags:"):
-        rest = spec[len("tags:"):]
-        return tag_filter(t for t in rest.split(",") if t)
+        tags = [t for t in spec[len("tags:"):].split(",") if t]
+        known = {d.__name__ for d in DIRECTIVE_TYPES}
+        for t in tags:
+            if t not in known:
+                raise ValueError(f"unknown directive tag {t!r} in policy {spec!r}")
+        return tag_filter(tags)
     raise ValueError(f"unknown policy {spec!r}")
 
 

@@ -19,7 +19,8 @@ which states its capability bound; the result is a ``CapMorphism``.
 ``parse_program`` compiles the body once and the ``Program`` it returns
 keeps the result; a ``Program`` built directly compiles on its first
 ``compile()`` or ``caps()``. A document nested deeper than the recursion
-limit allows is a ``ProgramError`` too.
+limit allows is a ``ProgramError`` too. Each effectful kind is stated once,
+as a row of ``PRIMITIVES`` that ``compile_ast`` and ``gen`` both read.
 
 Pure functions inside nodes are written in a tiny total expression
 language evaluated against the node's input value. Besides the payload
@@ -213,38 +214,39 @@ def _parse_register(node: dict) -> "tuple[RegisterProgram, int]":
     return program, fuel
 
 
-# Closures are built in functions of their own: a cell in ``compile_ast``
-# would be made on every call, whatever the node kind. The recursive kinds
-# stay in ``compile_ast``, one frame per nesting level.
-
-def _extractor(node: dict):
-    """The node's extract expression, applied to an answer as the pair
-    ``(status, content)``."""
-    extract = validate_expr(node.get("extract"))
-    return lambda ans: eval_expr(extract, (ans.status, ans.content))
+# kind: (capability constructor, directive type, string field, expression
+# fields in the directive's order); a node has these fields and ``extract``
+PRIMITIVES = {
+    "reason": (capability.cap_reason, LLMCall, "model", ("prompt",)),
+    "memory": (capability.cap_memory, MemoryOp, "mop", ("key", "value")),
+    "call": (capability.cap_call, CallMachine, "machine", ("payload",)),
+}
 
 
-def _compile_reason(node: dict) -> CapMorphism:
-    model, prompt = _require_str(node, "model"), validate_expr(node.get("prompt"))
-    return capability.cap_reason(
-        lambda a: LLMCall(model, to_str(eval_expr(prompt, a))), _extractor(node)
-    )
+# Per-node functions are partials, which are smaller than closures, or closures
+# built in functions of their own: a cell in ``compile_ast`` would be made on
+# every call. The recursive kinds stay in ``compile_ast``, one frame per level.
+
+def _directive_1(directive: type, s: str, e: dict, a):
+    return directive(s, to_str(eval_expr(e, a)))
 
 
-def _compile_memory(node: dict) -> CapMorphism:
-    mop, key = _require_str(node, "mop"), validate_expr(node.get("key"))
-    value = validate_expr(node.get("value"))
-    return capability.cap_memory(
-        lambda a: MemoryOp(mop, to_str(eval_expr(key, a)), to_str(eval_expr(value, a))),
-        _extractor(node),
-    )
+def _directive_2(directive: type, s: str, e1: dict, e2: dict, a):
+    return directive(s, to_str(eval_expr(e1, a)), to_str(eval_expr(e2, a)))
 
 
-def _compile_call(node: dict) -> CapMorphism:
-    machine, payload = _require_str(node, "machine"), validate_expr(node.get("payload"))
-    return capability.cap_call(
-        lambda a: CallMachine(machine, to_str(eval_expr(payload, a))), _extractor(node)
-    )
+def _extract(extract: dict, ans):
+    return eval_expr(extract, (ans.status, ans.content))
+
+
+def _compile_primitive(node: dict, cap, directive: type, name: str, exprs: tuple) -> CapMorphism:
+    """A node of a ``PRIMITIVES`` row, checked in the row's field order, then ``extract``."""
+    s, e = _require_str(node, name), validate_expr(node.get(exprs[0]))
+    if len(exprs) == 1:
+        make = partial(_directive_1, directive, s, e)
+    else:
+        make = partial(_directive_2, directive, s, e, validate_expr(node.get(exprs[1])))
+    return cap(make, partial(_extract, validate_expr(node.get("extract"))))
 
 
 def _predicate(pred: dict):
@@ -261,12 +263,8 @@ def compile_ast(node) -> CapMorphism:
     kind = node["kind"]
     if kind == "code":
         return capability.cap_code(partial(eval_expr, validate_expr(node.get("expr"))))
-    if kind == "reason":
-        return _compile_reason(node)
-    if kind == "memory":
-        return _compile_memory(node)
-    if kind == "call":
-        return _compile_call(node)
+    if type(kind) is str and kind in PRIMITIVES:
+        return _compile_primitive(node, *PRIMITIVES[kind])
     if kind == "seq":
         steps = node.get("steps")
         if not isinstance(steps, list) or not steps:

@@ -482,6 +482,15 @@ def test_unknown_policy_is_an_input_error():
     assert_one_line_error(result, EXIT_INPUT)
 
 
+# A misspelt tag, or one with a space after its comma, names no variant:
+# refused, not a policy that silently denies that directive.
+@pytest.mark.parametrize("policy", ["tags:LLMcall", "tags:LLMCall, MemoryOp"])
+def test_a_policy_tag_that_names_no_variant_is_an_input_error(policy):
+    result = run_module("run", str(PROGRAMS / "llm_pipeline.json"), "--policy", policy)
+    assert_one_line_error(result, EXIT_INPUT)
+    assert "unknown directive tag" in result.stderr
+
+
 # 1,200 steps each pairing the input with 0: the value they build nests too
 # deeply to print, and with a final `len` too deeply to measure.
 _PAIR_STEP = {"kind": "code",
@@ -669,3 +678,12 @@ def test_make_programs_writes_runnable_programs(tmp_path):
         result = run_module("run", str(path))
         assert result.returncode in (EXIT_OK, EXIT_DENIED, EXIT_FUEL), result.stderr
         assert "Traceback" not in result.stderr
+
+
+def test_make_programs_refuses_a_negative_count(tmp_path):
+    script = SRC.parent / "scripts" / "make_programs.py"
+    out = tmp_path / "out"
+    made = run_child(str(script), "--count", "-3", "--out", str(out))
+    assert made.returncode != 0
+    assert "--count: must not be negative: -3" in made.stderr
+    assert not out.exists()

@@ -122,6 +122,13 @@ def test_policy_by_name_round_trip():
     assert policy_by_name("denying") is DENYING
     p = policy_by_name("tags:LLMCall,MemoryOp")
     assert p.decide("LLMCall", None) and not p.decide("FileOp", None)
+    assert not policy_by_name("tags:").decide("LLMCall", None)
+
+
+@pytest.mark.parametrize("spec", ["tags:LLMcall", "tags:LLMCall, MemoryOp", "tags:Gov"])
+def test_policy_by_name_refuses_a_tag_that_names_no_variant(spec):
+    with pytest.raises(ValueError, match="unknown directive tag"):
+        policy_by_name(spec)
 
 
 def test_gov_safe_ret_holds_for_any_flag():

@@ -616,6 +616,11 @@ def _machine(registers=1, fuel=1, program=None):
     # with two faults, the first in depth-first order is the one reported
     {"kind": "seq", "steps": [{"kind": "code", "expr": 1}, {"kind": "teleport"}]},
     {"kind": "tensor", "left": {"kind": "teleport"}, "right": {"kind": "code"}},
+    # kinds that are not strings, some unhashable
+    {"kind": []},
+    {"kind": {}},
+    {"kind": None},
+    {"kind": 1},
 ])
 def test_compiling_refuses_each_malformed_shape(body):
     expected = _verdict(_oracle_validate_ast, body)
