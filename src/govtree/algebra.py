@@ -55,7 +55,7 @@ from .governance import (
     rewrap,
     stage_of,
 )
-from .itree import BoundedVerdict, Fuel, Vis, fails, holds, ret, unknown
+from .itree import BoundedVerdict, Fuel, Vis, _new, fails, holds, ret, unknown
 from .trace import IoEntry
 from .gen import gen_directive, gen_input, gen_program_ast, gen_register_program, gen_trace_event
 from .ledger import Ledger, _substitute, ledger_valid
@@ -77,7 +77,7 @@ def no_check_operator() -> GovernanceOperator:
 
     def make(h: Handler) -> GovernedHandler:
         def on_vis(d, cont, rec):
-            return Vis(Io(d), lambda x: rec(cont(x)))
+            return _new(Vis, (_new(Io, (d,)), lambda x: rec(cont(x))))
 
         return rewrap(h, on_vis)
 
@@ -112,7 +112,7 @@ def fingerprinting_operator() -> GovernanceOperator:
 
         def on_vis(d, cont, rec):
             gate = check_gate(d, cont, rec)
-            return Vis(Gov(f"{stage_of(d)}#h{token}", d), gate.cont)
+            return _new(Vis, (_new(Gov, (f"{stage_of(d)}#h{token}", d)), gate.cont))
 
         return rewrap(h, on_vis)
 

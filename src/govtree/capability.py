@@ -47,10 +47,12 @@ from .governance import (
     interpret_governed,
 )
 from .itree import (
+    _HOLDS,
     BoundedVerdict,
     Fuel,
     ITree,
     Ret,
+    _new,
     bind,
     combine_verdicts,
     explore,
@@ -107,11 +109,11 @@ def within_caps_check(
     def expand(t: ITree, fuel: Fuel):
         node, fuel, looped = skip_taus(t, fuel)
         if looped:
-            return holds()
+            return _HOLDS
         if node is None:
             return unknown("fuel-exhausted")
         if type(node) is Ret:
-            return holds()
+            return _HOLDS
         d = node.event
         needed = capability_for_directive(d)
         if needed is not None and needed not in caps:
@@ -217,9 +219,6 @@ class CapMorphism(NamedTuple):
 
     def __call__(self, a) -> ITree:
         return self.morph(a)
-
-
-_new = tuple.__new__  # a NamedTuple from its fields, without its Python __new__
 
 
 def cap_code(f) -> CapMorphism:

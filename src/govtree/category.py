@@ -58,12 +58,14 @@ from .itree import (
     ITree,
     Ret,
     Vis,
+    _new,
     bind,
     combine_verdicts,
     fails,
     holds,
     ret,
     run_pure,
+    thunk,
     unknown,
     vis,
 )
@@ -331,15 +333,15 @@ class _State(ITree):
 def _translate(p: RegisterProgram, fuel: int, pc: int, regs: tuple) -> ITree:
     def step():
         if fuel <= 0 or not 0 <= pc < len(p.instructions):
-            return Ret(None)
+            return _new(Ret, (None,))
         outcome = _step(p.instructions[pc], pc, regs)
         if outcome is None:
-            return Ret(None)
+            return _new(Ret, (None,))
         pc2, regs2 = outcome
         d = Observability(_step_message(pc, regs2))
-        return Vis(d, _translate(p, fuel - 1, pc2, regs2))
+        return _new(Vis, (d, _translate(p, fuel - 1, pc2, regs2)))
 
-    return _State(step)
+    return thunk(step, _State)
 
 
 def register_tree_steps(t: ITree, drive_fuel: int) -> "list | None":

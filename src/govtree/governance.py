@@ -20,12 +20,16 @@ the source tree with no checks.
 an I/O node is legal only under an approval flag that is set by a passing
 check and cleared again after every I/O node. Check events are explored
 on both answers; I/O answers are sampled.
+
+The governed events ``Gov`` and ``Io`` are ``NamedTuple``s, each equal
+only to its own type (``itree.own_type_eq``), built like tree nodes with
+``tuple.__new__``. Every denial continues into one shared ``spin`` tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .directives import (
     DIRECTIVE_TYPES,
@@ -36,18 +40,21 @@ from .directives import (
     encode_directive,
 )
 from .itree import (
+    _HOLDS,
     BoundedVerdict,
     Fuel,
     ITree,
     Ret,
     Tau,
     Vis,
+    _new,
     explore,
     fails,
-    holds,
+    own_type_eq,
     ret,
     skip_taus,
     spin,
+    thunk,
     unknown,
     vis,
 )
@@ -56,8 +63,8 @@ from .trace import GovEntry, IoEntry, Trace
 GovernanceStage = str
 
 
-@dataclass(frozen=True, slots=True)
-class Gov:
+@own_type_eq
+class Gov(NamedTuple):
     """A pending governance decision: the checkpoint stage plus the
     directive awaiting release. The stage label is the directive tag."""
 
@@ -65,8 +72,8 @@ class Gov:
     directive: DirectiveEvent
 
 
-@dataclass(frozen=True, slots=True)
-class Io:
+@own_type_eq
+class Io(NamedTuple):
     directive: DirectiveEvent
 
 
@@ -135,25 +142,29 @@ def rewrap(h: Handler, on_vis) -> GovernedHandler:
             if kind is Ret:
                 return node
             if kind is Tau:
-                return Tau(transform(node.rest))
+                return _new(Tau, (transform(node.rest),))
             return on_vis(node.event, node.cont, transform)
 
-        return ITree(step)
+        return thunk(step)
 
     return GovernedHandler(base=h, transform=transform, gate=on_vis)
+
+
+# Every denial diverges into this one loop: a forced tree never changes.
+_DENIED = spin()
 
 
 def check_gate(d: DirectiveEvent, cont, rec):
     """The check-before-effect node for ``d``: a check event whose true
     answer releases ``Io(d)`` and continues with ``rec(cont(answer))``,
-    and whose false answer diverges."""
+    and whose false answer diverges into the shared ``spin`` loop."""
 
     def after_check(approved: bool) -> ITree:
         if not approved:
-            return spin()
-        return vis(Io(d), lambda x: rec(cont(x)))
+            return _DENIED
+        return vis(_new(Io, (d,)), lambda x: rec(cont(x)))
 
-    return Vis(Gov(stage_of(d), d), after_check)
+    return _new(Vis, (_new(Gov, (stage_of(d), d)), after_check))
 
 
 def govern(h: Handler) -> GovernedHandler:
@@ -229,7 +240,7 @@ _VERDICTS = (ret(False), ret(True))
 
 def _perform(h: Handler):
     """The answer rule for released I/O: record it, let ``h`` answer."""
-    return lambda d: (tuple.__new__(IoEntry, (encode_directive(d),)), h(d))
+    return lambda d: (_new(IoEntry, (encode_directive(d),)), h(d))
 
 
 def interpret_governed(
@@ -291,11 +302,11 @@ def gov_safe_check(
         t, approved = state
         node, fuel, looped = skip_taus(t, fuel)
         if looped:
-            return holds()
+            return _HOLDS
         if node is None:
             return unknown("fuel-exhausted")
         if type(node) is Ret:
-            return holds()
+            return _HOLDS
         ev = node.event
         if type(ev) is Gov:
             if fuel <= 0:
@@ -324,4 +335,4 @@ def gov_safe_check(
 def bare_io(d: DirectiveEvent) -> ITree:
     """A governed-signature tree performing ``d`` with no preceding check;
     the canonical unsafe tree."""
-    return vis(Io(d), lambda x: ret(None))
+    return vis(_new(Io, (d,)), lambda x: ret(None))

@@ -9,7 +9,10 @@ A program is a potentially infinite tree with three node shapes:
 
 Nothing below a node is built until the node is observed, and every
 observed node is memoized, so observation is pure: two observations of
-the same tree yield the very same node objects.
+the same tree yield the very same node objects. Nodes are ``NamedTuple``s
+equal only to nodes of their own type (``own_type_eq``). They are built
+by ``tuple.__new__`` in the helpers (``ret``, ``tau``, ``vis``), never by
+calling the class, whose ``__new__`` is Python code run per node.
 
 Because trees may be infinite, every analysis here is bounded by an
 explicit ``fuel`` budget (a per-path step count) and reports a
@@ -66,16 +69,13 @@ class Vis(NamedTuple):
 class ITree:
     """A lazily unfolded interaction tree.
 
-    ``step()`` forces and memoizes exactly one node. The constructor takes
-    a thunk producing that node; use the module-level helpers (``ret``,
-    ``tau``, ``vis``) rather than calling this directly.
+    ``step()`` forces and memoizes exactly one node. A tree has no
+    constructor: ``ret``, ``tau`` and ``vis`` build forced trees,
+    ``thunk`` an unforced one whose node a function makes when first
+    observed.
     """
 
     __slots__ = ("_thunk", "_node")
-
-    def __init__(self, thunk: Callable[[], Any] | None):
-        self._thunk = thunk
-        self._node = None
 
     def step(self):
         node = self._node
@@ -86,22 +86,38 @@ class ITree:
         return node
 
 
-def _of_node(node) -> ITree:
-    t = ITree(None)
-    t._node = node
+# Trees and nodes are built without running Python code: a tree is an
+# ``object.__new__`` with its slots stored, a node a ``tuple.__new__`` of
+# its fields. A forced tree never reads its thunk slot, so leaves it unset.
+_tree = object.__new__
+_new = tuple.__new__  # a NamedTuple from its fields, without its Python __new__
+
+
+def thunk(step: Callable[[], Any], cls=ITree) -> ITree:
+    """An unforced tree of class ``cls`` (``ITree`` or a subclass) whose
+    node is ``step()``, called once, when the tree is first observed."""
+    t = _tree(cls)
+    t._node = None
+    t._thunk = step
     return t
 
 
 def ret(value: Any) -> ITree:
-    return _of_node(Ret(value))
+    t = _tree(ITree)
+    t._node = _new(Ret, (value,))
+    return t
 
 
 def tau(rest: ITree) -> ITree:
-    return _of_node(Tau(rest))
+    t = _tree(ITree)
+    t._node = _new(Tau, (rest,))
+    return t
 
 
 def vis(event: Any, cont: Callable[[Any], ITree]) -> ITree:
-    return _of_node(Vis(event, cont))
+    t = _tree(ITree)
+    t._node = _new(Vis, (event, cont))
+    return t
 
 
 def spin() -> ITree:
@@ -112,8 +128,8 @@ def spin() -> ITree:
     fresh nodes and is *not* detectable; bounded checks on it stay
     ``unknown``, which is the honest answer.
     """
-    t = ITree(None)
-    t._node = Tau(t)
+    t = _tree(ITree)
+    t._node = _new(Tau, (t,))
     return t
 
 
@@ -126,11 +142,6 @@ class _Bind(ITree):
     """
 
     __slots__ = ("_src", "_ks")
-
-    def __init__(self, src: ITree, ks):
-        self._node = None
-        self._src = src
-        self._ks = ks
 
     def step(self):
         node = self._node
@@ -145,8 +156,12 @@ def _attach(t: ITree, ks) -> ITree:
     """``t`` followed by the queue ``ks``. An unforced bind node gets the
     queue appended to its own rather than a new layer around it."""
     if type(t) is _Bind and t._node is None:
-        return _Bind(t._src, (t._ks, ks))
-    return _Bind(t, ks)
+        t, ks = t._src, (t._ks, ks)
+    b = _tree(_Bind)
+    b._node = None
+    b._src = t
+    b._ks = ks
+    return b
 
 
 def _step_bind(t: ITree, ks):
@@ -162,10 +177,10 @@ def _step_bind(t: ITree, ks):
         if ks is None:
             return node
         if type(node) is Tau:
-            return Tau(_attach(node.rest, ks))
+            return _new(Tau, (_attach(node.rest, ks),))
         if type(node) is Vis:
             cont = node.cont
-            return Vis(node.event, lambda x: _attach(cont(x), ks))
+            return _new(Vis, (node.event, lambda x: _attach(cont(x), ks)))
         while type(ks) is tuple and type(ks[0]) is tuple:  # rotate left
             (a, b), c = ks
             ks = (a, (b, c))

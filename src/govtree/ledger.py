@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Iterable, NamedTuple
 
+from .itree import _new
 from .trace import GovEntry, IoEntry, Trace, TraceEvent
 
 GENESIS_HASH = bytes(32)
-_new = tuple.__new__  # a NamedTuple from its fields, without its Python __new__
 
 _TYPE_GOV = 0x01
 _TYPE_IO = 0x02

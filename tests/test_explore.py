@@ -212,3 +212,44 @@ def test_shared_sampler_gives_the_verdicts_of_fresh_ones():
         for check in checks:
             v, w = check(shared), check(ResponseSampler(seed=23))
             assert (v.status, v.witness, v.reason) == (w.status, w.witness, w.reason), i
+
+
+class CountingSampler:
+    """A sampler that counts the ``answers`` calls a check makes."""
+
+    def __init__(self, sampler):
+        self.sampler = sampler
+        self.calls = 0
+
+    def answers(self, event):
+        self.calls += 1
+        return self.sampler.answers(event)
+
+
+def test_three_checks_pinned_on_1500_effectful_programs():
+    # check-small's three checks, depth-first order included: each
+    # program's verdicts and its count of sampler calls (the events a
+    # checker expanded) are pinned
+    rng = random.Random(41)
+    sampler = ResponseSampler(seed=41)
+    rows = []
+    for _ in range(1500):
+        m = compile_ast(gen_program_ast(rng, allow_register=True, force_effectful=True))
+        x = gen_input(rng)
+        h = mock_handler(rng.randrange(2**32))
+        counting = CountingSampler(sampler)
+        verdicts = (
+            gov_safe_check(govern(h).transform(m(x)), False, 4096, counting),
+            gov_safe_check(no_check_operator().transform(h).transform(m(x)), False, 4096, counting),
+            within_caps_check(m.caps, m(x), 4096, counting),
+        )
+        rows.append((tuple((v.status, v.witness, v.reason) for v in verdicts), counting.calls))
+    statuses = [s for vs, _ in rows for s, _, _ in vs]
+    assert (statuses.count("holds"), statuses.count("fails"), statuses.count("unknown")) == (
+        3062, 1438, 0
+    )
+    assert sum(calls for _, calls in rows) == 45042
+    assert hashlib.sha256(repr([vs for vs, _ in rows]).encode()).hexdigest()[:16] == "0f3b85b596ac1d5b"
+    assert hashlib.sha256(repr([calls for _, calls in rows]).encode()).hexdigest()[:16] == (
+        "33c0357710429969"
+    )

@@ -32,7 +32,7 @@ from govtree.governance import (
     policy_by_name,
     tag_filter,
 )
-from govtree.itree import Ret, Vis, bind, eutt_bounded, ret, spin, tau, vis
+from govtree.itree import Ret, Vis, bind, eutt_bounded, ret, skip_taus, spin, tau, vis
 from govtree.program import compile_ast
 from govtree.trace import GovEntry, IoEntry
 
@@ -67,8 +67,6 @@ def test_govern_inserts_check_before_io():
 
 
 def test_denied_check_diverges():
-    from govtree.itree import skip_taus
-
     gh = govern(mock_handler(0))
     tree = gh.transform(llm_program())
     denied_branch = tree.step().cont(False)
@@ -76,6 +74,47 @@ def test_denied_check_diverges():
     assert node is None and looped
     out = interpret_governed(gh, DENYING, llm_program(), 1000)
     assert not out.completed and out.denied
+
+
+def test_every_denial_continues_into_one_shared_loop():
+    gh = govern(mock_handler(0))
+    d1, d2 = LLMCall("m", "p"), FileOp("read", "x")
+    denials = [
+        check_gate(d1, ret, ret).cont(False),
+        check_gate(d2, lambda x: ret(1), ret).cont(False),
+        gh.transform(llm_program()).step().cont(False),
+        gh.transform(llm_program("q")).step().cont(False),
+    ]
+    assert all(t is denials[0] for t in denials)
+    assert skip_taus(denials[0], 1000) == (None, 1000, True)
+
+
+def test_governed_events_equal_only_their_own_type():
+    d = LLMCall("m", "p")
+    gov, io = Gov("LLMCall", d), Io(d)
+    assert gov == Gov("LLMCall", d) and gov != Gov("MemoryOp", d) and io == Io(d)
+    for other in (("LLMCall", d), GovEntry("LLMCall", d), Vis("LLMCall", d)):
+        assert gov != other and other != gov and not gov == other and not other == gov
+    for other in ((d,), IoEntry(d), Ret(d), Gov(d, d)):
+        assert io != other and other != io and not io == other and not other == io
+    assert hash(gov) == hash(("LLMCall", d)) and hash(io) == hash((d,))
+    assert repr(gov) == "Gov(stage='LLMCall', directive=LLMCall(model='m', prompt='p'))"
+    assert repr(io) == "Io(directive=LLMCall(model='m', prompt='p'))"
+    assert (gov.stage, gov.directive, io.directive) == ("LLMCall", d, d)
+
+
+def test_eutt_witness_names_differing_governed_events():
+    d = LLMCall("m", "p")
+    checks = [vis(Gov(stage, d), lambda ok: ret(ok)) for stage in ("LLMCall", "LLMCall#h1")]
+    assert eutt_bounded(*checks, 10, SAMPLER).witness == (
+        "events differ: Gov(stage='LLMCall', directive=LLMCall(model='m', prompt='p'))"
+        " != Gov(stage='LLMCall#h1', directive=LLMCall(model='m', prompt='p'))",
+    )
+    released = [vis(Io(d), ret), vis(Io(FileOp("read", "x")), ret)]
+    assert eutt_bounded(*released, 10, SAMPLER).witness == (
+        "events differ: Io(directive=LLMCall(model='m', prompt='p'))"
+        " != Io(directive=FileOp(op='read', path='x'))",
+    )
 
 
 def test_interpret_pure_has_empty_trace():

@@ -73,3 +73,20 @@ def test_every_public_name_has_a_caller_outside_tests(module):
     uncalled = set(spans) - used - named_by_criteria
     assert sorted(kept - uncalled) == []  # each kept name exists and still lacks a caller
     assert sorted(uncalled - kept) == []
+
+
+# Tree nodes and governed events are built with ``tuple.__new__`` (or a
+# helper such as ``itree.ret`` that does so): calling the class runs the
+# NamedTuple's Python-level ``__new__`` on every node.
+FAST_BUILT = {"Ret", "Tau", "Vis", "Gov", "Io"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_nodes_and_governed_events_have_one_spelling(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    called = (
+        (node.lineno, getattr(node.func, "id", getattr(node.func, "attr", None)))
+        for node in ast.walk(tree) if isinstance(node, ast.Call)
+    )
+    slow = [f"line {line}: {name}(...)" for line, name in called if name in FAST_BUILT]
+    assert slow == []
