@@ -16,10 +16,10 @@ over bind, and ``interp_tensor_distribute_check`` applies it to ``tensor``.
 
 The register machine at the bottom of the module is the Turing-complete
 core used to demonstrate that unbounded computation stays inside
-governance: programs over Inc / DecJz / Halt translate, fuel-unrolled,
-into directive trees that log every executed step as an observability
-directive. Their oracle is ``reference.register_steps``, which shares no
-code with the translation and runs the program's ``register_listing``.
+governance: programs of instruction tuples spelt as in a program file,
+checked only by ``RegisterProgram``, translate, fuel-unrolled, into
+directive trees logging each executed step as an observability directive.
+Their oracle, ``reference.register_steps``, shares no code with them.
 
 A translated machine is a memoized lazy list: each forced state holds its
 one successor, so every path, check and call of ``register_machine``'s
@@ -31,8 +31,9 @@ bounds its length, and a caller's fuel bounds how much of it is forced.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Union
+from typing import Any, Callable, Iterable
 
 from .directives import (
     CallMachine,
@@ -241,54 +242,48 @@ def interp_tensor_distribute_check(
 
 # Register machine.
 
-@dataclass(frozen=True, slots=True)
-class Inc:
-    reg: int
-
-
-@dataclass(frozen=True, slots=True)
-class DecJz:
-    reg: int
-    target: int
-
-
-@dataclass(frozen=True, slots=True)
-class Halt:
-    pass
-
-
-Instruction = Union[Inc, DecJz, Halt]
+MAX_REGISTERS = 64  # each step writes every register into its message
+_SHAPES = {"inc": 2, "decjz": 3, "halt": 1}  # opcode: instruction length
 
 
 @dataclass(frozen=True)
 class RegisterProgram:
+    """Instructions as a program file spells them, stored as tuples:
+    ``("inc", r)``, ``("decjz", r, target)`` or ``("halt",)``. Every shape
+    is checked before any operand."""
+
     instructions: tuple
     registers: int
 
     def __post_init__(self):
-        n = len(self.instructions)
+        for ins in self.instructions:
+            if not isinstance(ins, (list, tuple)) or not ins:
+                raise ValueError(f"malformed instruction {ins!r}")
+            if type(ins[0]) is not str or _SHAPES.get(ins[0]) != len(ins):
+                raise ValueError(f"unknown instruction {ins!r}")
         for i, ins in enumerate(self.instructions):
-            if type(ins) is Inc or type(ins) is DecJz:
+            if len(ins) > 1:
                 # not isinstance: True is an int to Python, not a register
-                if type(ins.reg) is not int or type(ins) is DecJz and type(ins.target) is not int:
+                if any(type(x) is not int for x in ins[1:]):
                     raise ValueError(f"instruction {i}: operands must be integers")
-                if not 0 <= ins.reg < self.registers:
+                if not 0 <= ins[1] < self.registers:
                     raise ValueError(f"instruction {i}: register out of range")
-            if type(ins) is DecJz and not 0 <= ins.target < n:
-                raise ValueError(f"instruction {i}: jump target out of range")
+                if len(ins) == 3 and not 0 <= ins[2] < len(self.instructions):
+                    raise ValueError(f"instruction {i}: jump target out of range")
+        object.__setattr__(self, "instructions", tuple(map(tuple, self.instructions)))
 
 
-def _step(ins: Instruction, pc: int, regs: tuple) -> "tuple[int, tuple] | None":
+def _step(ins: tuple, pc: int, regs: tuple) -> "tuple[int, tuple] | None":
     """One executed instruction; None means halt."""
-    if type(ins) is Halt:
+    name = ins[0]
+    if name == "halt":
         return None
-    if type(ins) is Inc:
-        regs = regs[: ins.reg] + (regs[ins.reg] + 1,) + regs[ins.reg + 1:]
-        return pc + 1, regs
-    if regs[ins.reg] == 0:
-        return ins.target, regs
-    regs = regs[: ins.reg] + (regs[ins.reg] - 1,) + regs[ins.reg + 1:]
-    return pc + 1, regs
+    r = ins[1]
+    if name == "inc":
+        return pc + 1, regs[:r] + (regs[r] + 1,) + regs[r + 1:]
+    if regs[r] == 0:
+        return ins[2], regs
+    return pc + 1, regs[:r] + (regs[r] - 1,) + regs[r + 1:]
 
 
 def _step_message(pc: int, regs: tuple) -> str:
@@ -306,16 +301,6 @@ def register_machine(p: RegisterProgram, fuel: int) -> Morphism:
     """
     t = _translate(p, fuel, 0, (0,) * p.registers)
     return lambda a: t
-
-
-def register_listing(p: RegisterProgram) -> list:
-    """The program's instruction list as a program file writes it."""
-    return [
-        ["inc", ins.reg] if type(ins) is Inc
-        else ["decjz", ins.reg, ins.target] if type(ins) is DecJz
-        else ["halt"]
-        for ins in p.instructions
-    ]
 
 
 class _State(ITree):
@@ -353,12 +338,12 @@ def register_tree_steps(t: ITree, drive_fuel: int) -> "list | None":
 
 def enumerate_register_programs(max_len: int) -> "Iterable[RegisterProgram]":
     """Every two-register program up to ``max_len`` instructions over a
-    small alphabet: Inc and DecJz on each register, jumps to instruction 0
-    or 1 (where in bounds), and Halt."""
+    small alphabet: ``inc`` and ``decjz`` on each register, jumps to
+    instruction 0 or 1 (where in bounds), and ``halt``."""
     for n in range(1, max_len + 1):
-        symbols: list[Instruction] = [Inc(0), Inc(1)]
-        symbols += [DecJz(r, t) for r in (0, 1) for t in (0, 1) if t < n]
-        symbols.append(Halt())
+        symbols = [("inc", 0), ("inc", 1)]
+        symbols += [("decjz", r, t) for r in (0, 1) for t in (0, 1) if t < n]
+        symbols.append(("halt",))
         for combo in itertools.product(symbols, repeat=n):
             yield RegisterProgram(combo, 2)
 
@@ -369,15 +354,20 @@ def check_register_agreement(
     sampler: ResponseSampler,
 ) -> BoundedVerdict:
     """Translated trees agree step-for-step with ``reference.register_steps``
-    on the program's listing, and their governed images pass the safety
+    on the program's instructions, and their governed images pass the safety
     check at fuel 4096. Both walks share the one translation's steps."""
     gh = govern(mock_handler(0))
 
     def agree(p):
-        expected = list(register_steps(register_listing(p), p.registers, fuel))
+        expected = list(register_steps(p.instructions, p.registers, fuel))
         tree = register_machine(p, fuel)(None)
-        if register_tree_steps(tree, drive_fuel=4 * fuel + 8) != expected:
-            return fails((f"register trace mismatch for {p!r}",))
+        got = register_tree_steps(tree, drive_fuel=4 * fuel + 8)
+        if got != expected:
+            pairs = enumerate(itertools.zip_longest(got or (), expected))
+            at = next((i for i, (a, b) in pairs if a != b), 0)  # 0: a run that did not end
+            node = {"kind": "register_machine", "registers": p.registers, "fuel": fuel,
+                    "program": p.instructions}  # a program file's body
+            return fails((f"register trace mismatch at step {at} for {json.dumps(node)}",))
         v = gov_safe_check(gh.transform(tree), False, 4096, sampler)
         if v.is_fails:
             return fails((f"governed register program unsafe: {p!r}",) + v.witness)

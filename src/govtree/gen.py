@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import fields
 
-from .category import DecJz, Halt, Inc, RegisterProgram, register_listing
+from .category import RegisterProgram
 from .directives import (
     DIRECTIVE_TYPES,
     DirectiveEvent,
@@ -106,7 +106,7 @@ def gen_register_ast(rng: random.Random, max_len: int = 6, max_fuel: int = 12) -
         "kind": "register_machine",
         "registers": p.registers,
         "fuel": rng.randrange(1, max_fuel + 1),
-        "program": register_listing(p),
+        "program": [list(ins) for ins in p.instructions],
     }
 
 
@@ -192,11 +192,11 @@ def gen_register_program(
     for _ in range(n):
         roll = rng.random()
         if roll < 0.45:
-            instructions.append(Inc(rng.randrange(registers)))
+            instructions.append(("inc", rng.randrange(registers)))
         elif roll < 0.85:
-            instructions.append(DecJz(rng.randrange(registers), rng.randrange(n)))
+            instructions.append(("decjz", rng.randrange(registers), rng.randrange(n)))
         else:
-            instructions.append(Halt())
+            instructions.append(("halt",))
     return RegisterProgram(tuple(instructions), registers)
 
 

@@ -289,9 +289,10 @@ def explore(root, fuel: Fuel, expand) -> BoundedVerdict:
 
     ``expand(state, fuel)`` judges one node: it returns a verdict for a
     leaf, or a list of children ``(label, state, fuel)`` to visit in
-    order. Children are searched depth first, so the result is the first
-    ``fails`` in depth-first order, else the first ``unknown``, else
-    ``holds``. The search stops at the first ``fails``.
+    order. An empty list, an event the sampler gave no answer, is unknown
+    (sample-limited). Children are searched depth first, so the result is
+    the first ``fails`` in depth-first order, else the first ``unknown``,
+    else ``holds``. The search stops at the first ``fails``.
 
     A label is a tuple ``(fmt, *args)``. Labels stay on parent links and
     are formatted (``fmt.format(*args)``) only to build a ``fails``
@@ -305,6 +306,8 @@ def explore(root, fuel: Fuel, expand) -> BoundedVerdict:
         state, fuel, link = stack.pop()
         out = expand(state, fuel)
         if type(out) is list:
+            if not out and pending is None:
+                pending = unknown("sample-limited")
             for label, child, child_fuel in reversed(out):
                 stack.append((child, child_fuel, (label, link)))
         elif out.status == FAILS:
@@ -354,12 +357,9 @@ def eutt_bounded(t1: ITree, t2: ITree, fuel: Fuel, sampler) -> BoundedVerdict:
                 return fails((f"events differ: {n1.event!r} != {n2.event!r}",))
             if fuel <= 0:
                 return unknown("fuel-exhausted")
-            answers = sampler.answers(n1.event)
-            if not answers:
-                return unknown("sample-limited")
             return [
                 (("{!r} answered {!r}", n1.event, x), (n1.cont(x), n2.cont(x)), fuel - 1)
-                for x in answers
+                for x in sampler.answers(n1.event)
             ]
         return fails((f"node shapes differ: {k1.__name__} vs {k2.__name__}",))
 

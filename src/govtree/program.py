@@ -9,7 +9,7 @@ written by ``serialize_program`` itself: the stdlib's C encoder ignores ``indent
 Values are ints, strings, booleans, null (unit), or two-element lists
 (pairs, possibly nested). Node kinds are ``code``, ``reason``,
 ``memory``, ``call``, ``seq``, ``tensor``, ``branch``, and
-``register_machine``.
+``register_machine`` (of at most ``MAX_REGISTERS`` registers).
 
 The grammar has one definition, ``compile_ast``: a body is accepted
 exactly when it compiles. One depth-first walk checks each node and its
@@ -57,7 +57,7 @@ from typing import Any
 
 from . import capability
 from .capability import CapMorphism, CapSet
-from .category import DecJz, Halt, Inc, RegisterProgram
+from .category import MAX_REGISTERS, RegisterProgram
 from .directives import CallMachine, LLMCall, MemoryOp
 
 
@@ -190,25 +190,14 @@ def _parse_register(node: dict) -> "tuple[RegisterProgram, int]":
     listing = node.get("program")
     if type(registers) is not int or registers < 1:
         raise ProgramError("register_machine needs a positive register count")
+    if registers > MAX_REGISTERS:
+        raise ProgramError(f"register_machine allows at most {MAX_REGISTERS} registers")
     if type(fuel) is not int or fuel < 0:
         raise ProgramError("register_machine needs a non-negative fuel")
     if not isinstance(listing, list):
         raise ProgramError("register_machine needs an instruction list")
-    instructions = []
-    for ins in listing:
-        if not isinstance(ins, list) or not ins:
-            raise ProgramError(f"malformed instruction {ins!r}")
-        name = ins[0]
-        if name == "inc" and len(ins) == 2:
-            instructions.append(Inc(ins[1]))
-        elif name == "decjz" and len(ins) == 3:
-            instructions.append(DecJz(ins[1], ins[2]))
-        elif name == "halt" and len(ins) == 1:
-            instructions.append(Halt())
-        else:
-            raise ProgramError(f"unknown instruction {ins!r}")
     try:
-        program = RegisterProgram(tuple(instructions), registers)
+        program = RegisterProgram(listing, registers)
     except ValueError as e:
         raise ProgramError(str(e)) from None
     return program, fuel

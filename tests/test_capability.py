@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import pytest
 import hypothesis.strategies as st
 from hypothesis import given
 
@@ -37,6 +38,7 @@ from govtree.category import seq_compose
 from govtree.directives import (
     Capability,
     CallMachine,
+    FileOp,
     HTTPRequest,
     LLMCall,
     MemoryOp,
@@ -96,6 +98,18 @@ def test_within_caps_examples():
     assert within_caps_check(
         cap_singleton(Capability.MACHINE_CALL), call_m().morph(1), 50, SAMPLER
     ).is_holds
+
+
+@pytest.mark.parametrize("samples, expected", [
+    (0, "unknown (sample-limited)"),
+    (1, "fails: LLMCall / FileOp needs file"),
+])
+def test_within_caps_explores_only_sampled_answers(samples, expected):
+    # with no answer for the call, its continuation's FileOp is never reached
+    tree = vis(LLMCall("m", "p"), lambda x: vis(FileOp("read", "x"), ret))
+    sampler = ResponseSampler(samples_per_event=samples)
+    caps = cap_singleton(Capability.LLM_REASON)
+    assert within_caps_check(caps, tree, 100, sampler).describe() == expected
 
 
 def test_within_caps_weakening():

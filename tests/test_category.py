@@ -1,6 +1,7 @@
 """Combinators, structural isomorphisms, coherence, register machines."""
 
 import ast
+import json
 import random
 from pathlib import Path
 
@@ -8,9 +9,6 @@ from govtree import category, reference
 from govtree.algebra import no_check_operator
 from govtree.capability import within_caps_check
 from govtree.category import (
-    DecJz,
-    Halt,
-    Inc,
     RegisterProgram,
     _compare_paths,
     associator,
@@ -29,7 +27,6 @@ from govtree.category import (
     left_unitor,
     memory,
     reason,
-    register_listing,
     register_machine,
     register_tree_steps,
     right_unitor,
@@ -261,9 +258,9 @@ def test_compare_paths_reports_a_failure_after_an_unknown():
 
 def test_register_program_validation():
     with pytest.raises(ValueError):
-        RegisterProgram((Inc(2),), 2)
+        RegisterProgram((("inc", 2),), 2)
     with pytest.raises(ValueError):
-        RegisterProgram((DecJz(0, 5),), 1)
+        RegisterProgram((("decjz", 0, 5),), 1)
 
 
 def test_translate_empty_program():
@@ -271,16 +268,16 @@ def test_translate_empty_program():
 
 
 def test_translate_two_increments():
-    p = RegisterProgram((Inc(0), Inc(0)), 1)
+    p = RegisterProgram((("inc", 0), ("inc", 0)), 1)
     steps = register_tree_steps(register_machine(p, 50)(None), 500)
     # the final observability event shows r0=2
     assert steps == ["pc=0;regs=1", "pc=1;regs=2"]
-    ref_steps = list(register_steps(register_listing(p), 1, 50))
+    ref_steps = list(register_steps(p.instructions, 1, 50))
     assert ref_steps == steps and ref_steps[-1] == "pc=1;regs=2"
 
 
 def test_translate_loop_respects_fuel():
-    p = RegisterProgram((Inc(0), DecJz(1, 0)), 2)  # infinite loop
+    p = RegisterProgram((("inc", 0), ("decjz", 1, 0)), 2)  # infinite loop
     steps = register_tree_steps(register_machine(p, 10)(None), 500)
     assert steps is not None and len(steps) == 10
 
@@ -288,9 +285,10 @@ def test_translate_loop_respects_fuel():
 def test_decjz_jump_and_decrement():
     # transfer r0 (=2) into r1, using r2 as the always-zero jump register
     p = RegisterProgram(
-        (Inc(0), Inc(0), DecJz(0, 6), Inc(1), DecJz(2, 2), Halt(), Halt()), 3
+        (("inc", 0), ("inc", 0), ("decjz", 0, 6), ("inc", 1), ("decjz", 2, 2), ("halt",), ("halt",)),
+        3,
     )
-    ref_steps = list(register_steps(register_listing(p), 3, 50))
+    ref_steps = list(register_steps(p.instructions, 3, 50))
     assert register_tree_steps(register_machine(p, 50)(None), 500) == ref_steps == [
         "pc=0;regs=1,0,0", "pc=1;regs=2,0,0", "pc=2;regs=1,0,0", "pc=3;regs=1,1,0",
         "pc=4;regs=1,1,0", "pc=2;regs=0,1,0", "pc=3;regs=0,2,0", "pc=4;regs=0,2,0",
@@ -311,18 +309,36 @@ def test_register_agreement_exhaustive_small():
     assert check_register_agreement(programs, 50, SAMPLER).is_holds
 
 
-def test_register_agreement_fails_on_a_wrong_step(monkeypatch):
-    # DecJz jumps while its register is still 1: the oracle states the
+@pytest.fixture
+def wrong_step(monkeypatch):
+    # decjz jumps while its register is still 1: the oracle states the
     # semantics on its own, so the translation no longer agrees with it
-    def wrong_step(ins, pc, regs):
-        if type(ins) is DecJz and regs[ins.reg] <= 1:
-            return ins.target, regs
+    def wrong(ins, pc, regs):
+        if ins[0] == "decjz" and regs[ins[1]] <= 1:
+            return ins[2], regs
         return step(ins, pc, regs)
 
     step = category._step
-    monkeypatch.setattr(category, "_step", wrong_step)
+    monkeypatch.setattr(category, "_step", wrong)
+
+
+def test_register_agreement_fails_on_a_wrong_step(wrong_step):
     programs = list(enumerate_register_programs(3))
     assert check_register_agreement(programs, 50, SAMPLER).is_fails
+
+
+def test_register_mismatch_names_its_step_and_a_replayable_node(wrong_step):
+    p = RegisterProgram([["inc", 0], ["decjz", 0, 0], ["halt"]], 1)
+    assert p.instructions == (("inc", 0), ("decjz", 0, 0), ("halt",))  # lists stored as tuples
+    v = check_register_agreement([p], 50, SAMPLER)
+    node = ('{"kind": "register_machine", "registers": 1, "fuel": 50, '
+            '"program": [["inc", 0], ["decjz", 0, 0], ["halt"]]}')
+    assert v.witness == (f"register trace mismatch at step 1 for {node}",)
+    # the node is a program body: compiled, its run parts from the oracle's at step 1
+    body = json.loads(node)
+    got = register_tree_steps(compile_ast(body)(None), 500)
+    want = list(register_steps(body["program"], body["registers"], body["fuel"]))
+    assert got[:1] == want[:1] and got[1] != want[1]
 
 
 def test_register_oracle_imports_nothing_from_the_translation():
@@ -346,12 +362,12 @@ def test_translated_programs_are_governed():
 
 
 def test_register_machine_translates_once():
-    m = register_machine(RegisterProgram((Inc(0), DecJz(1, 0)), 2), 10)
+    m = register_machine(RegisterProgram((("inc", 0), ("decjz", 1, 0)), 2), 10)
     assert m(0) is m("x")
 
 
 def test_forced_register_state_has_one_successor():
-    node = register_machine(RegisterProgram((Inc(0), DecJz(1, 0)), 2), 10)(None).step()
+    node = register_machine(RegisterProgram((("inc", 0), ("decjz", 1, 0)), 2), 10)(None).step()
     assert type(node) is Vis and node.cont(None) is node.cont(None)
 
 

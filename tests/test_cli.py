@@ -451,6 +451,20 @@ def test_non_integer_register_operand_is_an_input_error(tmp_path, operand):
     assert_one_line_error(run_module("run", str(program)), EXIT_INPUT)
 
 
+@pytest.mark.parametrize("registers, code", [(64, EXIT_OK), (65, EXIT_INPUT)])
+def test_register_count_limit(tmp_path, registers, code):
+    program = tmp_path / "p.json"
+    program.write_text(
+        '{"version": 1, "input": 0, "body": {"kind": "register_machine", "registers": '
+        f'{registers}, "fuel": 10, "program": [["inc", 0], ["halt"]]}}}}'
+    )
+    result = run_module("run", str(program))
+    assert result.returncode == code
+    if code == EXIT_INPUT:
+        assert_one_line_error(result, EXIT_INPUT)
+        assert result.stderr == "govtree: error: register_machine allows at most 64 registers\n"
+
+
 def test_missing_program_file_is_an_input_error(tmp_path):
     result = run_module("run", str(tmp_path / "missing.json"))
     assert_one_line_error(result, EXIT_INPUT)

@@ -186,6 +186,17 @@ def test_gov_safe_bare_io_with_flag_up_holds():
     assert v.is_holds
 
 
+@pytest.mark.parametrize("samples, expected", [
+    (0, "unknown (sample-limited)"),
+    (1, "fails: io(LLMCall) answered / io(FileOp) without approval"),
+])
+def test_gov_safe_explores_only_sampled_answers(samples, expected):
+    # with no answer for the call, its continuation's unapproved FileOp is never reached
+    tree = vis(Io(LLMCall("m", "p")), lambda x: bare_io(FileOp("read", "x")))
+    sampler = ResponseSampler(samples_per_event=samples)
+    assert gov_safe_check(tree, True, 100, sampler).describe() == expected
+
+
 def test_gov_safe_spin_is_safe_divergence():
     # the canonical denial loop is detected and provably silent
     assert gov_safe_check(spin(), False, 100, SAMPLER).is_holds

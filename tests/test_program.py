@@ -2,6 +2,7 @@
 
 import copy
 import enum
+import hashlib
 import itertools
 import json
 import random
@@ -21,9 +22,9 @@ from govtree.capability import (
     dual_guarantee_check,
     within_caps_check,
 )
-from govtree.category import DecJz, Halt, Inc, RegisterProgram
+from govtree.category import register_tree_steps
 from govtree.directives import Capability, ResponseSampler, mock_handler
-from govtree.gen import gen_expr, gen_input, gen_policy, gen_program_ast
+from govtree.gen import gen_expr, gen_input, gen_policy, gen_program_ast, gen_register_ast
 from govtree.governance import PERMISSIVE, govern, interpret_governed
 from govtree.itree import eutt_bounded, run_pure
 from govtree.program import (
@@ -411,27 +412,26 @@ def _oracle_register(node):
     listing = node.get("program")
     if type(registers) is not int or registers < 1:
         raise ProgramError("register_machine needs a positive register count")
+    if registers > 64:
+        raise ProgramError("register_machine allows at most 64 registers")
     if type(fuel) is not int or fuel < 0:
         raise ProgramError("register_machine needs a non-negative fuel")
     if not isinstance(listing, list):
         raise ProgramError("register_machine needs an instruction list")
-    instructions = []
+    # every instruction's shape first, then each one's operands in order
     for ins in listing:
         if not isinstance(ins, list) or not ins:
             raise ProgramError(f"malformed instruction {ins!r}")
-        name = ins[0]
-        if name == "inc" and len(ins) == 2:
-            instructions.append(Inc(ins[1]))
-        elif name == "decjz" and len(ins) == 3:
-            instructions.append(DecJz(ins[1], ins[2]))
-        elif name == "halt" and len(ins) == 1:
-            instructions.append(Halt())
-        else:
+        if (ins[0], len(ins)) not in (("inc", 2), ("decjz", 3), ("halt", 1)):
             raise ProgramError(f"unknown instruction {ins!r}")
-    try:
-        RegisterProgram(tuple(instructions), registers)
-    except ValueError as e:
-        raise ProgramError(str(e)) from None
+    for i, ins in enumerate(listing):
+        operands = ins[1:]
+        if any(type(x) is not int for x in operands):
+            raise ProgramError(f"instruction {i}: operands must be integers")
+        if operands and not 0 <= operands[0] < registers:
+            raise ProgramError(f"instruction {i}: register out of range")
+        if len(operands) == 2 and not 0 <= operands[1] < len(listing):
+            raise ProgramError(f"instruction {i}: jump target out of range")
 
 
 def _oracle_validate_ast(node):
@@ -599,6 +599,7 @@ def _machine(registers=1, fuel=1, program=None):
     {"kind": "tensor", "left": _STEP},
     {"kind": "branch", "pred": {"op": "input"}, "then": _STEP, "else": {"kind": "teleport"}},
     _machine(registers=0),
+    _machine(registers=65),
     _machine(fuel=-1),
     # a boolean count or fuel is not an integer either
     _machine(registers=True, fuel=True),
@@ -627,6 +628,75 @@ def test_compiling_refuses_each_malformed_shape(body):
     assert expected != "accepted"
     text = json.dumps({"version": 1, "input": 0, "body": body})
     assert _verdict(parse_program, text) == expected
+
+
+def test_register_count_is_bounded():
+    # every step writes each register out, so the count is capped
+    tree = compile_ast(_machine(registers=64, fuel=5, program=[["inc", 63], ["halt"]]))(None)
+    assert register_tree_steps(tree, 50) == ["pc=0;regs=" + "0," * 63 + "1"]
+    with pytest.raises(ProgramError) as refused:
+        compile_ast(_machine(registers=65, program=[["inc", 64], ["halt"]]))
+    assert str(refused.value) == "register_machine allows at most 64 registers"
+
+
+# Register-node edits: a field set to a value of the wrong type or range, a
+# field dropped, an instruction inserted, an operand or an opcode replaced.
+_REGISTER_FIELD_EDITS = (
+    ("registers", (0, -1, 1, 3, 64, True, 2.0, "2", None)),
+    ("fuel", (0, -1, True, 1.5, None, "3")),
+    ("program", ("halt", {}, [], [[]], [["halt"]], None)),
+)
+_INSERTED = ([], "inc", 0, ["inc"], ["inc", 0, 1], ["jump", 0], ["halt", 1], [["inc", 0]],
+             ["decjz", 0], ["decjz", 1, 0], ["inc", 1], ["halt"], [None])
+_OPCODES = ("inc", "decjz", "halt", "jump", "", None, 0)
+_OPERANDS = (True, False, -1, 0, 1, 2, 5, 1.0, "0", None, [0])
+
+
+def _mutated_register_node(rng):
+    node = gen_register_ast(rng)
+    for _ in range(rng.randrange(3)):
+        listing = node.get("program")
+        roll = rng.random()
+        if roll < 0.15:
+            key, values = rng.choice(_REGISTER_FIELD_EDITS)
+            node[key] = rng.choice(values)
+        elif roll < 0.2:
+            del node[rng.choice(sorted(node))]
+        elif not isinstance(listing, list) or not listing:
+            continue
+        elif roll < 0.5:
+            listing.insert(rng.randrange(len(listing) + 1), rng.choice(_INSERTED))
+        else:
+            ins = rng.choice(listing)
+            if isinstance(ins, list) and len(ins) > 1 and roll < 0.9:
+                ins[rng.randrange(1, len(ins))] = rng.choice(_OPERANDS)
+            elif isinstance(ins, list) and ins:
+                ins[0] = rng.choice(_OPCODES)
+    return node
+
+
+def test_mutated_register_nodes_are_pinned():
+    # 10,000 seeded edited register nodes: each refusal message agrees with
+    # the oracle, and the digest of every node with its refusal or its run's
+    # steps holds the compiler's outcomes byte for byte
+    rng = random.Random(24)
+    digest = hashlib.sha256()
+    for _ in range(10_000):
+        node = _mutated_register_node(rng)
+        text, expected = json.dumps(node), _verdict(_oracle_validate_ast, node)
+        try:
+            compiled = compile_ast(node)
+        except ProgramError as e:
+            assert str(e) == expected, text
+            outcome = f"refused {e}"
+        else:
+            assert expected == "accepted", text
+            outcome = "accepted " + "|".join(
+                register_tree_steps(compiled(None), 4 * node["fuel"] + 8))
+        digest.update(f"{text}\n{outcome}\n".encode())
+    assert digest.hexdigest() == (
+        "f6eaa345ade250b125cef89b5c2dd7fb64c5eb081c0371913ba667bb20e3c374"
+    )
 
 
 def test_compiled_caps_equal_the_oracle():
