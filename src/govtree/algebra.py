@@ -30,7 +30,9 @@ report over several summaries (``run_conformance``,
 
 from __future__ import annotations
 
+import itertools
 import random
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -104,11 +106,16 @@ def fingerprinting_operator() -> GovernanceOperator:
     """Stamps a per-handler token into every check stage, distinguishing
     extensionally equal handlers; violates G3."""
     # Keyed on the handler itself, not its id: a freed handler's id is
-    # reused, and would hand its token to the next handler.
-    tokens: dict[Handler, int] = {}
+    # reused, and would hand its token to the next handler. The keys are
+    # weak, so a campaign keeps no handler alive, and a token is never
+    # drawn twice.
+    tokens: weakref.WeakKeyDictionary[Handler, int] = weakref.WeakKeyDictionary()
+    fresh = itertools.count()
 
     def make(h: Handler) -> GovernedHandler:
-        token = tokens.setdefault(h, len(tokens))
+        token = tokens.get(h)
+        if token is None:
+            token = tokens[h] = next(fresh)
 
         def on_vis(d, cont, rec):
             gate = check_gate(d, cont, rec)

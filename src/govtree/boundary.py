@@ -29,7 +29,7 @@ from .algebra import BUNDLED_OPERATOR, CampaignReport, check_G1, check_derived, 
 from .directives import SIGNATURE, ResponseSampler, mock_handler
 from .gen import gen_directive, gen_input, gen_program_ast
 from .governance import PERMISSIVE, bare_io, gov_safe_check, govern, interpret_governed
-from .itree import Fuel, fails
+from .itree import Fuel, unknown
 from .program import PRIMITIVES, compile_ast
 
 EFFECTFUL_VARIANTS = tuple(t for t, (_, cap) in SIGNATURE.items() if cap is not None)
@@ -55,8 +55,9 @@ def run_coterminous(
         ast = gen_program_ast(rng, must_include=role)
         tree = compile_ast(ast)(gen_input(rng))
         gh = govern(mock_handler(rng.randrange(2**32)))
+        # Permissive with a mock handler, a run cut short has run out of fuel.
         if not interpret_governed(gh, PERMISSIVE, tree, fuel).completed:
-            return fails((f"{role} program did not terminate",))
+            return unknown("fuel-exhausted")
         return gov_safe_check(gh.transform(tree), False, fuel, sampler)
 
     return CampaignReport("boundary report", (

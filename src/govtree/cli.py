@@ -9,15 +9,17 @@ given ``--handler-seed``, and each command that draws values given
 
 Exit codes: 0 success / value produced, 1 verification or suite failure,
 2 governance denial, 3 fuel exhausted, 64 usage error (bad arguments,
-negative counts, a non-integer ``GOVTREE_SEED``), 65 input error
+negative counts, a non-integer ``GOVTREE_SEED``, a ``--trace-out`` and a
+``--ledger-out`` that are one file), 65 input error
 (unreadable, non-UTF-8 or malformed program file, a program string
 holding an unpaired surrogate such as a ``\\ud800`` escape, unknown
 policy or a ``tags:`` policy tag that names no directive variant, a
 value that ``run`` or ``check`` builds nested too deeply or an integer
 too long to convert to text), 73 cannot create an output file (a
 ``--trace-out`` or ``--ledger-out`` path that cannot be written). An
-input error, an output file that cannot be written or a bad
-``GOVTREE_SEED`` prints one ``govtree: error:`` line on stderr.
+input error, an output file that cannot be written, a bad
+``GOVTREE_SEED`` or one file named by both output options prints one
+``govtree: error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -104,6 +106,10 @@ def diff_campaign(trials: int, seed: int, fuel: int, bug: str | None = None) -> 
 
 
 def _cmd_run(args) -> int:
+    if args.trace_out and args.ledger_out and (
+        os.path.realpath(args.trace_out) == os.path.realpath(args.ledger_out)
+    ):
+        return _error(f"--trace-out and --ledger-out are one file: {args.ledger_out}", EXIT_USAGE)
     program = parse_program(_read(args.program))
     try:
         policy = policy_by_name(args.policy)

@@ -2,10 +2,11 @@
 
 There are exactly 14 directive variants, each a frozen dataclass whose
 fields are printable scalars (strings and ints). ``SIGNATURE`` is the one
-table of them: in a fixed order, it maps each variant to the record type
-of its answer (None for a unit answer) and to the one capability it
-requires (None for the bookkeeping ``RecordStep`` and ``Observability``).
-``DIRECTIVE_TYPES``, ``DirectiveEvent``, ``ANSWER_TYPES`` and
+table of them: in a fixed order, it maps each variant to the name of its
+answer (None for a unit answer) and to the one capability it requires
+(None for the bookkeeping ``RecordStep`` and ``Observability``). Every
+named answer is an ``Answer`` record whose content starts with that name,
+lowercased. ``DIRECTIVE_TYPES``, ``DirectiveEvent``, ``ANSWER_TYPES`` and
 ``capability_for_directive`` are read off it, as are the primitive bounds
 in ``capability`` and ``boundary.EFFECTFUL_VARIANTS``.
 
@@ -118,52 +119,10 @@ class Observability:
     message: str
 
 
-# Answer records. Unit-valued directives answer with None.
-
+# The answer of every record-answered directive; unit-answered ones
+# answer with None.
 @dataclass(frozen=True, slots=True)
-class LLMResponse:
-    status: int
-    content: str
-
-
-@dataclass(frozen=True, slots=True)
-class HTTPResponse:
-    status: int
-    content: str
-
-
-@dataclass(frozen=True, slots=True)
-class FileResult:
-    status: int
-    content: str
-
-
-@dataclass(frozen=True, slots=True)
-class CallMachineResult:
-    status: int
-    content: str
-
-
-@dataclass(frozen=True, slots=True)
-class MemoryResult:
-    status: int
-    content: str
-
-
-@dataclass(frozen=True, slots=True)
-class DBResult:
-    status: int
-    content: str
-
-
-@dataclass(frozen=True, slots=True)
-class ExecResult:
-    status: int
-    content: str
-
-
-@dataclass(frozen=True, slots=True)
-class WebSocketResult:
+class Answer:
     status: int
     content: str
 
@@ -182,27 +141,29 @@ class Capability(Enum):
     WEBSOCKET = "websocket"
 
 
-# variant: (answer record type or None, capability or None)
-SIGNATURE: dict[type, tuple[type | None, Capability | None]] = {
-    LLMCall: (LLMResponse, Capability.LLM_REASON),
-    HTTPRequest: (HTTPResponse, Capability.HTTP),
-    FileOp: (FileResult, Capability.FILE),
-    CallMachine: (CallMachineResult, Capability.MACHINE_CALL),
-    MemoryOp: (MemoryResult, Capability.MEMORY),
-    DBOp: (DBResult, Capability.DB),
-    ExecOp: (ExecResult, Capability.EXEC),
+# variant: (name of its answer or None, capability or None)
+SIGNATURE: dict[type, tuple[str | None, Capability | None]] = {
+    LLMCall: ("LLMResponse", Capability.LLM_REASON),
+    HTTPRequest: ("HTTPResponse", Capability.HTTP),
+    FileOp: ("FileResult", Capability.FILE),
+    CallMachine: ("CallMachineResult", Capability.MACHINE_CALL),
+    MemoryOp: ("MemoryResult", Capability.MEMORY),
+    DBOp: ("DBResult", Capability.DB),
+    ExecOp: ("ExecResult", Capability.EXEC),
     RecordStep: (None, None),
     Broadcast: (None, Capability.BROADCAST),
     EmitEvent: (None, Capability.BROADCAST),
-    GraphQLRequest: (HTTPResponse, Capability.HTTP),
-    WebSocketOp: (WebSocketResult, Capability.WEBSOCKET),
-    MCPCall: (CallMachineResult, Capability.MACHINE_CALL),
+    GraphQLRequest: ("HTTPResponse", Capability.HTTP),
+    WebSocketOp: ("WebSocketResult", Capability.WEBSOCKET),
+    MCPCall: ("CallMachineResult", Capability.MACHINE_CALL),
     Observability: (None, None),
 }
 
 DIRECTIVE_TYPES = tuple(SIGNATURE)
 DirectiveEvent = Union[DIRECTIVE_TYPES]
-ANSWER_TYPES = {t: answer for t, (answer, _) in SIGNATURE.items()}
+ANSWER_TYPES = {t: None if name is None else Answer for t, (name, _) in SIGNATURE.items()}
+# The content prefix of each variant's answers: its answer's name, lowercased.
+_PREFIXES = {t: None if name is None else name.lower() for t, (name, _) in SIGNATURE.items()}
 _CAPABILITY_FOR = {t: cap for t, (_, cap) in SIGNATURE.items()}
 
 
@@ -275,22 +236,22 @@ def derive_rng(*parts) -> random.Random:
     return random.Random(int.from_bytes(_digest(*parts)[:8], "big"))
 
 
-def _answer(answer_type: type, *parts):
+def _answer(prefix: str, *parts) -> Answer:
     """Status and content number from bytes 0-8 and 8-16 of the digest."""
     digest = _digest(*parts)
     status = 100 + int.from_bytes(digest[:8], "big") % 500
     n = int.from_bytes(digest[8:16], "big") % 1_000_000
-    return answer_type(status, f"{answer_type.__name__.lower()}-{n}")
+    return Answer(status, f"{prefix}-{n}")
 
 
 def mock_answer(seed: int, d: DirectiveEvent):
     """The answer a seeded mock environment gives ``d``: ``None``, with no
     encoding or hashing, if ``d`` is unit-answered, else one read off the
     digest of the seed and the canonical encoding of ``d``."""
-    answer_type = ANSWER_TYPES[type(d)]
-    if answer_type is None:
+    prefix = _PREFIXES[type(d)]
+    if prefix is None:
         return None
-    return _answer(answer_type, "mock", seed, encode_directive(d))
+    return _answer(prefix, "mock", seed, encode_directive(d))
 
 
 Handler = Callable[[DirectiveEvent], ITree]
@@ -303,7 +264,7 @@ def mock_handler(seed: int) -> Handler:
     The returned trees contain no events; same seed and directive always
     produce the same answer.
     """
-    return lambda d: _UNIT if ANSWER_TYPES[type(d)] is None else ret(mock_answer(seed, d))
+    return lambda d: _UNIT if (answer := mock_answer(seed, d)) is None else ret(answer)
 
 
 # Entries a sampler's answer table holds before it is cleared: one sampler
@@ -333,8 +294,8 @@ class ResponseSampler:
     _table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def answers(self, event: DirectiveEvent) -> tuple:
-        answer_type = ANSWER_TYPES[type(event)]
-        if answer_type is None:
+        prefix = _PREFIXES[type(event)]
+        if prefix is None:
             return (None,)
         enc = encode_directive(event)
         table = self._table
@@ -343,7 +304,7 @@ class ResponseSampler:
             if len(table) >= SAMPLER_TABLE_SIZE:
                 table.clear()
             found = table[enc] = tuple(
-                _answer(answer_type, "sample", self.seed, i, enc)
+                _answer(prefix, "sample", self.seed, i, enc)
                 for i in range(self.samples_per_event)
             )
         return found

@@ -25,6 +25,9 @@ from govtree.governance import (
 )
 from govtree.itree import ret, vis
 
+import gc
+import weakref
+
 import pytest
 
 SAMPLER = ResponseSampler(seed=0)
@@ -98,6 +101,18 @@ def test_fingerprint_tokens_outlive_their_handlers():
         out1 = interpret_governed(op.transform(mock_handler(seed)), PERMISSIVE, program, FUEL)
         out2 = interpret_governed(op.transform(mock_handler(seed)), PERMISSIVE, program, FUEL)
         assert out1.trace[0].stage != out2.trace[0].stage, seed
+
+
+def test_fingerprinting_keeps_no_handler_alive():
+    op = fingerprinting_operator()
+    h = mock_handler(0)
+    handler = weakref.ref(h)
+    gh = op.transform(h)
+    program = vis(LLMCall("m", "p"), lambda x: ret(x.status))
+    assert interpret_governed(gh, PERMISSIVE, program, FUEL).completed
+    del h, gh
+    gc.collect()
+    assert handler() is None
 
 
 def test_trivial_operator_safe_on_unit_programs():

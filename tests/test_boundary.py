@@ -29,6 +29,14 @@ def test_coterminous_report_small_campaign():
     assert s["cognitive"].fails == 0
 
 
+def test_fuel_starved_cognitive_trials_are_unknown():
+    # Every generated program terminates, so a permissive run cut short at
+    # fuel 3 has run out of fuel, which is no counterexample.
+    s = {summary.name: summary for summary in run_coterminous(20, 3, SAMPLER, 0).summaries}
+    assert s["cognitive"].fails == 0
+    assert s["cognitive"].unknowns >= 1
+
+
 def test_report_deterministic_per_seed():
     r1 = run_coterminous(30, 4096, SAMPLER, seed=8)
     r2 = run_coterminous(30, 4096, SAMPLER, seed=8)

@@ -34,9 +34,9 @@ from govtree.category import (
     tensor,
 )
 from govtree.directives import (
+    Answer,
     CallMachine,
     LLMCall,
-    LLMResponse,
     MemoryOp,
     Observability,
     ResponseSampler,
@@ -241,7 +241,7 @@ def test_interp_tensor_distribute_reports_a_failure_after_an_unknown():
     statuses = iter(range(100, 200))
 
     def h(d):
-        return spin() if d.prompt == "0" else ret(LLMResponse(next(statuses), "c"))
+        return spin() if d.prompt == "0" else ret(Answer(next(statuses), "c"))
 
     v = interp_tensor_distribute_check(reason_inc(), reason_inc(), h, [(0, 0), (1, 1)], 100)
     assert v.is_fails, v.describe()

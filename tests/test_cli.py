@@ -491,6 +491,18 @@ def test_unwritable_output_file_cannot_be_created(tmp_path, flag, target):
     assert str(path) in result.stderr
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+def test_trace_and_ledger_in_one_file_is_a_usage_error(tmp_path, spelling):
+    out = tmp_path / "out"
+    other = {"same": out, "dotted": tmp_path / "." / "out", "symlink": tmp_path / "link"}[spelling]
+    if spelling == "symlink":
+        other.symlink_to(out)
+    result = run_module("run", str(PROGRAMS / "llm_pipeline.json"),
+                        "--trace-out", str(out), "--ledger-out", str(other))
+    assert_one_line_error(result, EXIT_USAGE)
+    assert not out.exists()
+
+
 def test_unknown_policy_is_an_input_error():
     result = run_module("run", str(PROGRAMS / "pure.json"), "--policy", "bogus")
     assert_one_line_error(result, EXIT_INPUT)

@@ -354,14 +354,31 @@ def test_digest_answers_are_deterministic():
         assert fresh.answers(d) == ResponseSampler(seed=4).answers(copy)
 
 
+# The content prefix of each record-answered variant, written out here so
+# that a change to the signature's answer names shows.
+ANSWER_PREFIXES = {
+    "LLMCall": "llmresponse",
+    "HTTPRequest": "httpresponse",
+    "FileOp": "fileresult",
+    "CallMachine": "callmachineresult",
+    "MemoryOp": "memoryresult",
+    "DBOp": "dbresult",
+    "ExecOp": "execresult",
+    "GraphQLRequest": "httpresponse",
+    "WebSocketOp": "websocketresult",
+    "MCPCall": "callmachineresult",
+}
+
+
 def test_digest_answers_have_the_documented_form():
     sampler = ResponseSampler(seed=2, samples_per_event=3)
     for d in record_directives(2_000):
         answer_type = ANSWER_TYPES[type(d)]
+        prefix = ANSWER_PREFIXES[directive_tag(d)]
         for answer in (mock_answer(2, d), *sampler.answers(d)):
             assert type(answer) is answer_type
             assert type(answer.status) is int and 100 <= answer.status < 600
-            m = re.fullmatch(rf"{answer_type.__name__.lower()}-(0|[1-9][0-9]*)", answer.content)
+            m = re.fullmatch(rf"{prefix}-(0|[1-9][0-9]*)", answer.content)
             assert m and int(m.group(1)) < 1_000_000
 
 

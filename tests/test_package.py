@@ -90,3 +90,19 @@ def test_nodes_and_governed_events_have_one_spelling(module):
     )
     slow = [f"line {line}: {name}(...)" for line, name in called if name in FAST_BUILT]
     assert slow == []
+
+
+def test_no_two_classes_declare_the_same_fields():
+    # One record per shape: two classes with one ordered list of annotated
+    # fields (name and annotation) are one type under two names.
+    by_fields = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                declared = tuple(
+                    (item.target.id, ast.unparse(item.annotation)) for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                )
+                if declared:
+                    by_fields.setdefault(declared, []).append(f"{path.stem}.{node.name}")
+    assert [names for names in by_fields.values() if len(names) > 1] == []
