@@ -12,11 +12,11 @@ the top two levels get everything, untrusted code keeps at most the LLM
 capability, and the middle levels keep exactly what they declared.
 
 A ``CapMorphism`` is a morphism paired with its capability bound;
-calling one applies its morphism. The ``cap_*`` constructors are the
-one statement of the bound, and ``program.compile_ast`` builds every
-program through them: none for ``code`` and ``register_machine``, one
-capability for ``reason``, ``memory`` and ``call``, the union of the
-parts under ``cap_seq_compose``, ``cap_tensor`` and ``cap_branch``.
+calling one applies its morphism. The ``cap_*`` constructors bound
+hand-built morphisms: none for ``code``, one capability for ``reason``,
+``memory`` and ``call``, the union of the parts under
+``cap_seq_compose``, ``cap_tensor`` and ``cap_branch``. Program files
+compile to ``program``'s machine, whose walk states the same bounds.
 ``principality_check`` brute-forces every strict subset of the bound to
 show the bound is tight, and ``dual_guarantee_check`` confirms that
 staying within the bound and passing governance safety hold at the same
@@ -235,12 +235,6 @@ def cap_memory(build, extract) -> CapMorphism:
 
 def cap_call(build, extract) -> CapMorphism:
     return _new(CapMorphism, (category.call(build, extract), CALL_CAPS))
-
-
-def cap_register_machine(p: category.RegisterProgram, fuel: int) -> CapMorphism:
-    """Register steps emit only observability directives, which need no
-    capability."""
-    return _new(CapMorphism, (category.register_machine(p, fuel), NO_CAPS))
 
 
 def cap_seq_compose(f: CapMorphism, *gs: CapMorphism) -> CapMorphism:

@@ -14,13 +14,15 @@ Values are ints, strings, booleans, null (unit), or two-element lists
 The grammar has one definition, ``compile_ast``: a body is accepted
 exactly when it compiles. One depth-first walk checks each node and its
 expressions, refusing the first malformed part with a ``ProgramError``,
-and builds the node with the ``capability`` constructor for its kind,
-which states its capability bound; the result is a ``CapMorphism``.
-``parse_program`` compiles the body once and the ``Program`` it returns
-keeps the result; a ``Program`` built directly compiles on its first
-``compile()`` or ``caps()``. A document nested deeper than the recursion
-limit allows is a ``ProgramError`` too. Each effectful kind is stated once,
-as a row of ``PRIMITIVES`` that ``compile_ast`` and ``gen`` both read.
+and appends its instructions to one flat tuple for one defunctionalized
+machine (Reynolds 1972), whose states ``state_key`` names. The bound is
+the union of the bounds in its primitives' ``PRIMITIVES`` rows; the
+result is a ``CapMorphism``. ``parse_program`` compiles the body once and the
+``Program`` it returns keeps the result; a ``Program`` built directly
+compiles on its first ``compile()`` or ``caps()``. A document nested
+deeper than the recursion limit allows is a ``ProgramError`` too. Each
+effectful kind is stated once, as a row of ``PRIMITIVES`` that
+``compile_ast`` and ``gen`` both read.
 
 Pure functions inside nodes are written in a tiny total expression
 language evaluated against the node's input value. Besides the payload
@@ -42,9 +44,8 @@ raise; mixed types go through fixed coercions:
 A directive answer enters its extract expression as the pair
 ``(status, content)``.
 
-The compiler in this module is the production pipeline: it builds
-interaction trees. The independent small-step evaluator lives in
-``reference`` and deliberately shares none of this evaluation code.
+The machine is the production pipeline; the independent evaluator in
+``reference`` shares none of its evaluation code.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from . import capability
-from .capability import CapMorphism, CapSet
-from .category import MAX_REGISTERS, RegisterProgram
+from .capability import CALL_CAPS, LLM_CAPS, MEMORY_CAPS, NO_CAPS, CapMorphism, CapSet
+from .category import MAX_REGISTERS, RegisterProgram, register_machine
 from .directives import CallMachine, LLMCall, MemoryOp
+from .itree import ITree, Ret, Vis, _new, _tree
 
 
 class ProgramError(ValueError):
@@ -203,73 +204,138 @@ def _parse_register(node: dict) -> "tuple[RegisterProgram, int]":
     return program, fuel
 
 
-# kind: (capability constructor, directive type, string field, expression
-# fields in the directive's order); a node has these fields and ``extract``
+# kind: (capability bound, directive type, string field, expression fields
+# in the directive's order); a node has these fields and ``extract``
 PRIMITIVES = {
-    "reason": (capability.cap_reason, LLMCall, "model", ("prompt",)),
-    "memory": (capability.cap_memory, MemoryOp, "mop", ("key", "value")),
-    "call": (capability.cap_call, CallMachine, "machine", ("payload",)),
+    "reason": (LLM_CAPS, LLMCall, "model", ("prompt",)),
+    "memory": (MEMORY_CAPS, MemoryOp, "mop", ("key", "value")),
+    "call": (CALL_CAPS, CallMachine, "machine", ("payload",)),
 }
 
 
-# Per-node functions are partials, which are smaller than closures, or closures
-# built in functions of their own: a cell in ``compile_ast`` would be made on
-# every call. The recursive kinds stay in ``compile_ast``, one frame per level.
-
-def _directive_1(directive: type, s: str, e: dict, a):
-    return directive(s, to_str(eval_expr(e, a)))
+# Opcodes, an instruction's first item; jumps store target - 1, as ``pc += 1`` follows.
+(_CODE, _EFFECT, _EXTRACT, _SPLIT, _SWAP, _PAIR, _TEST, _JUMP, _ENTER, _MACHINE, _RET) = range(11)
+_BOUNDS = {row[1]: row[0] for row in PRIMITIVES.values()}  # directive type: its row's bound
 
 
-def _directive_2(directive: type, s: str, e1: dict, e2: dict, a):
-    return directive(s, to_str(eval_expr(e1, a)), to_str(eval_expr(e2, a)))
+def _state(code: tuple, pc: int, stack, value, _answer=None) -> ITree:
+    """The unforced tree of ``(code, pc, value, stack)``; a register step drops ``_answer``."""
+    t = _tree(_Machine)
+    t._node, t._code, t._pc, t._stack, t._value = None, code, pc, stack, value
+    return t
 
 
-def _extract(extract: dict, ans):
-    return eval_expr(extract, (ans.status, ans.content))
+class _Machine(ITree):
+    """A state as a tree: forced, it runs to a Vis or Ret, adding no Tau, and
+    keeps the state it stopped in. No continuation is a state: no cycles."""
+
+    __slots__ = ("_code", "_pc", "_stack", "_value")
+
+    def step(self):
+        if self._node is not None:
+            return self._node
+        code, pc, stack, value = self._code, self._pc, self._stack, self._value
+        while True:
+            ins = code[pc]
+            op = ins[0]
+            if op == _CODE:
+                value = eval_expr(ins[1], value)
+            elif op == _EFFECT:
+                d = ins[1](ins[2], *[to_str(eval_expr(e, value)) for e in ins[3:]])
+                node = _new(Vis, (d, partial(_state, code, pc + 1, stack)))
+                break
+            elif op == _EXTRACT:
+                value = eval_expr(ins[1], (value.status, value.content))
+            elif op == _SPLIT:  # a non-pair is duplicated
+                value, right = value if type(value) is tuple and len(value) == 2 else (value, value)
+                stack = (right, stack)
+            elif op == _SWAP:
+                value, stack = stack[0], (value, stack[1])
+            elif op == _PAIR:
+                value, stack = (stack[0], value), stack[1]
+            elif op == _TEST:
+                pc = pc if to_bool(eval_expr(ins[1], value)) else ins[2]
+            elif op == _JUMP:
+                pc = ins[1]
+            elif op == _MACHINE:  # the value: a register machine's tree, which has no Tau
+                node = value.step()
+                if type(node) is not Ret:  # its continuation, whatever the answer, is its next tree
+                    if stack is not None or code[pc + 1][0] != _RET:  # else it goes on alone
+                        node = _new(Vis, (node.event, partial(_state, code, pc, stack, node.cont)))
+                    break
+                value = node.value
+            elif op == _ENTER:
+                value = ins[1]
+            else:
+                node = _new(Ret, (value,))
+                break
+            pc += 1
+        self._pc, self._stack, self._value, self._node = pc, stack, value, node
+        return node
 
 
-def _compile_primitive(node: dict, cap, directive: type, name: str, exprs: tuple) -> CapMorphism:
-    """A node of a ``PRIMITIVES`` row, checked in the row's field order, then ``extract``."""
-    s, e = _require_str(node, name), validate_expr(node.get(exprs[0]))
-    if len(exprs) == 1:
-        make = partial(_directive_1, directive, s, e)
-    else:
-        make = partial(_directive_2, directive, s, e, validate_expr(node.get(exprs[1])))
-    return cap(make, partial(_extract, validate_expr(node.get("extract"))))
+def state_key(t: ITree):
+    """The state a compiled tree stops in, values by ``repr`` (``1 == True``, but
+    not in print); equal keys step alike. Other trees are their own keys."""
+    if type(t) is not _Machine:
+        return t
+    t.step()
+    pending, stack = [], t._stack
+    while stack is not None:
+        pending.append(stack[0])
+        stack = stack[1]
+    return (t._code[0], t._pc, repr(t._value), repr(pending))
 
 
-def _predicate(pred: dict):
-    return lambda a: to_bool(eval_expr(pred, a))
-
-
-def compile_ast(node) -> CapMorphism:
-    """Check an AST node and compile it, in one depth-first walk, into its
-    morphism and capability bound, built by the ``capability`` constructor
-    for its kind; the first malformed node or expression met is a
-    ``ProgramError``."""
+def _emit(node, code: list) -> None:
+    """Check an AST node and append its instructions to ``code``; one
+    frame per level of nesting."""
     if not isinstance(node, dict) or "kind" not in node:
         raise ProgramError(f"node must be an object with a kind: {node!r}")
     kind = node["kind"]
     if kind == "code":
-        return capability.cap_code(partial(eval_expr, validate_expr(node.get("expr"))))
-    if type(kind) is str and kind in PRIMITIVES:
-        return _compile_primitive(node, *PRIMITIVES[kind])
-    if kind == "seq":
+        code.append((_CODE, validate_expr(node.get("expr"))))
+    elif type(kind) is str and kind in PRIMITIVES:
+        _, directive, name, exprs = PRIMITIVES[kind]
+        s = _require_str(node, name)
+        code.append((_EFFECT, directive, s, *[validate_expr(node.get(e)) for e in exprs]))
+        code.append((_EXTRACT, validate_expr(node.get("extract"))))
+    elif kind == "seq":
         steps = node.get("steps")
         if not isinstance(steps, list) or not steps:
             raise ProgramError("seq needs a nonempty list of steps")
-        return capability.cap_seq_compose(*map(compile_ast, steps))
-    if kind == "tensor":
-        return capability.cap_tensor(compile_ast(node.get("left")), compile_ast(node.get("right")))
-    if kind == "branch":
-        return capability.cap_branch(
-            _predicate(validate_expr(node.get("pred"))),
-            compile_ast(node.get("then")),
-            compile_ast(node.get("else")),
-        )
-    if kind == "register_machine":
-        return capability.cap_register_machine(*_parse_register(node))
-    raise ProgramError(f"unknown node kind {kind!r}")
+        for step in steps:
+            _emit(step, code)
+    elif kind == "tensor":
+        code.append((_SPLIT,))
+        _emit(node.get("left"), code)
+        code.append((_SWAP,))
+        _emit(node.get("right"), code)
+        code.append((_PAIR,))
+    elif kind == "branch":
+        pred, test = validate_expr(node.get("pred")), len(code)
+        code.append(None)  # the test, once the else arm's start is known
+        _emit(node.get("then"), code)
+        jump = len(code)
+        code.append(None)
+        code[test] = (_TEST, pred, jump)
+        _emit(node.get("else"), code)
+        code[jump] = (_JUMP, len(code) - 1)
+    elif kind == "register_machine":
+        code.append((_ENTER, register_machine(*_parse_register(node))(None)))
+        code.append((_MACHINE,))
+    else:
+        raise ProgramError(f"unknown node kind {kind!r}")
+
+
+def compile_ast(node) -> CapMorphism:
+    """Check an AST node and compile it, in one depth-first walk, into its
+    code and bound; the morphism starts the machine on its input."""
+    code = [object()]  # the body's identity, which state keys hold
+    _emit(node, code)
+    caps = NO_CAPS.union(*[_BOUNDS[ins[1]] for ins in code[1:] if ins[0] == _EFFECT])
+    code.append((_RET,))
+    return _new(CapMorphism, (partial(_state, tuple(code), 1, None), caps))
 
 
 def _value_from_json(v):

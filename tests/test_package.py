@@ -20,6 +20,12 @@ KEEP = {
     "category.interp_tensor_distribute_check": "a monoidal law in tests/test_category.py",
     "capability.allowed_cap_set": "pending the capability campaign (ROADMAP item 9)",
     "capability.dual_guarantee_check": "pending the capability campaign (ROADMAP item 9)",
+    "capability.cap_seq_compose": "capability-indexed composition of hand-built morphisms, "
+                                  "checked in tests/test_capability.py",
+    "capability.cap_branch": "capability-indexed composition of hand-built morphisms, "
+                             "checked in tests/test_capability.py",
+    "program.state_key": "the machine-state key that tables of check results will read "
+                         "(ROADMAP items 5 and 11)",
 }
 
 
@@ -106,3 +112,36 @@ def test_no_two_classes_declare_the_same_fields():
                 if declared:
                     by_fields.setdefault(declared, []).append(f"{path.stem}.{node.name}")
     assert [names for names in by_fields.values() if len(names) > 1] == []
+
+
+# category's combinators, which the cap_* constructors wrap: hand-built
+# morphisms and the monoidal-law checks use them, program files do not.
+COMBINATORS = {"code", "reason", "memory", "call", "seq_compose", "tensor", "branch"}
+
+
+def test_program_files_compile_only_to_the_machine():
+    tree = ast.parse((PACKAGE / "program.py").read_text(encoding="utf-8"))
+    imported = {}  # local name -> (module, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                module = node.module or alias.name
+                imported[alias.asname or alias.name] = (module, alias.name)
+
+    def combinator(module, name):
+        return (module == "category" and name in COMBINATORS) or (
+            module == "capability" and name.startswith("cap_"))
+
+    named = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in imported:
+            target = imported[node.id]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            target = (imported.get(node.value.id, (None, node.value.id))[1], node.attr)
+        else:
+            continue
+        if combinator(*target):
+            named.append(f"line {node.lineno}: {'.'.join(target)}")
+    named += [f"import {module}.{name}" for module, name in imported.values()
+              if combinator(module, name)]
+    assert named == []

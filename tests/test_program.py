@@ -708,7 +708,7 @@ def test_compiled_caps_equal_the_oracle():
         )
         compiled = compile_ast(ast)
         assert compiled.caps == _oracle_ast_caps(ast), i
-        # every node kind is built by a capability constructor
+        # the result is a CapMorphism, equal only to its own type
         assert type(compiled) is CapMorphism, i
         assert compiled != tuple(compiled) and tuple(compiled) != compiled, i
         kinds.add(ast["kind"])
