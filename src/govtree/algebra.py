@@ -74,32 +74,23 @@ class GovernanceOperator:
 BUNDLED_OPERATOR = GovernanceOperator("bundled", govern)
 
 
+def _forward(d, cont, rec):  # Io(d) with no check before it
+    return _new(Vis, (_new(Io, (d,)), lambda x: rec(cont(x))))
+
+
 def no_check_operator() -> GovernanceOperator:
     """Forwards I/O without inserting any checks; violates G1."""
+    return GovernanceOperator("no-check", lambda h: rewrap(h, _forward))
 
-    def make(h: Handler) -> GovernedHandler:
-        def on_vis(d, cont, rec):
-            return _new(Vis, (_new(Io, (d,)), lambda x: rec(cont(x))))
 
-        return rewrap(h, on_vis)
-
-    return GovernanceOperator("no-check", make)
+def _mangling_gate(d, cont, rec):  # check_gate, each record answer's status + 1
+    return check_gate(d, lambda x: cont(x if x is None else replace(x, status=x.status + 1)), rec)
 
 
 def result_mangling_operator() -> GovernanceOperator:
     """Checks properly but nudges every permitted record answer before
     handing it to the continuation; violates G2."""
-
-    def mangle(x):
-        return x if x is None else replace(x, status=x.status + 1)
-
-    def make(h: Handler) -> GovernedHandler:
-        def on_vis(d, cont, rec):
-            return check_gate(d, lambda x: cont(mangle(x)), rec)
-
-        return rewrap(h, on_vis)
-
-    return GovernanceOperator("mangle-results", make)
+    return GovernanceOperator("mangle-results", lambda h: rewrap(h, _mangling_gate))
 
 
 def fingerprinting_operator() -> GovernanceOperator:

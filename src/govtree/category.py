@@ -60,13 +60,13 @@ from .itree import (
     Ret,
     Vis,
     _new,
+    _tree,
     bind,
     combine_verdicts,
     fails,
     holds,
     ret,
     run_pure,
-    thunk,
     unknown,
     vis,
 )
@@ -299,34 +299,41 @@ def register_machine(p: RegisterProgram, fuel: int) -> Morphism:
     directive of the program counter and the post-step registers; halt,
     running past the end or running out of fuel return unit.
     """
-    t = _translate(p, fuel, 0, (0,) * p.registers)
+    t = _translate(p.instructions, fuel, 0, (0,) * p.registers)
     return lambda a: t
 
 
-class _State(ITree):
-    """A translated register state. Every answer resumes the one successor,
-    so the state itself is its predecessor's continuation: called with any
-    answer, it returns itself. A forced chain then holds no closure per
-    step."""
+def _translate(code: tuple, fuel: int, pc: int, regs: tuple) -> ITree:
+    """The unforced register state ``(pc, regs)`` with ``fuel`` steps left."""
+    t = _tree(_State)
+    t._node, t._code, t._fuel, t._pc, t._regs = None, code, fuel, pc, regs
+    return t
 
-    __slots__ = ()
+
+class _State(ITree):
+    """A register state. Forced, it executes one instruction and releases
+    the instructions and registers. Every answer resumes the one successor,
+    so the state is its predecessor's continuation: called with any answer,
+    it returns itself. A forced chain holds no closure per step."""
+
+    __slots__ = ("_code", "_fuel", "_pc", "_regs")
 
     def __call__(self, _x):
         return self
 
-
-def _translate(p: RegisterProgram, fuel: int, pc: int, regs: tuple) -> ITree:
-    def step():
-        if fuel <= 0 or not 0 <= pc < len(p.instructions):
-            return _new(Ret, (None,))
-        outcome = _step(p.instructions[pc], pc, regs)
-        if outcome is None:
-            return _new(Ret, (None,))
-        pc2, regs2 = outcome
-        d = Observability(_step_message(pc, regs2))
-        return _new(Vis, (d, _translate(p, fuel - 1, pc2, regs2)))
-
-    return thunk(step, _State)
+    def step(self):
+        node = self._node
+        if node is None:
+            code, fuel, pc, regs = self._code, self._fuel, self._pc, self._regs
+            self._code = self._regs = None
+            outcome = _step(code[pc], pc, regs) if fuel > 0 and 0 <= pc < len(code) else None
+            if outcome is None:
+                node = _new(Ret, (None,))
+            else:
+                d = Observability(_step_message(pc, outcome[1]))
+                node = _new(Vis, (d, _translate(code, fuel - 1, *outcome)))
+            self._node = node
+        return node
 
 
 def register_tree_steps(t: ITree, drive_fuel: int) -> "list | None":

@@ -29,6 +29,7 @@ only to its own type (``itree.own_type_eq``), built like tree nodes with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .directives import (
@@ -48,13 +49,13 @@ from .itree import (
     Tau,
     Vis,
     _new,
+    _tree,
     explore,
     fails,
     own_type_eq,
     ret,
     skip_taus,
     spin,
-    thunk,
     unknown,
     vis,
 )
@@ -133,21 +134,33 @@ class GovernedHandler:
 def rewrap(h: Handler, on_vis) -> GovernedHandler:
     """The per-event tree transformer: a governed handler whose transform
     maps each directive node through ``on_vis(directive, continuation,
-    recurse)``. Ret and Tau pass through."""
+    recurse)`` into an ``_Image``. Ret and Tau pass through."""
+    return GovernedHandler(base=h, transform=partial(_rewrapped, on_vis), gate=on_vis)
 
-    def transform(t: ITree) -> ITree:
-        def step():
-            node = t.step()
-            kind = type(node)
-            if kind is Ret:
-                return node
-            if kind is Tau:
-                return _new(Tau, (transform(node.rest),))
-            return on_vis(node.event, node.cont, transform)
 
-        return thunk(step)
+def _rewrapped(gate, t: ITree) -> ITree:
+    """The unforced image of ``t`` under ``gate``."""
+    image = _tree(_Image)
+    image._node, image._src, image._gate = None, t, gate
+    return image
 
-    return GovernedHandler(base=h, transform=transform, gate=on_vis)
+
+class _Image(ITree):
+    """An unforced governed image: forced, it maps its source's head node
+    through its gate and releases both. No node refers back to an image."""
+
+    __slots__ = ("_src", "_gate")
+
+    def step(self):
+        node = self._node
+        if node is None:
+            gate, node = self._gate, self._src.step()
+            if type(node) is Tau:
+                node = _new(Tau, (_rewrapped(gate, node.rest),))
+            elif type(node) is Vis:
+                node = gate(node.event, node.cont, partial(_rewrapped, gate))
+            self._node, self._src, self._gate = node, None, None
+        return node
 
 
 # Every denial diverges into this one loop: a forced tree never changes.

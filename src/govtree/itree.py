@@ -69,37 +69,25 @@ class Vis(NamedTuple):
 class ITree:
     """A lazily unfolded interaction tree.
 
-    ``step()`` forces and memoizes exactly one node. A tree has no
-    constructor: ``ret``, ``tau`` and ``vis`` build forced trees,
-    ``thunk`` an unforced one whose node a function makes when first
-    observed.
+    ``step()`` returns the tree's one node. A tree has no constructor:
+    ``ret``, ``tau`` and ``vis`` build forced trees. An unforced tree is a
+    subclass that keeps its state in ``__slots__`` and has its own
+    ``step``, which builds the node when first observed, memoizes it in
+    ``_node`` and releases the state: ``_Bind`` here, ``program._Machine``,
+    ``governance._Image`` and ``category._State``.
     """
 
-    __slots__ = ("_thunk", "_node")
+    __slots__ = ("_node",)
 
     def step(self):
-        node = self._node
-        if node is None:
-            node = self._thunk()
-            self._node = node
-            self._thunk = None
-        return node
+        return self._node
 
 
 # Trees and nodes are built without running Python code: a tree is an
 # ``object.__new__`` with its slots stored, a node a ``tuple.__new__`` of
-# its fields. A forced tree never reads its thunk slot, so leaves it unset.
+# its fields.
 _tree = object.__new__
 _new = tuple.__new__  # a NamedTuple from its fields, without its Python __new__
-
-
-def thunk(step: Callable[[], Any], cls=ITree) -> ITree:
-    """An unforced tree of class ``cls`` (``ITree`` or a subclass) whose
-    node is ``step()``, called once, when the tree is first observed."""
-    t = _tree(cls)
-    t._node = None
-    t._thunk = step
-    return t
 
 
 def ret(value: Any) -> ITree:

@@ -7,7 +7,7 @@ silent steps leave no record. Entries are ``NamedTuple`` records, each
 equal only to entries of its own type (see ``itree.own_type_eq``).
 
 A trace is *well governed* when every I/O entry is preceded by a passing
-check. The "passing check seen" flag resets after each I/O entry, making
+check for its own tag. The approval resets after each I/O entry, making
 the predicate the linear shadow of the tree-level safety check, which
 re-requires approval after every effect.
 
@@ -38,17 +38,18 @@ Trace = tuple
 
 
 def well_governed(trace: Iterable[TraceEvent]) -> bool:
-    """True when every I/O entry is preceded by a passing check, with no
-    other I/O entry between them."""
-    approved = False
+    """True when the last passing check before each I/O entry, with no other
+    I/O entry between them, has the entry's tag (its encoding up to the first
+    ``{``) as its stage. A failing check leaves the approval as it was."""
+    approved = None  # the stage of the last passing check since the last I/O entry
     for ev in trace:
         if type(ev) is GovEntry:
             if ev.passed:
-                approved = True
+                approved = ev.stage
         else:
-            if not approved:
+            if approved != ev.directive.partition("{")[0]:
                 return False
-            approved = False
+            approved = None
     return True
 
 

@@ -1,6 +1,7 @@
 """Combinators, structural isomorphisms, coherence, register machines."""
 
 import ast
+import gc
 import json
 import random
 from pathlib import Path
@@ -369,6 +370,28 @@ def test_register_machine_translates_once():
 def test_forced_register_state_has_one_successor():
     node = register_machine(RegisterProgram((("inc", 0), ("decjz", 1, 0)), 2), 10)(None).step()
     assert type(node) is Vis and node.cont(None) is node.cont(None)
+
+
+def test_a_forced_register_chain_retains_three_objects_per_state():
+    # each forced state keeps itself, its Vis node and its directive, and
+    # lets go of the instructions and registers it was built from
+    fuel = 4000
+    p = RegisterProgram((("inc", 0), ("decjz", 1, 0)), 2)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        root = register_machine(p, fuel)(None)
+        assert len(register_tree_steps(root, 4 * fuel)) == fuel
+        retained = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert retained <= 3 * fuel + 2, retained
+    state, forced = root, 0
+    while type(state.step()) is Vis:
+        assert state._code is None and state._regs is None
+        state, forced = state.step().cont(None), forced + 1
+    assert forced == fuel and state._code is None and state._regs is None
 
 
 def test_checks_share_one_unrolled_machine(monkeypatch):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from govtree.algebra import ADVERSARIAL_OPERATORS
 from govtree.capability import within_caps_check
 from govtree.cli import main
 from govtree.directives import ResponseSampler, mock_handler
@@ -13,6 +14,7 @@ from govtree.gen import gen_input, gen_program_ast
 from govtree.governance import (
     PERMISSIVE,
     GovernedHandler,
+    gov_safe_check,
     govern,
     interpret_governed,
     interpret_ungoverned,
@@ -200,10 +202,13 @@ def test_a_driven_root_retains_no_more_for_a_longer_seq():
 
 
 def test_driven_and_checked_machines_leave_no_cycles():
-    # A Vis continuation is never its own state, so no forced node is
-    # freed only by the cyclic collector.
+    # A Vis continuation is never its own state, and a governed image is
+    # built of slotted trees that no node refers back to, so neither a
+    # forced node nor a governed handler is freed only by the cyclic
+    # collector.
     rng = random.Random(4)
     cases = [(gen_program_ast(rng, allow_register=True), gen_input(rng)) for _ in range(200)]
+    operators = [make() for make in ADVERSARIAL_OPERATORS.values()]
     gc.collect()
     gc.disable()
     try:
@@ -211,6 +216,12 @@ def test_driven_and_checked_machines_leave_no_cycles():
             morph = compile_ast(body)
             assert interpret_ungoverned(mock_handler(1), morph(x), 4096).completed
             assert not within_caps_check(morph.caps, morph(x), 4096, SAMPLER).is_fails
+            gh = govern(mock_handler(1))
+            assert interpret_governed(gh, PERMISSIVE, morph(x), 4096).completed
+            assert gov_safe_check(gh.transform(morph(x)), False, 4096, SAMPLER).is_holds
+            for op in operators:
+                image = op.transform(mock_handler(1)).transform(morph(x))
+                gov_safe_check(image, False, 4096, SAMPLER)
         assert gc.collect() == 0
     finally:
         gc.enable()

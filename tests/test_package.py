@@ -1,10 +1,14 @@
-"""Package-wide rules: every public name in ``src/govtree`` has a caller."""
+"""Package-wide rules: every public name in ``src/govtree`` has a caller,
+and every lazy tree is a slotted state that steps itself."""
 
 import ast
+import importlib
 import tokenize
 from pathlib import Path
 
 import pytest
+
+from govtree.itree import ITree
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "govtree"
@@ -145,3 +149,22 @@ def test_program_files_compile_only_to_the_machine():
     named += [f"import {module}.{name}" for module, name in imported.values()
               if combinator(module, name)]
     assert named == []
+
+
+def test_every_unforced_tree_is_a_slotted_state_with_its_own_step():
+    # One laziness idiom: a tree keeps its state in slots and builds its
+    # node in its own ``step``. A class without ``__slots__`` would give
+    # every node a ``__dict__``; the base ``step`` only returns ``_node``.
+    for module in MODULES:
+        importlib.import_module(f"govtree.{module}")
+    assert ITree.__slots__ == ("_node",)
+    classes, pending = [], [ITree]
+    while pending:
+        subclasses = pending.pop().__subclasses__()
+        classes += [c for c in subclasses if c.__module__.startswith("govtree.")]
+        pending += subclasses
+    assert classes
+    lacking = [f"{c.__module__}.{c.__qualname__}" for c in classes
+               if "__slots__" not in vars(c) or "step" not in vars(c)
+               or hasattr(object.__new__(c), "__dict__")]
+    assert lacking == []

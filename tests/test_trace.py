@@ -44,6 +44,18 @@ def test_failed_check_does_not_approve():
     assert not well_governed((GovEntry("FileOp", False), IoEntry("FileOp{op=read,path=x}")))
 
 
+def test_an_approval_releases_only_its_own_tag():
+    # a check on one stage does not launder I/O of another variant
+    io = IoEntry("LLMCall{model=m,prompt=p}")
+    assert not well_governed((GovEntry("Observability", True), io))
+    assert not well_governed((GovEntry("LLMCall#h3", True), io))
+    # a failing check leaves the last passing one standing, either way
+    assert well_governed((GovEntry("LLMCall", True), GovEntry("Observability", False), io))
+    assert not well_governed((GovEntry("Observability", True), GovEntry("LLMCall", False), io))
+    # the tag ends at the first brace, whatever the fields hold
+    assert well_governed((GovEntry("MemoryOp", True), IoEntry("MemoryOp{op=put,key=\\{,value=v}")))
+
+
 def test_flag_resets_after_io_by_default():
     trace = (
         GovEntry("LLMCall", True),
