@@ -34,6 +34,7 @@ import itertools
 import random
 import weakref
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 from .directives import (
@@ -48,6 +49,7 @@ from .governance import (
     Gov,
     GovernedHandler,
     Io,
+    _resume,
     bare_io,
     check_gate,
     gov_safe_check,
@@ -75,7 +77,7 @@ BUNDLED_OPERATOR = GovernanceOperator("bundled", govern)
 
 
 def _forward(d, cont, rec):  # Io(d) with no check before it
-    return _new(Vis, (_new(Io, (d,)), lambda x: rec(cont(x))))
+    return _new(Vis, (_new(Io, (d,)), partial(_resume, cont, rec)))
 
 
 def no_check_operator() -> GovernanceOperator:

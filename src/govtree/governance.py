@@ -167,17 +167,19 @@ class _Image(ITree):
 _DENIED = spin()
 
 
+def _resume(cont, rec, x) -> ITree:  # the rest of the source after the answer x, rewrapped
+    return rec(cont(x))
+
+
+def _after_check(d: DirectiveEvent, cont, rec, approved: bool) -> ITree:
+    return vis(_new(Io, (d,)), partial(_resume, cont, rec)) if approved else _DENIED
+
+
 def check_gate(d: DirectiveEvent, cont, rec):
     """The check-before-effect node for ``d``: a check event whose true
     answer releases ``Io(d)`` and continues with ``rec(cont(answer))``,
     and whose false answer diverges into the shared ``spin`` loop."""
-
-    def after_check(approved: bool) -> ITree:
-        if not approved:
-            return _DENIED
-        return vis(_new(Io, (d,)), lambda x: rec(cont(x)))
-
-    return _new(Vis, (_new(Gov, (stage_of(d), d)), after_check))
+    return _new(Vis, (_new(Gov, (stage_of(d), d)), partial(_after_check, d, cont, rec)))
 
 
 def govern(h: Handler) -> GovernedHandler:

@@ -28,9 +28,9 @@ Pure functions inside nodes are written in a tiny total expression
 language evaluated against the node's input value. Besides the payload
 forms ``input``, ``int``, ``str`` and ``unit``, each operation is stated
 once, as the function of its argument values in the table for its arity
-(``_UNARY``, ``_BINARY``); ``validate_expr`` reads an op's arity from
-that table and ``eval_expr`` dispatches through it. Operations never
-raise; mixed types go through fixed coercions:
+(``_UNARY``, ``_BINARY``), which ``compile_expr`` reads to check and build
+an op in one walk and ``eval_form`` runs. Operations never raise; mixed
+types go through fixed coercions:
 
 * to_int: ints as-is, booleans 0/1, strings their length, unit 0,
   pairs the sum of both halves.
@@ -121,6 +121,7 @@ _BINARY = {
     "and": lambda a, b: to_bool(a) and to_bool(b),
     "or": lambda a, b: to_bool(a) or to_bool(b),
 }
+_INPUT = object()  # a compiled expression's input; its other leaves are literal values
 
 
 def _valid_text(v: str, what: str) -> str:
@@ -134,48 +135,41 @@ def _valid_text(v: str, what: str) -> str:
     return v
 
 
-def validate_expr(expr) -> dict:
-    """``expr`` unchanged if it is a well-formed expression, else a
-    ``ProgramError``."""
+def compile_expr(expr, table: dict):
+    """``expr`` as ``_INPUT``, a literal's value or ``(fn, *args)`` interned in ``table``
+    (no literal is a bool: ``==`` merges no 1 with True); its first fault is a ``ProgramError``."""
     if not isinstance(expr, dict) or "op" not in expr:
         raise ProgramError(f"expression must be an object with an op: {expr!r}")
     op = expr["op"]
     if type(op) is str and (op in _UNARY or op in _BINARY):
-        arity = 1 if op in _UNARY else 2
-        args = expr.get("args")
-        if not isinstance(args, list) or len(args) != arity:
-            raise ProgramError(f"{op} takes {'one argument' if arity == 1 else 'two arguments'}")
-        for a in args:
-            validate_expr(a)
-    elif op == "int":
+        unary, args = _UNARY.get(op), expr.get("args")
+        if not isinstance(args, list) or len(args) != (1 if unary else 2):
+            raise ProgramError(f"{op} takes {'one argument' if unary else 'two arguments'}")
+        form = (unary, compile_expr(args[0], table)) if unary else (
+            _BINARY[op], compile_expr(args[0], table), compile_expr(args[1], table))
+        return table.setdefault(form, form)
+    if op == "int":
         # not isinstance: True is an int to Python, not an integer literal
         if type(expr.get("value")) is not int:
             raise ProgramError("int literal needs an integer value")
-    elif op == "str":
+        return expr["value"]
+    if op == "str":
         value = expr.get("value")
         if not isinstance(value, str):
             raise ProgramError("str literal needs a string value")
-        _valid_text(value, "str literal")
-    elif op != "input" and op != "unit":
+        return _valid_text(value, "str literal")
+    if op != "input" and op != "unit":
         raise ProgramError(f"unknown expression op {op!r}")
-    return expr
+    return _INPUT if op == "input" else None
 
 
-def eval_expr(expr: dict, x):
-    """The value of a valid expression on the input ``x``; an op in neither
-    table is a ``KeyError``."""
-    op = expr["op"]
-    if op == "input":
-        return x
-    if op == "int" or op == "str":
-        return expr["value"]
-    if op == "unit":
-        return None
-    args = expr["args"]
-    unary = _UNARY.get(op)
-    if unary is not None:
-        return unary(eval_expr(args[0], x))
-    return _BINARY[op](eval_expr(args[0], x), eval_expr(args[1], x))
+def eval_form(form, x):
+    """The value of a compiled expression on the input ``x``."""
+    if type(form) is not tuple:
+        return x if form is _INPUT else form
+    if len(form) == 2:
+        return form[0](eval_form(form[1], x))
+    return form[0](eval_form(form[1], x), eval_form(form[2], x))
 
 
 def _require_str(node: dict, key: str) -> str:
@@ -239,13 +233,13 @@ class _Machine(ITree):
             ins = code[pc]
             op = ins[0]
             if op == _CODE:
-                value = eval_expr(ins[1], value)
+                value = eval_form(ins[1], value)
             elif op == _EFFECT:
-                d = ins[1](ins[2], *[to_str(eval_expr(e, value)) for e in ins[3:]])
+                d = ins[1](ins[2], *[to_str(eval_form(e, value)) for e in ins[3:]])
                 node = _new(Vis, (d, partial(_state, code, pc + 1, stack)))
                 break
             elif op == _EXTRACT:
-                value = eval_expr(ins[1], (value.status, value.content))
+                value = eval_form(ins[1], (value.status, value.content))
             elif op == _SPLIT:  # a non-pair is duplicated
                 value, right = value if type(value) is tuple and len(value) == 2 else (value, value)
                 stack = (right, stack)
@@ -254,7 +248,7 @@ class _Machine(ITree):
             elif op == _PAIR:
                 value, stack = (stack[0], value), stack[1]
             elif op == _TEST:
-                pc = pc if to_bool(eval_expr(ins[1], value)) else ins[2]
+                pc = pc if to_bool(eval_form(ins[1], value)) else ins[2]
             elif op == _JUMP:
                 pc = ins[1]
             elif op == _MACHINE:  # the value: a register machine's tree, which has no Tau
@@ -287,39 +281,40 @@ def state_key(t: ITree):
     return (t._code[0], t._pc, repr(t._value), repr(pending))
 
 
-def _emit(node, code: list) -> None:
-    """Check an AST node and append its instructions to ``code``; one
-    frame per level of nesting."""
+def _emit(node, code: list, table: dict) -> None:
+    """Check an AST node and append its instructions to ``code``, its
+    expressions and extracts interned in ``table``; one frame per level of nesting."""
     if not isinstance(node, dict) or "kind" not in node:
         raise ProgramError(f"node must be an object with a kind: {node!r}")
     kind = node["kind"]
     if kind == "code":
-        code.append((_CODE, validate_expr(node.get("expr"))))
+        code.append((_CODE, compile_expr(node.get("expr"), table)))
     elif type(kind) is str and kind in PRIMITIVES:
         _, directive, name, exprs = PRIMITIVES[kind]
         s = _require_str(node, name)
-        code.append((_EFFECT, directive, s, *[validate_expr(node.get(e)) for e in exprs]))
-        code.append((_EXTRACT, validate_expr(node.get("extract"))))
+        code.append((_EFFECT, directive, s, *[compile_expr(node.get(e), table) for e in exprs]))
+        extract = (_EXTRACT, compile_expr(node.get("extract"), table))
+        code.append(table.setdefault(extract, extract))  # no form starts with an opcode
     elif kind == "seq":
         steps = node.get("steps")
         if not isinstance(steps, list) or not steps:
             raise ProgramError("seq needs a nonempty list of steps")
         for step in steps:
-            _emit(step, code)
+            _emit(step, code, table)
     elif kind == "tensor":
         code.append((_SPLIT,))
-        _emit(node.get("left"), code)
+        _emit(node.get("left"), code, table)
         code.append((_SWAP,))
-        _emit(node.get("right"), code)
+        _emit(node.get("right"), code, table)
         code.append((_PAIR,))
     elif kind == "branch":
-        pred, test = validate_expr(node.get("pred")), len(code)
+        pred, test = compile_expr(node.get("pred"), table), len(code)
         code.append(None)  # the test, once the else arm's start is known
-        _emit(node.get("then"), code)
+        _emit(node.get("then"), code, table)
         jump = len(code)
         code.append(None)
         code[test] = (_TEST, pred, jump)
-        _emit(node.get("else"), code)
+        _emit(node.get("else"), code, table)
         code[jump] = (_JUMP, len(code) - 1)
     elif kind == "register_machine":
         code.append((_ENTER, register_machine(*_parse_register(node))(None)))
@@ -332,7 +327,7 @@ def compile_ast(node) -> CapMorphism:
     """Check an AST node and compile it, in one depth-first walk, into its
     code and bound; the morphism starts the machine on its input."""
     code = [object()]  # the body's identity, which state keys hold
-    _emit(node, code)
+    _emit(node, code, {})
     caps = NO_CAPS.union(*[_BOUNDS[ins[1]] for ins in code[1:] if ins[0] == _EFFECT])
     code.append((_RET,))
     return _new(CapMorphism, (partial(_state, tuple(code), 1, None), caps))

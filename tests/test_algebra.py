@@ -1,6 +1,7 @@
 """Conformance harness: the bundled operator passes, adversaries fail
 exactly their targeted axiom."""
 
+import govtree.algebra
 from govtree.algebra import (
     BUNDLED_OPERATOR,
     CheckSummary,
@@ -55,6 +56,11 @@ def test_no_check_operator_fails_on_single_http_request():
     gh = op.transform(mock_handler(0))
     tree = gh.transform(vis(HTTPRequest("GET", "u", "b"), lambda x: ret(None)))
     assert gov_safe_check(tree, False, FUEL, SAMPLER).is_fails
+
+
+def test_no_check_gate_makes_no_closure_cells():
+    # A cell would be made on every directive the gate forwards.
+    assert govtree.algebra._forward.__code__.co_cellvars == ()
 
 
 def test_mangling_operator_fails_exactly_g2():

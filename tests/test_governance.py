@@ -89,6 +89,11 @@ def test_every_denial_continues_into_one_shared_loop():
     assert skip_taus(denials[0], 1000) == (None, 1000, True)
 
 
+def test_check_gate_makes_no_closure_cells():
+    # A cell would be made on every directive the gate wraps.
+    assert check_gate.__code__.co_cellvars == ()
+
+
 def test_governed_events_equal_only_their_own_type():
     d = LLMCall("m", "p")
     gov, io = Gov("LLMCall", d), Io(d)

@@ -31,14 +31,14 @@ from govtree.program import (
     Program,
     ProgramError,
     compile_ast,
-    eval_expr,
+    compile_expr,
+    eval_form,
     format_value,
     parse_program,
     serialize_program,
     to_bool,
     to_int,
     to_str,
-    validate_expr,
     value_to_json,
 )
 
@@ -56,7 +56,7 @@ def test_parse_rejects_unknown_kind():
 
 def test_parse_rejects_unknown_expression_op():
     with pytest.raises(ProgramError):
-        validate_expr({"op": "frobnicate", "args": []})
+        compile_expr({"op": "frobnicate", "args": []}, {})
 
 
 def test_parse_rejects_bad_version_and_values():
@@ -89,18 +89,22 @@ def test_coercions():
     assert to_bool("") is False and to_bool((0, 0)) is True and to_bool(0) is False
 
 
+def _value(expr, x):
+    """The value of ``expr`` on ``x``, compiled alone."""
+    return eval_form(compile_expr(expr, {}), x)
+
+
 def test_expression_totality_guards():
-    assert eval_expr({"op": "mod", "args": [{"op": "int", "value": 5}, {"op": "int", "value": 0}]}, 0) == 0
-    assert eval_expr({"op": "fst", "args": [{"op": "int", "value": 9}]}, 0) == 9
+    assert _value({"op": "mod", "args": [{"op": "int", "value": 5}, {"op": "int", "value": 0}]}, 0) == 0
+    assert _value({"op": "fst", "args": [{"op": "int", "value": 9}]}, 0) == 9
 
 
 @given(st.integers(0, 10**9))
 def test_generated_expressions_total_and_deterministic(seed):
     rng = random.Random(seed)
-    expr = gen_expr(rng, depth=3)
-    validate_expr(expr)
+    form = compile_expr(gen_expr(rng, depth=3), {})
     x = gen_input(rng)
-    assert eval_expr(expr, x) == eval_expr(expr, x)
+    assert eval_form(form, x) == eval_form(form, x)
 
 
 # Values of every type the language has: negative ints, booleans, empty and
@@ -141,18 +145,101 @@ def _every_op_on_the_pool():
 def test_every_expression_op_agrees_with_the_reference_evaluator():
     seen = set()
     for expr, x in _every_op_on_the_pool():
-        validate_expr(expr)
-        got, want = eval_expr(expr, x), reference._eval(expr, x)
+        got, want = _value(expr, x), reference._eval(expr, x)
         assert _same(got, want), (expr, x, got, want)
         seen.add(expr["op"])
     assert seen == set(_ORACLE_ARITY)
 
 
-def test_eval_expr_refuses_an_op_outside_the_grammar():
-    one = {"op": "int", "value": 1}
-    for args in ([one, {"op": "int", "value": 0}], [one]):
-        with pytest.raises(KeyError):
-            eval_expr({"op": "xor", "args": args}, 0)
+# Edits of one expression: a field set to a value of the wrong type, an
+# unknown or misplaced op, the wrong number of arguments, or dropped.
+_EXPR_EDITS = (
+    None, 0, -1, 1.5, True, "", "x", "\ud800", "frobnicate", "input", "int", "str", "unit",
+    "add", "fst", "not", [], [0], [{"op": "input"}], [{"op": "input"}] * 3, {},
+    {"op": "input"}, {"op": "int", "value": "7"}, {"op": "str", "value": 7},
+    {"op": "int", "value": False}, {"op": "len", "args": []},
+)
+
+
+def _edited_expr(rng):
+    expr = gen_expr(rng, depth=3)
+    for _ in range(rng.randrange(1, 3)):
+        site = rng.choice(_containers(expr))
+        value = copy.deepcopy(rng.choice(_EXPR_EDITS))
+        if isinstance(site, dict):
+            key = rng.choice(("op", "args", "value"))
+            if key in site and rng.random() < 0.3:
+                del site[key]
+            else:
+                site[key] = value
+        elif site:
+            site[rng.randrange(len(site))] = value
+    return expr
+
+
+def test_expression_semantics_are_pinned():
+    # 20,000 generated expressions on every pool value, then 2,000 edited
+    # ones: each refusal agrees with the oracle, and the digests hold every
+    # value by repr (so 1 and True differ) and every refusal message
+    rng = random.Random(28)
+    values = hashlib.sha256()
+    for _ in range(20_000):
+        form = compile_expr(gen_expr(rng, depth=3), {})
+        values.update("|".join(repr(eval_form(form, x)) for x in _VALUE_POOL).encode() + b"\n")
+    refusals = hashlib.sha256()
+    for _ in range(2_000):
+        expr = _edited_expr(rng)
+        text, expected = repr(expr), _verdict(_oracle_expr, expr)
+        try:
+            form = compile_expr(expr, {})
+        except ProgramError as e:
+            assert str(e) == expected, text
+            outcome = f"refused {e}"
+        else:
+            assert expected == "accepted", text
+            outcome = "|".join(repr(eval_form(form, x)) for x in _VALUE_POOL)
+        refusals.update(f"{text}\n{outcome}\n".encode())
+    assert (values.hexdigest(), refusals.hexdigest()) == (
+        "e41ff79bec3e2339e69597c7bd0a368beba9e75d932a0d46f873befe2e762b88",
+        "91cda1347e3a6cf0011d05c015dddd29870442c5b41a414dca24cc5426ef30a5",
+    )
+
+
+def _reachable(code):
+    """Every object reachable from ``code`` through tuples, ``code`` first."""
+    out, todo = [], [code]
+    while todo:
+        x = todo.pop()
+        out.append(x)
+        if type(x) is tuple:
+            todo.extend(x)
+    return out
+
+
+def _code(morphism):
+    return morphism.morph.args[0]
+
+
+def test_compiled_code_holds_no_expression_dict():
+    # the machine reads compiled forms only, never a program file's dicts
+    rng = random.Random(31)
+    for i in range(300):
+        code = _code(compile_ast(gen_program_ast(rng, allow_register=True)))
+        assert not any(type(x) is dict for x in _reachable(code)), i
+
+
+def test_equal_expressions_compile_to_one_form_per_parse():
+    extract = {"op": "add", "args": [{"op": "fst", "args": [{"op": "input"}]},
+                                     {"op": "len", "args": [{"op": "snd", "args": [{"op": "input"}]}]}]}
+    step = {"kind": "call", "machine": "calc", "payload": {"op": "input"}, "extract": extract}
+    text = json.dumps({"version": 1, "input": 0, "body": {"kind": "seq", "steps": [step] * 1600}})
+    first, second = (_code(parse_program(text).compile()) for _ in range(2))
+    extracts = {id(ins[1]) for ins in first[1:] if ins[0] == govtree.program._EXTRACT}
+    assert len(extracts) == 1
+    # no table outlives its parse: the two parses share no compiled form
+    forms = [{id(x) for ins in c[1:] for x in _reachable(ins)[1:] if type(x) is tuple}
+             for c in (first, second)]
+    assert forms[0] and not forms[0] & forms[1]
 
 
 def test_tensor_duplicates_non_pair_input():
