@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import random
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -85,8 +85,12 @@ def no_check_operator() -> GovernanceOperator:
     return GovernanceOperator("no-check", lambda h: rewrap(h, _forward))
 
 
+def _mangled(cont, x):  # cont on the answer x, a record answer's status + 1
+    return cont(x if x is None else x._replace(status=x.status + 1))
+
+
 def _mangling_gate(d, cont, rec):  # check_gate, each record answer's status + 1
-    return check_gate(d, lambda x: cont(x if x is None else replace(x, status=x.status + 1)), rec)
+    return check_gate(d, partial(_mangled, cont), rec)
 
 
 def result_mangling_operator() -> GovernanceOperator:
@@ -300,7 +304,7 @@ def filtering_handler(seed: int) -> Handler:
     def h(d):
         answer = mock_answer(seed, d)
         if answer is not None:
-            answer = replace(answer, content="[filtered]")
+            answer = answer._replace(content="[filtered]")
         return ret(answer)
 
     return h

@@ -330,7 +330,7 @@ class _State(ITree):
             if outcome is None:
                 node = _new(Ret, (None,))
             else:
-                d = Observability(_step_message(pc, outcome[1]))
+                d = _new(Observability, (_step_message(pc, outcome[1]),))
                 node = _new(Vis, (d, _translate(code, fuel - 1, *outcome)))
             self._node = node
         return node

@@ -1,12 +1,12 @@
 """The fixed directive signature: every effect the runtime can request.
 
-There are exactly 14 directive variants, each a frozen dataclass whose
-fields are printable scalars (strings and ints). ``SIGNATURE`` is the one
-table of them: in a fixed order, it maps each variant to the name of its
-answer (None for a unit answer) and to the one capability it requires
-(None for the bookkeeping ``RecordStep`` and ``Observability``). Every
-named answer is an ``Answer`` record whose content starts with that name,
-lowercased. ``DIRECTIVE_TYPES``, ``DirectiveEvent``, ``ANSWER_TYPES`` and
+There are exactly 14 directive variants, each a ``NamedTuple`` equal only
+to its own type (``itree.own_type_eq``) whose fields are printable scalars
+(strings and ints). ``SIGNATURE`` is the one table of them: in a fixed
+order, it maps each variant to the name of its answer (None for a unit
+answer) and to the one capability it requires (None for the bookkeeping
+``RecordStep`` and ``Observability``). Every named answer is an ``Answer``
+record, built like them, whose content starts with that name, lowercased. ``DIRECTIVE_TYPES``, ``DirectiveEvent``, ``ANSWER_TYPES`` and
 ``capability_for_directive`` are read off it, as are the primitive bounds
 in ``capability`` and ``boundary.EFFECTFUL_VARIANTS``.
 
@@ -14,8 +14,8 @@ This module also owns the canonical textual encoding used by traces,
 ledger entries, and mock and sampled answers: ``TAG{field=value,...}``
 with fields in declaration order and no added whitespace. Delimiter
 characters and backslashes inside string values are backslash-escaped so
-the encoding stays injective. The layout of each variant (its template
-and field names) is read once, from ``DIRECTIVE_TYPES``, at import.
+the encoding stays injective. The template of each variant is read
+once, from its fields, at import, and filled with its values by position.
 
 Mock answers and checker samples are read off a SHA-256 digest of the
 seed and the directive's encoding, with no generator seeded. Unit-answered
@@ -29,100 +29,100 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
-from .itree import ITree, ret
+from .itree import ITree, _new, own_type_eq, ret
 
 
-@dataclass(frozen=True, slots=True)
-class LLMCall:
+@own_type_eq
+class LLMCall(NamedTuple):
     model: str
     prompt: str
 
 
-@dataclass(frozen=True, slots=True)
-class HTTPRequest:
+@own_type_eq
+class HTTPRequest(NamedTuple):
     method: str
     url: str
     body: str
 
 
-@dataclass(frozen=True, slots=True)
-class FileOp:
+@own_type_eq
+class FileOp(NamedTuple):
     op: str
     path: str
 
 
-@dataclass(frozen=True, slots=True)
-class CallMachine:
+@own_type_eq
+class CallMachine(NamedTuple):
     machine: str
     payload: str
 
 
-@dataclass(frozen=True, slots=True)
-class MemoryOp:
+@own_type_eq
+class MemoryOp(NamedTuple):
     op: str
     key: str
     value: str
 
 
-@dataclass(frozen=True, slots=True)
-class DBOp:
+@own_type_eq
+class DBOp(NamedTuple):
     query: str
 
 
-@dataclass(frozen=True, slots=True)
-class ExecOp:
+@own_type_eq
+class ExecOp(NamedTuple):
     command: str
 
 
-@dataclass(frozen=True, slots=True)
-class RecordStep:
+@own_type_eq
+class RecordStep(NamedTuple):
     step: str
 
 
-@dataclass(frozen=True, slots=True)
-class Broadcast:
+@own_type_eq
+class Broadcast(NamedTuple):
     channel: str
     message: str
 
 
-@dataclass(frozen=True, slots=True)
-class EmitEvent:
+@own_type_eq
+class EmitEvent(NamedTuple):
     name: str
     payload: str
 
 
-@dataclass(frozen=True, slots=True)
-class GraphQLRequest:
+@own_type_eq
+class GraphQLRequest(NamedTuple):
     endpoint: str
     query: str
 
 
-@dataclass(frozen=True, slots=True)
-class WebSocketOp:
+@own_type_eq
+class WebSocketOp(NamedTuple):
     op: str
     url: str
     message: str
 
 
-@dataclass(frozen=True, slots=True)
-class MCPCall:
+@own_type_eq
+class MCPCall(NamedTuple):
     server: str
     method: str
 
 
-@dataclass(frozen=True, slots=True)
-class Observability:
+@own_type_eq
+class Observability(NamedTuple):
     message: str
 
 
 # The answer of every record-answered directive; unit-answered ones
 # answer with None.
-@dataclass(frozen=True, slots=True)
-class Answer:
+@own_type_eq
+class Answer(NamedTuple):
     status: int
     content: str
 
@@ -177,21 +177,15 @@ def capability_for_directive(d: DirectiveEvent) -> Capability | None:
     return _CAPABILITY_FOR[type(d)]
 
 
-# Per directive type: a ``TAG{name=%s,...}`` template with the fields in
-# declaration order, and the field names.
-_LAYOUTS: dict[type, tuple[str, tuple[str, ...]]] = {
-    t: (
-        t.__name__ + "{" + ",".join(f"{f.name}=%s" for f in fields(t)) + "}",
-        tuple(f.name for f in fields(t)),
-    )
-    for t in DIRECTIVE_TYPES
-}
+# Per directive type: its ``TAG{name=%s,...}`` template, fields in declaration order.
+_LAYOUTS = {t: t.__name__ + "{" + ",".join(f"{f}=%s" for f in t._fields) + "}"
+            for t in DIRECTIVE_TYPES}
 
 
 # The last directive encoded and its encoding, as one tuple so that
 # concurrent callers never pair one directive with another's encoding. A
 # governed step encodes its directive for the trace and then again for the
-# mock answer; directives are frozen, so one object has one encoding.
+# mock answer; directives are immutable, so one object has one encoding.
 _last_encoded: tuple = (object(), "")
 
 
@@ -213,10 +207,8 @@ def encode_directive(d: DirectiveEvent) -> str:
 
 
 def _encode(d: DirectiveEvent) -> str:
-    template, names = _LAYOUTS[type(d)]
     values = []
-    for name in names:
-        v = getattr(d, name)
+    for v in d:  # by position: a NamedTuple's field names read slower
         if isinstance(v, str):
             # Backslashes first, so that the ones added after stay single.
             v = (v.replace("\\", "\\\\").replace("{", "\\{").replace("}", "\\}")
@@ -224,7 +216,7 @@ def _encode(d: DirectiveEvent) -> str:
         else:
             v = f"{v}"
         values.append(v)
-    return template % tuple(values)
+    return _LAYOUTS[type(d)] % tuple(values)
 
 
 def _digest(*parts) -> bytes:
@@ -241,7 +233,7 @@ def _answer(prefix: str, *parts) -> Answer:
     digest = _digest(*parts)
     status = 100 + int.from_bytes(digest[:8], "big") % 500
     n = int.from_bytes(digest[8:16], "big") % 1_000_000
-    return Answer(status, f"{prefix}-{n}")
+    return _new(Answer, (status, f"{prefix}-{n}"))
 
 
 def mock_answer(seed: int, d: DirectiveEvent):

@@ -5,8 +5,8 @@ campaign is reproducible from its seed. Programs are generated as the
 same field-tagged AST dictionaries the program-file parser accepts, so
 one generator feeds the in-memory campaigns, the file-based CLI runs,
 and the differential tester alike. An effectful node's fields are read
-from ``program.PRIMITIVES`` and a directive's from its own dataclass
-fields, so neither signature is restated here; only the choices for
+from ``program.PRIMITIVES`` and a directive's from its own record's
+``_fields``, so neither signature is restated here; only the choices for
 fields that are not free words are.
 
 Generated extract expressions are biased toward actually using the
@@ -18,7 +18,6 @@ observably wrong, not silently equivalent.
 from __future__ import annotations
 
 import random
-from dataclasses import fields
 
 from .category import RegisterProgram
 from .directives import (
@@ -214,7 +213,7 @@ def gen_policy(rng: random.Random) -> GovernancePolicy:
 _FIELD_CHOICES = {(HTTPRequest, "method"): ("GET", "POST"), (FileOp, "op"): ("read", "write"),
                   (MemoryOp, "op"): ("get", "put", "del"), (WebSocketOp, "op"): ("send", "recv")}
 # tag: (directive type, each field's choices in declaration order, None for a word)
-_DIRECTIVE_DRAWS = {t.__name__: (t, tuple(_FIELD_CHOICES.get((t, f.name)) for f in fields(t)))
+_DIRECTIVE_DRAWS = {t.__name__: (t, tuple(_FIELD_CHOICES.get((t, f)) for f in t._fields))
                     for t in DIRECTIVE_TYPES}
 
 

@@ -262,27 +262,30 @@ def interpret_governed(
     gh: GovernedHandler, policy: GovernancePolicy, t: ITree, fuel: Fuel
 ) -> RunOutcome:
     """Drive ``t`` under ``gh``, recording a trace: the policy decides
-    each check, the base handler answers each released directive. A
-    handler from ``govern`` drives ``t`` itself with the policy as the
-    check step, matching its image event for event and fuel for fuel;
-    other handlers drive their image, where any event that is neither a
-    check nor I/O is a ``TypeError``."""
+    each check on the tag of the directive it releases (a check's own
+    stage only labels its entry), and the base handler answers each
+    released directive. A handler from ``govern`` drives ``t`` itself with
+    the policy as the check step, matching its image event for event and
+    fuel for fuel; other handlers drive their image, where any event that
+    is neither a check nor I/O is a ``TypeError``."""
 
-    entries: dict = {}  # stage -> its (failing, passing) GovEntry, shared by the run
+    entries: dict = {}  # label -> its (failing, passing) GovEntry, shared by the run
 
-    def decide(stage, d):
+    def decide(d, label=None):  # the policy judges d's own stage; label names the entry
+        stage = stage_of(d)
         allowed = bool(policy.decide(stage, d))
-        if stage not in entries:
-            entries[stage] = (GovEntry(stage, False), GovEntry(stage, True))
-        return entries[stage][allowed], allowed
+        label = stage if label is None else label
+        if label not in entries:
+            entries[label] = (GovEntry(label, False), GovEntry(label, True))
+        return entries[label][allowed], allowed
 
     perform = _perform(gh.base)
     if gh.gate is check_gate:
-        return drive(t, fuel, perform, lambda d: decide(stage_of(d), d))
+        return drive(t, fuel, perform, decide)
 
     def answer(ev):
         if type(ev) is Gov:
-            entry, allowed = decide(ev.stage, ev.directive)
+            entry, allowed = decide(ev.directive, ev.stage)
             return entry, _VERDICTS[allowed]
         if type(ev) is Io:
             return perform(ev.directive)

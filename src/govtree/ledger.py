@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Iterable, NamedTuple
 
-from .itree import _new
+from .itree import _new, own_type_eq
 from .trace import GovEntry, IoEntry, Trace, TraceEvent
 
 GENESIS_HASH = bytes(32)
@@ -79,6 +79,7 @@ def entry_hash(prev_hash: bytes, data: bytes) -> bytes:
     return sha256(prev_hash + data).digest()
 
 
+@own_type_eq
 class LedgerEntry(NamedTuple):
     event: TraceEvent
     data: bytes

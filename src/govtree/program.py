@@ -235,7 +235,7 @@ class _Machine(ITree):
             if op == _CODE:
                 value = eval_form(ins[1], value)
             elif op == _EFFECT:
-                d = ins[1](ins[2], *[to_str(eval_form(e, value)) for e in ins[3:]])
+                d = _new(ins[1], (ins[2], *[to_str(eval_form(e, value)) for e in ins[3:]]))
                 node = _new(Vis, (d, partial(_state, code, pc + 1, stack)))
                 break
             elif op == _EXTRACT:

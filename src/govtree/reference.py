@@ -8,7 +8,7 @@ tempted to import an evaluation helper from ``program``, write it again
 here instead.
 
 It does share the *environment* with the tree pipeline: the directive
-dataclasses, the canonical encoding, seeded mock answers, and policy
+records, the canonical encoding, seeded mock answers, and policy
 objects. Those define what is being interpreted, not how.
 
 ``register_steps`` is also the oracle for ``category``'s register
@@ -22,7 +22,7 @@ itself is broken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from .directives import CallMachine, LLMCall, MemoryOp, Observability, encode_directive, mock_answer
@@ -137,7 +137,7 @@ def _effect(d, ctx: _Ctx):
     ctx.trace.append(IoEntry(encode_directive(d)))
     answer = mock_answer(ctx.handler_seed, d)
     if ctx.bug == "mangle-status" and answer is not None:
-        answer = replace(answer, status=answer.status + 1)
+        answer = answer._replace(status=answer.status + 1)
     return answer
 
 

@@ -59,8 +59,9 @@ def test_no_check_operator_fails_on_single_http_request():
 
 
 def test_no_check_gate_makes_no_closure_cells():
-    # A cell would be made on every directive the gate forwards.
-    assert govtree.algebra._forward.__code__.co_cellvars == ()
+    # A cell would be made on every directive the gate forwards or mangles.
+    for gate in (govtree.algebra._forward, govtree.algebra._mangling_gate):
+        assert gate.__code__.co_cellvars == ()
 
 
 def test_mangling_operator_fails_exactly_g2():

@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import fields
 
 import hypothesis.strategies as st
 import pytest
@@ -155,7 +154,7 @@ NASTY = "a\\b{c}d,e=f\ng é→𝄞"
 
 def nasty_directives():
     return [
-        t(*[f"{f.name}{i}:{NASTY}" for f in fields(t)]) for i, t in enumerate(DIRECTIVE_TYPES)
+        t(*[f"{f}{i}:{NASTY}" for f in t._fields]) for i, t in enumerate(DIRECTIVE_TYPES)
     ]
 
 
@@ -255,13 +254,111 @@ def test_answer_stream_is_pinned():
             assert type(answer) is ANSWER_TYPES[type(d)]
 
 
+# Per variant: the repr of the directive in ``nasty_directives()``, of its
+# ``mock_answer(11, d)`` and of its ``ResponseSampler(seed=3)`` answers, as
+# witness texts such as ``events differ: ...`` and ``... answered ...`` print
+# them. Recorded from the implementation whose directives and answers were
+# frozen dataclasses.
+PINNED_REPRS = {
+    'LLMCall': (
+        "LLMCall(model='model0:a\\\\b{c}d,e=f\\ng é→𝄞', prompt='prompt0:a\\\\b{c}d,e=f\\ng é→𝄞')",
+        "Answer(status=367, content='llmresponse-324839')",
+        ("Answer(status=494, content='llmresponse-811226')", "Answer(status=433, content='llmresponse-505516')"),
+    ),
+    'HTTPRequest': (
+        "HTTPRequest(method='method1:a\\\\b{c}d,e=f\\ng é→𝄞', url='url1:a\\\\b{c}d,e=f\\ng é→𝄞', body='body1:a\\\\b{c}d,e=f\\ng é→𝄞')",
+        "Answer(status=582, content='httpresponse-899806')",
+        ("Answer(status=564, content='httpresponse-982632')", "Answer(status=343, content='httpresponse-778478')"),
+    ),
+    'FileOp': (
+        "FileOp(op='op2:a\\\\b{c}d,e=f\\ng é→𝄞', path='path2:a\\\\b{c}d,e=f\\ng é→𝄞')",
+        "Answer(status=130, content='fileresult-740804')",
+        ("Answer(status=272, content='fileresult-711722')", "Answer(status=419, content='fileresult-917694')"),
+    ),
+    'CallMachine': (
+        "CallMachine(machine='machine3:a\\\\b{c}d,e=f\\ng é→𝄞', payload='payload3:a\\\\b{c}d,e=f\\ng é→𝄞')",
+        "Answer(status=226, content='callmachineresult-481664')",
+        ("Answer(status=293, content='callmachineresult-45709')", "Answer(status=324, content='callmachineresult-331387')"),
+    ),
+    'MemoryOp': (
+        "MemoryOp(op='op4:a\\\\b{c}d,e=f\\ng é→𝄞', key='key4:a\\\\b{c}d,e=f\\ng é→𝄞', value='value4:a\\\\b{c}d,e=f\\ng é→𝄞')",
+        "Answer(status=402, content='memoryresult-515678')",
+        ("Answer(status=598, content='memoryresult-595138')", "Answer(status=337, content='memoryresult-628019')"),
+    ),
+    'DBOp': (
+        "DBOp(query='query5:a\\\\b{c}d,e=f\\ng é→𝄞')",
+        "Answer(status=152, content='dbresult-222077')",
+        ("Answer(status=135, content='dbresult-545795')", "Answer(status=448, content='dbresult-454579')"),
+    ),
+    'ExecOp': (
+        "ExecOp(command='command6:a\\\\b{c}d,e=f\\ng é→𝄞')",
+        "Answer(status=571, content='execresult-861559')",
+        ("Answer(status=365, content='execresult-631971')", "Answer(status=471, content='execresult-500086')"),
+    ),
+    'RecordStep': (
+        "RecordStep(step='step7:a\\\\b{c}d,e=f\\ng é→𝄞')",
+        'None',
+        ('None',),
+    ),
+    'Broadcast': (
+        "Broadcast(channel='channel8:a\\\\b{c}d,e=f\\ng é→𝄞', message='message8:a\\\\b{c}d,e=f\\ng é→𝄞')",
+        'None',
+        ('None',),
+    ),
+    'EmitEvent': (
+        "EmitEvent(name='name9:a\\\\b{c}d,e=f\\ng é→𝄞', payload='payload9:a\\\\b{c}d,e=f\\ng é→𝄞')",
+        'None',
+        ('None',),
+    ),
+    'GraphQLRequest': (
+        "GraphQLRequest(endpoint='endpoint10:a\\\\b{c}d,e=f\\ng é→𝄞', query='query10:a\\\\b{c}d,e=f\\ng é→𝄞')",
+        "Answer(status=146, content='httpresponse-591767')",
+        ("Answer(status=363, content='httpresponse-462653')", "Answer(status=484, content='httpresponse-222877')"),
+    ),
+    'WebSocketOp': (
+        "WebSocketOp(op='op11:a\\\\b{c}d,e=f\\ng é→𝄞', url='url11:a\\\\b{c}d,e=f\\ng é→𝄞', message='message11:a\\\\b{c}d,e=f\\ng é→𝄞')",
+        "Answer(status=226, content='websocketresult-854850')",
+        ("Answer(status=493, content='websocketresult-867196')", "Answer(status=457, content='websocketresult-874892')"),
+    ),
+    'MCPCall': (
+        "MCPCall(server='server12:a\\\\b{c}d,e=f\\ng é→𝄞', method='method12:a\\\\b{c}d,e=f\\ng é→𝄞')",
+        "Answer(status=348, content='callmachineresult-203754')",
+        ("Answer(status=244, content='callmachineresult-714079')", "Answer(status=462, content='callmachineresult-919753')"),
+    ),
+    'Observability': (
+        "Observability(message='message13:a\\\\b{c}d,e=f\\ng é→𝄞')",
+        'None',
+        ('None',),
+    ),
+}
+
+
+def test_directive_and_answer_reprs_are_pinned():
+    sampler = ResponseSampler(seed=3)
+    for d in nasty_directives():
+        directive, mock, samples = PINNED_REPRS[directive_tag(d)]
+        assert repr(d) == directive
+        assert repr(mock_answer(11, d)) == mock
+        assert tuple(map(repr, sampler.answers(d))) == samples
+
+
+def test_directive_and_answer_hash_their_field_tuples():
+    # Set and dict orders over directives and answers follow these hashes.
+    sampler = ResponseSampler(seed=3)
+    for d in nasty_directives() + sample_directives():
+        assert hash(d) == hash(tuple(getattr(d, name) for name in d._fields))
+        for a in (mock_answer(11, d), *sampler.answers(d)):
+            if a is not None:
+                assert hash(a) == hash((a.status, a.content))
+
+
 def reference_encoding(d) -> str:
     """The documented encoding, one character at a time."""
     escapes = {"\\": "\\\\", "{": "\\{", "}": "\\}", ",": "\\,", "=": "\\=", "\n": "\\n"}
     parts = []
-    for f in fields(d):
-        value = getattr(d, f.name)
-        parts.append(f.name + "=" + "".join(escapes.get(c, c) for c in value))
+    for f in d._fields:
+        value = getattr(d, f)
+        parts.append(f + "=" + "".join(escapes.get(c, c) for c in value))
     return type(d).__name__ + "{" + ",".join(parts) + "}"
 
 
@@ -273,7 +370,7 @@ FIELD_TEXT = st.text() | st.text(alphabet="\\{},=\nn", max_size=4)
 @st.composite
 def unicode_directives(draw):
     t = draw(st.sampled_from(DIRECTIVE_TYPES))
-    return t(*[draw(FIELD_TEXT) for _ in fields(t)])
+    return t(*[draw(FIELD_TEXT) for _ in t._fields])
 
 
 @given(unicode_directives())
@@ -349,7 +446,7 @@ def record_directives(n, seed=0):
 def test_digest_answers_are_deterministic():
     fresh = ResponseSampler(seed=4)
     for d in record_directives(500):
-        copy = type(d)(*[getattr(d, f.name) for f in fields(d)])
+        copy = type(d)(*[getattr(d, f) for f in d._fields])
         assert mock_answer(4, d) == mock_answer(4, copy)
         assert fresh.answers(d) == ResponseSampler(seed=4).answers(copy)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -30,13 +31,15 @@ from govtree.governance import (
     interpret_governed,
     interpret_ungoverned,
     policy_by_name,
+    rewrap,
     tag_filter,
 )
 from govtree.itree import Ret, Vis, bind, eutt_bounded, ret, skip_taus, spin, tau, vis
-from govtree.program import compile_ast
+from govtree.program import compile_ast, parse_program
 from govtree.trace import GovEntry, IoEntry
 
 SAMPLER = ResponseSampler(seed=0)
+PROGRAMS = Path(__file__).resolve().parents[1] / "programs"
 
 
 def llm_program(prompt="p"):
@@ -92,6 +95,20 @@ def test_every_denial_continues_into_one_shared_loop():
 def test_check_gate_makes_no_closure_cells():
     # A cell would be made on every directive the gate wraps.
     assert check_gate.__code__.co_cellvars == ()
+
+
+def test_a_check_is_judged_by_the_directive_it_releases():
+    # A gate that labels every check Observability must not launder the
+    # directive the check releases past a policy allowing only Observability.
+    def launder(d, cont, rec):
+        return Vis(Gov("Observability", d), check_gate(d, cont, rec).cont)
+
+    program = parse_program((PROGRAMS / "llm_pipeline.json").read_text(encoding="utf-8"))
+    tree = program.compile()(program.input_value)
+    policy = policy_by_name("tags:Observability")
+    out = interpret_governed(rewrap(mock_handler(0), launder), policy, tree, 4096)
+    assert not out.completed and out.denied
+    assert out.trace == (GovEntry("Observability", False),)  # the gate's own label
 
 
 def test_governed_events_equal_only_their_own_type():

@@ -1,5 +1,6 @@
 """Package-wide rules: every public name in ``src/govtree`` has a caller,
-and every lazy tree is a slotted state that steps itself."""
+every lazy tree is a slotted state that steps itself, and every
+``NamedTuple`` record is equal only to records of its own type."""
 
 import ast
 import importlib
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from govtree.directives import SIGNATURE, Answer
 from govtree.itree import ITree
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -168,3 +170,22 @@ def test_every_unforced_tree_is_a_slotted_state_with_its_own_step():
                if "__slots__" not in vars(c) or "step" not in vars(c)
                or hasattr(object.__new__(c), "__dict__")]
     assert lacking == []
+
+
+def test_every_record_is_an_own_type_named_tuple():
+    # One record idiom: a NamedTuple defined in the package is unequal to
+    # the plain tuple of its fields, either way round (``itree.own_type_eq``),
+    # and the directives of the signature and their answer are such records.
+    records = []
+    for module in MODULES:
+        m = importlib.import_module(f"govtree.{module}")
+        records += [c for c in vars(m).values() if isinstance(c, type) and issubclass(c, tuple)
+                    and hasattr(c, "_fields") and c.__module__ == m.__name__]
+    plain_equal = []
+    for c in records:
+        fields = tuple(range(len(c._fields)))
+        record = tuple.__new__(c, fields)
+        if record == fields or fields == record or not record != fields or record != record:
+            plain_equal.append(f"{c.__module__}.{c.__qualname__}")
+    assert len(records) > len(SIGNATURE) and plain_equal == []
+    assert [t.__name__ for t in (*SIGNATURE, Answer) if t not in records] == []

@@ -1,7 +1,6 @@
 """Trace extraction, the well-governed predicate, and trace composition."""
 
 import random
-from dataclasses import fields
 from unittest.mock import ANY
 
 import hypothesis.strategies as st
@@ -199,7 +198,7 @@ def unicode_traces(draw):
         if draw(st.booleans()):
             events.append(GovEntry(t.__name__, draw(st.booleans())))
         else:
-            d = t(*[draw(st.text()) for _ in fields(t)])
+            d = t(*[draw(st.text()) for _ in t._fields])
             events.append(IoEntry(encode_directive(d)))
     return tuple(events)
 
