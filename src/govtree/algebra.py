@@ -41,6 +41,7 @@ from .directives import (
     Handler,
     ResponseSampler,
     derive_rng,
+    directive_tag,
     mock_answer,
     mock_handler,
 )
@@ -57,7 +58,6 @@ from .governance import (
     interpret_governed,
     interpret_ungoverned,
     rewrap,
-    stage_of,
 )
 from .itree import BoundedVerdict, Fuel, Vis, _new, fails, holds, ret, unknown
 from .trace import IoEntry
@@ -116,7 +116,7 @@ def fingerprinting_operator() -> GovernanceOperator:
 
         def on_vis(d, cont, rec):
             gate = check_gate(d, cont, rec)
-            return _new(Vis, (_new(Gov, (f"{stage_of(d)}#h{token}", d)), gate.cont))
+            return _new(Vis, (_new(Gov, (f"{directive_tag(d)}#h{token}", d)), gate.cont))
 
         return rewrap(h, on_vis)
 

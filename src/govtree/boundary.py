@@ -18,9 +18,10 @@ nontrivial and cognitive are defined here:
 
 The reverse inclusion, that every governed program is the image of an
 expressible one, holds by construction: the governance wrapper only
-accepts directive trees, which are exactly what the primitives and
-combinators build. That is an interface fact, documented rather than
-tested.
+accepts directive trees, which are exactly what ``program.compile_ast``
+builds from the four primitive kinds (``code`` and the ``PRIMITIVES``
+rows) and its combinators. That is an interface fact, documented rather
+than tested.
 """
 
 from __future__ import annotations

@@ -12,11 +12,11 @@ the top two levels get everything, untrusted code keeps at most the LLM
 capability, and the middle levels keep exactly what they declared.
 
 A ``CapMorphism`` is a morphism paired with its capability bound;
-calling one applies its morphism. The ``cap_*`` constructors bound
-hand-built morphisms: none for ``code``, one capability for ``reason``,
-``memory`` and ``call``, the union of the parts under
-``cap_seq_compose``, ``cap_tensor`` and ``cap_branch``. Program files
-compile to ``program``'s machine, whose walk states the same bounds.
+calling one applies its morphism. ``program.compile_ast`` builds every
+one: the bound of a program body is the union of the bounds of its
+effectful primitives, one capability each for ``reason``, ``memory``
+and ``call`` (``LLM_CAPS``, ``MEMORY_CAPS``, ``CALL_CAPS``) and none for
+``code``, however ``seq``, ``tensor`` and ``branch`` combine them.
 ``principality_check`` brute-forces every strict subset of the bound to
 show the bound is tight, and ``dual_guarantee_check`` confirms that
 staying within the bound and passing governance safety hold at the same
@@ -52,7 +52,6 @@ from .itree import (
     Fuel,
     ITree,
     Ret,
-    _new,
     bind,
     combine_verdicts,
     explore,
@@ -62,7 +61,6 @@ from .itree import (
     skip_taus,
     unknown,
 )
-from . import category
 from .category import Morphism
 from .trace import well_governed
 
@@ -219,42 +217,6 @@ class CapMorphism(NamedTuple):
 
     def __call__(self, a) -> ITree:
         return self.morph(a)
-
-
-def cap_code(f) -> CapMorphism:
-    return _new(CapMorphism, (category.code(f), NO_CAPS))
-
-
-def cap_reason(build, extract) -> CapMorphism:
-    return _new(CapMorphism, (category.reason(build, extract), LLM_CAPS))
-
-
-def cap_memory(build, extract) -> CapMorphism:
-    return _new(CapMorphism, (category.memory(build, extract), MEMORY_CAPS))
-
-
-def cap_call(build, extract) -> CapMorphism:
-    return _new(CapMorphism, (category.call(build, extract), CALL_CAPS))
-
-
-def cap_seq_compose(f: CapMorphism, *gs: CapMorphism) -> CapMorphism:
-    """``f`` then each of ``gs`` in order; the bound is the union of all."""
-    morphs, caps = zip(f, *gs)
-    morph = category.seq_compose(*morphs)
-    return _new(CapMorphism, (morph, NO_CAPS.union(*caps)))
-
-
-def cap_tensor(f: CapMorphism, g: CapMorphism) -> CapMorphism:
-    fm, fc = f
-    gm, gc = g
-    return _new(CapMorphism, (category.tensor(fm, gm), fc | gc))
-
-
-def cap_branch(pred, f: CapMorphism, g: CapMorphism) -> CapMorphism:
-    """Either arm may execute, so the bound is the union of both."""
-    fm, fc = f
-    gm, gc = g
-    return _new(CapMorphism, (category.branch(pred, fm, gm), fc | gc))
 
 
 def _strict_subsets(caps: CapSet):

@@ -1,12 +1,12 @@
-"""Program combinators: the four primitives, composition, and coherence.
+"""Morphism combinators: composition, the structural morphisms, coherence.
 
 A morphism is any function from an input value to a directive tree.
-Identity is ``ret``, sequential composition is monadic bind, and four
-primitives generate everything: ``code`` for pure functions, ``reason``
-for one LLM call, ``memory`` for one memory operation, ``call`` for one
-machine invocation. ``tensor`` runs two morphisms on the halves of a
-pair, left side first (sequential-independent, not concurrent), and
-``branch`` picks one of two morphisms by a pure predicate.
+Identity is ``ret``, ``code`` lifts a pure function, and sequential
+composition is monadic bind. ``tensor`` runs two morphisms on the halves
+of a pair, left side first (sequential-independent, not concurrent).
+The combinators take arbitrary morphisms, a compiled program included:
+program files build their morphisms, effectful primitives and bounds
+alike, in ``program.compile_ast``.
 
 The structural morphisms (associator, unitors, braiding) are all pure
 tuple rearrangements, so the pentagon, triangle, and hexagon coherence
@@ -36,10 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .directives import (
-    CallMachine,
     Handler,
-    LLMCall,
-    MemoryOp,
     Observability,
     ResponseSampler,
     _UNIT,
@@ -68,7 +65,6 @@ from .itree import (
     ret,
     run_pure,
     unknown,
-    vis,
 )
 from .reference import register_steps
 
@@ -80,32 +76,6 @@ identity: Morphism = ret
 def code(f: Callable[[Any], Any]) -> Morphism:
     """Pure computation: ``code(f)(a)`` is ``ret(f(a))``; no events."""
     return lambda a: ret(f(a))
-
-
-def _primitive(directive_type, build, extract) -> Morphism:
-    def morph(a):
-        d = build(a)
-        if type(d) is not directive_type:
-            raise TypeError(
-                f"builder produced {type(d).__name__}, expected {directive_type.__name__}"
-            )
-        return vis(d, lambda x: ret(extract(x)))
-
-    return morph
-
-
-def reason(build: Callable[[Any], LLMCall], extract) -> Morphism:
-    """One LLM call: build the directive from the input, extract from the
-    response."""
-    return _primitive(LLMCall, build, extract)
-
-
-def memory(build: Callable[[Any], MemoryOp], extract) -> Morphism:
-    return _primitive(MemoryOp, build, extract)
-
-
-def call(build: Callable[[Any], CallMachine], extract) -> Morphism:
-    return _primitive(CallMachine, build, extract)
 
 
 def seq_compose(f: Morphism, *gs: Morphism) -> Morphism:
@@ -134,10 +104,6 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
         return bind(f(a), lambda b: bind(g(c), lambda d: ret((b, d))))
 
     return morph
-
-
-def branch(pred: Callable[[Any], bool], f: Morphism, g: Morphism) -> Morphism:
-    return lambda a: f(a) if pred(a) else g(a)
 
 
 # Structural morphisms. All pure; inverses compose to identity.

@@ -61,15 +61,13 @@ from .itree import (
 )
 from .trace import GovEntry, IoEntry, Trace
 
-GovernanceStage = str
-
 
 @own_type_eq
 class Gov(NamedTuple):
     """A pending governance decision: the checkpoint stage plus the
     directive awaiting release. The stage label is the directive tag."""
 
-    stage: GovernanceStage
+    stage: str
     directive: DirectiveEvent
 
 
@@ -78,16 +76,13 @@ class Io(NamedTuple):
     directive: DirectiveEvent
 
 
-def stage_of(d: DirectiveEvent) -> GovernanceStage:
-    return directive_tag(d)
-
-
 @dataclass(frozen=True)
 class GovernancePolicy:
-    """A pure decision function from (stage, directive) to allow/deny."""
+    """A pure decision function from (stage, directive) to allow/deny. The
+    driver passes the directive's tag as its stage."""
 
     name: str
-    decide: Callable[[GovernanceStage, DirectiveEvent], bool]
+    decide: Callable[[str, DirectiveEvent], bool]
 
 
 PERMISSIVE = GovernancePolicy("permissive", lambda stage, d: True)
@@ -179,7 +174,7 @@ def check_gate(d: DirectiveEvent, cont, rec):
     """The check-before-effect node for ``d``: a check event whose true
     answer releases ``Io(d)`` and continues with ``rec(cont(answer))``,
     and whose false answer diverges into the shared ``spin`` loop."""
-    return _new(Vis, (_new(Gov, (stage_of(d), d)), partial(_after_check, d, cont, rec)))
+    return _new(Vis, (_new(Gov, (directive_tag(d), d)), partial(_after_check, d, cont, rec)))
 
 
 def govern(h: Handler) -> GovernedHandler:
@@ -272,7 +267,7 @@ def interpret_governed(
     entries: dict = {}  # label -> its (failing, passing) GovEntry, shared by the run
 
     def decide(d, label=None):  # the policy judges d's own stage; label names the entry
-        stage = stage_of(d)
+        stage = directive_tag(d)
         allowed = bool(policy.decide(stage, d))
         label = stage if label is None else label
         if label not in entries:

@@ -8,8 +8,8 @@ tempted to import an evaluation helper from ``program``, write it again
 here instead.
 
 It does share the *environment* with the tree pipeline: the directive
-records, the canonical encoding, seeded mock answers, and policy
-objects. Those define what is being interpreted, not how.
+records and their tags, the canonical encoding, seeded mock answers, and
+policy objects. Those define what is being interpreted, not how.
 
 ``register_steps`` is also the oracle for ``category``'s register
 translation, so nothing here is imported from ``category`` either.
@@ -25,8 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .directives import CallMachine, LLMCall, MemoryOp, Observability, encode_directive, mock_answer
-from .governance import GovernancePolicy, RunOutcome, stage_of
+from .directives import (
+    CallMachine,
+    LLMCall,
+    MemoryOp,
+    Observability,
+    directive_tag,
+    encode_directive,
+    mock_answer,
+)
+from .governance import GovernancePolicy, RunOutcome
 from .trace import GovEntry, IoEntry
 
 BUGS = ("mangle-status", "drop-gov-trace", "invert-deny")
@@ -126,7 +134,7 @@ def _eval(expr: dict, x):
 
 
 def _effect(d, ctx: _Ctx):
-    stage = stage_of(d)
+    stage = directive_tag(d)
     allowed = bool(ctx.policy.decide(stage, d))
     if ctx.bug == "invert-deny" and not allowed:
         allowed = True

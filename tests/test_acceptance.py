@@ -21,15 +21,10 @@ from govtree.algebra import (
 )
 from govtree.boundary import EFFECTFUL_VARIANTS, run_coterminous
 from govtree.capability import (
-    cap_call,
-    cap_code,
     cap_empty,
     cap_full,
-    cap_memory,
-    cap_reason,
     cap_singleton,
     cap_subset,
-    cap_tensor,
     cap_union,
     check_bind_within_caps,
     no_ambient_effects_check,
@@ -50,9 +45,6 @@ from govtree.category import (
 from govtree.cli import diff_campaign
 from govtree.directives import (
     Capability,
-    CallMachine,
-    LLMCall,
-    MemoryOp,
     Observability,
     ResponseSampler,
     derive_rng,
@@ -157,12 +149,18 @@ def test_criterion_05_capability_lattice_and_trust():
 
 
 def _cap_primitives():
-    return (
-        cap_code(lambda x: x + 1),
-        cap_reason(lambda a: LLMCall("m", str(a)), lambda x: x.status),
-        cap_memory(lambda a: MemoryOp("get", str(a), ""), lambda x: x.status),
-        cap_call(lambda a: CallMachine("calc", str(a)), lambda x: x.status),
+    """The four primitives as compiled program nodes, each with its AST:
+    the effectful ones send the input as text and extract the status."""
+    x = {"op": "input"}
+    status = {"op": "fst", "args": [x]}
+    asts = (
+        {"kind": "code", "expr": {"op": "add", "args": [x, {"op": "int", "value": 1}]}},
+        {"kind": "reason", "model": "m", "prompt": x, "extract": status},
+        {"kind": "memory", "mop": "get", "key": x, "value": {"op": "str", "value": ""},
+         "extract": status},
+        {"kind": "call", "machine": "calc", "payload": x, "extract": status},
     )
+    return tuple((ast, compile_ast(ast)) for ast in asts)
 
 
 def test_criterion_06_caps_composition_and_principality():
@@ -170,13 +168,13 @@ def test_criterion_06_caps_composition_and_principality():
     prims = _cap_primitives()
     fails = 0
     for i in range(5000):
-        f, g = rng.choice(prims), rng.choice(prims)
+        (fa, f), (ga, g) = rng.choice(prims), rng.choice(prims)
         if i % 2 == 0:
             v = check_bind_within_caps(
                 f.morph(rng.randrange(100)), g.morph, f.caps, g.caps, 300, SAMPLER
             )
         else:
-            cm = cap_tensor(f, g)
+            cm = compile_ast({"kind": "tensor", "left": fa, "right": ga})
             v = within_caps_check(
                 cm.caps, cm.morph((rng.randrange(100), rng.randrange(100))), 300, SAMPLER
             )
@@ -191,7 +189,7 @@ def test_criterion_06_caps_composition_and_principality():
         "call": cap_singleton(Capability.MACHINE_CALL),
     }
     profiles_ok = True
-    for cm, (name, caps) in zip(prims, expected.items()):
+    for (_, cm), (name, caps) in zip(prims, expected.items()):
         profiles_ok = profiles_ok and cm.caps == caps
         profiles_ok = profiles_ok and within_caps_check(cm.caps, cm.morph(1), 300, SAMPLER).is_holds
         profiles_ok = profiles_ok and principality_check(cm, range(8), 300, SAMPLER).is_holds

@@ -11,17 +11,10 @@ from govtree.capability import (
     CapMorphism,
     TrustLevel,
     allowed_cap_set,
-    cap_branch,
-    cap_call,
-    cap_code,
     cap_empty,
     cap_full,
-    cap_memory,
-    cap_reason,
-    cap_seq_compose,
     cap_singleton,
     cap_subset,
-    cap_tensor,
     cap_union,
     check_bind_within_caps,
     dual_guarantee_check,
@@ -37,33 +30,56 @@ from govtree.capability import (
 from govtree.category import seq_compose
 from govtree.directives import (
     Capability,
-    CallMachine,
     FileOp,
     HTTPRequest,
     LLMCall,
-    MemoryOp,
     Observability,
     ResponseSampler,
     mock_handler,
 )
 from govtree.governance import PERMISSIVE
 from govtree.itree import bind, ret, vis
+from govtree.program import compile_ast
 
 SAMPLER = ResponseSampler(seed=0)
 
 caps_sets = st.sets(st.sampled_from(list(Capability))).map(frozenset)
 
 
+# Compiled program nodes: each primitive sends its input as the directive's
+# text and extracts the answer's status (an answer enters as (status, content)).
+INPUT = {"op": "input"}
+STATUS = {"op": "fst", "args": [INPUT]}
+REASON = {"kind": "reason", "model": "m", "prompt": INPUT, "extract": STATUS}
+MEMORY = {"kind": "memory", "mop": "get", "key": INPUT, "value": {"op": "str", "value": ""},
+          "extract": STATUS}
+CALL = {"kind": "call", "machine": "calc", "payload": INPUT, "extract": STATUS}
+
+
+def code_ast(op=None, n=None):
+    """A code node: ``op(input, n)``, or the input itself."""
+    expr = INPUT if op is None else {"op": op, "args": [INPUT, {"op": "int", "value": n}]}
+    return {"kind": "code", "expr": expr}
+
+
+def seq(*steps):
+    return compile_ast({"kind": "seq", "steps": list(steps)})
+
+
+def tensor(left, right):
+    return compile_ast({"kind": "tensor", "left": left, "right": right})
+
+
 def reason_m():
-    return cap_reason(lambda a: LLMCall("m", str(a)), lambda x: x.status)
+    return compile_ast(REASON)
 
 
 def memory_m():
-    return cap_memory(lambda a: MemoryOp("get", str(a), ""), lambda x: x.status)
+    return compile_ast(MEMORY)
 
 
 def call_m():
-    return cap_call(lambda a: CallMachine("calc", str(a)), lambda x: x.status)
+    return compile_ast(CALL)
 
 
 def test_union_identity_and_idempotence():
@@ -156,7 +172,7 @@ def test_bind_within_caps_reason_then_call():
 
 def test_bind_within_caps_campaign():
     rng = random.Random(4)
-    makers = (reason_m, memory_m, call_m, lambda: cap_code(lambda x: x + 1))
+    makers = (reason_m, memory_m, call_m, lambda: compile_ast(code_ast("add", 1)))
     for i in range(300):
         f, g = rng.choice(makers)(), rng.choice(makers)()
         v = check_bind_within_caps(
@@ -222,43 +238,44 @@ def test_allowed_cap_set():
 
 
 def test_primitive_profiles():
-    assert cap_code(lambda x: x).caps == cap_empty()
+    assert compile_ast(code_ast()).caps == cap_empty()
     assert reason_m().caps == cap_singleton(Capability.LLM_REASON)
     assert memory_m().caps == cap_singleton(Capability.MEMORY)
     assert call_m().caps == cap_singleton(Capability.MACHINE_CALL)
-    for cm in (cap_code(lambda x: x), reason_m(), memory_m(), call_m()):
+    for cm in (compile_ast(code_ast()), reason_m(), memory_m(), call_m()):
         assert within_caps_check(cm.caps, cm.morph(1), 100, SAMPLER).is_holds
         assert principality_check(cm, range(5), 100, SAMPLER).is_holds
 
 
 def test_code_contributes_nothing():
     g = reason_m()
-    composed = cap_seq_compose(cap_code(lambda x: x + 1), g)
+    composed = seq(code_ast("add", 1), REASON)
     assert cap_subset(composed.caps, g.caps)
-    composed_r = cap_seq_compose(g, cap_code(lambda x: x + 1))
+    composed_r = seq(REASON, code_ast("add", 1))
     assert cap_subset(composed_r.caps, g.caps)
 
 
 def test_same_caps_no_escalation():
-    f, g = reason_m(), reason_m()
-    assert cap_subset(cap_seq_compose(f, g).caps, f.caps)
+    f = reason_m()
+    assert cap_subset(seq(REASON, REASON).caps, f.caps)
 
 
 def test_cap_tensor_union():
-    cm = cap_tensor(reason_m(), call_m())
+    cm = tensor(REASON, CALL)
     assert cm.caps == frozenset((Capability.LLM_REASON, Capability.MACHINE_CALL))
     assert within_caps_check(cm.caps, cm.morph((1, 2)), 200, SAMPLER).is_holds
 
 
 def test_cap_branch_unions_both_arms():
-    cm = cap_branch(lambda a: a > 0, reason_m(), call_m())
+    positive = {"op": "lt", "args": [{"op": "int", "value": 0}, INPUT]}
+    cm = compile_ast({"kind": "branch", "pred": positive, "then": REASON, "else": CALL})
     assert cm.caps == frozenset((Capability.LLM_REASON, Capability.MACHINE_CALL))
     for a in (-1, 1):
         assert within_caps_check(cm.caps, cm.morph(a), 200, SAMPLER).is_holds
 
 
 def test_principality_rejects_inflated_caps():
-    inflated = CapMorphism(cap_tensor(reason_m(), cap_code(lambda x: x)).morph, cap_full())
+    inflated = CapMorphism(tensor(REASON, code_ast()).morph, cap_full())
     inputs = [(a, a) for a in range(5)]
     assert principality_check(inflated, inputs, 200, SAMPLER).is_fails
 
@@ -266,23 +283,28 @@ def test_principality_rejects_inflated_caps():
 def test_dual_guarantee_examples():
     h = mock_handler(0)
     assert dual_guarantee_check(
-        cap_code(lambda x: x + 1), h, PERMISSIVE, range(5), 1000, SAMPLER
+        compile_ast(code_ast("add", 1)), h, PERMISSIVE, range(5), 1000, SAMPLER
     ).is_holds
     assert dual_guarantee_check(
-        cap_seq_compose(reason_m(), memory_m()), h, PERMISSIVE, range(20), 2000, SAMPLER
+        seq(REASON, MEMORY), h, PERMISSIVE, range(20), 2000, SAMPLER
     ).is_holds
 
 
 def test_dual_guarantee_composite_campaign():
     rng = random.Random(11)
-    makers = (reason_m, memory_m, call_m, lambda: cap_code(lambda x: x * 2))
+    makers = (REASON, MEMORY, CALL, code_ast("mul", 2))
+    # the left of a pair, or the input itself, is even
+    even = {"op": "eq", "args": [
+        {"op": "mod", "args": [{"op": "fst", "args": [INPUT]}, {"op": "int", "value": 2}]},
+        {"op": "int", "value": 0},
+    ]}
     for i in range(100):
-        f, g = rng.choice(makers)(), rng.choice(makers)()
+        f, g = rng.choice(makers), rng.choice(makers)
         cm = rng.choice(
             (
-                cap_seq_compose(f, g),
-                cap_tensor(f, g),
-                cap_branch(lambda a: (a if isinstance(a, int) else a[0]) % 2 == 0, f, g),
+                seq(f, g),
+                tensor(f, g),
+                compile_ast({"kind": "branch", "pred": even, "then": f, "else": g}),
             )
         )
         v = dual_guarantee_check(

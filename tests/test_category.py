@@ -15,8 +15,6 @@ from govtree.category import (
     associator,
     associator_inv,
     braiding,
-    branch,
-    call,
     check_hexagon,
     check_pentagon,
     check_register_agreement,
@@ -26,8 +24,6 @@ from govtree.category import (
     identity,
     interp_tensor_distribute_check,
     left_unitor,
-    memory,
-    reason,
     register_machine,
     register_tree_steps,
     right_unitor,
@@ -36,9 +32,7 @@ from govtree.category import (
 )
 from govtree.directives import (
     Answer,
-    CallMachine,
     LLMCall,
-    MemoryOp,
     Observability,
     ResponseSampler,
     mock_handler,
@@ -54,16 +48,24 @@ import pytest
 SAMPLER = ResponseSampler(seed=0)
 
 
+# Compiled program nodes: each primitive sends its input as the directive's
+# text and extracts the answer's status (an answer enters as (status, content)).
+INPUT = {"op": "input"}
+STATUS = {"op": "fst", "args": [INPUT]}
+REASON = {"kind": "reason", "model": "m", "prompt": INPUT, "extract": STATUS}
+
+
 def reason_inc():
-    return reason(lambda a: LLMCall("m", str(a)), lambda x: x.status)
+    return compile_ast(REASON)
 
 
 def memory_put():
-    return memory(lambda a: MemoryOp("put", str(a), "v"), lambda x: x.status)
+    return compile_ast({"kind": "memory", "mop": "put", "key": INPUT,
+                        "value": {"op": "str", "value": "v"}, "extract": STATUS})
 
 
 def call_calc():
-    return call(lambda a: CallMachine("calc", str(a)), lambda x: x.status)
+    return compile_ast({"kind": "call", "machine": "calc", "payload": INPUT, "extract": STATUS})
 
 
 def test_code_is_pure_application():
@@ -74,12 +76,6 @@ def test_reason_emits_one_llm_call():
     node = reason_inc()(7).step()
     assert type(node) is Vis and node.event == LLMCall("m", "7")
     assert type(node.cont(SAMPLER.answers(node.event)[0]).step()) is Ret
-
-
-def test_builder_variant_is_enforced():
-    bad = reason(lambda a: MemoryOp("get", "k", "v"), lambda x: x)
-    with pytest.raises(TypeError):
-        bad(1).step()
 
 
 def test_seq_compose_pure():
@@ -153,7 +149,11 @@ def test_tensor_composites_are_governed():
 
 
 def test_branch_picks_one_arm():
-    m = branch(lambda a: a % 2 == 0, code(lambda a: "even"), reason_inc())
+    even = {"op": "eq", "args": [{"op": "mod", "args": [INPUT, {"op": "int", "value": 2}]},
+                                 {"op": "int", "value": 0}]}
+    m = compile_ast({"kind": "branch", "pred": even,
+                     "then": {"kind": "code", "expr": {"op": "str", "value": "even"}},
+                     "else": REASON})
     assert run_pure(m(2), 10) == (True, "even")
     node = m(3).step()
     assert type(node) is Vis

@@ -1,6 +1,7 @@
-"""Package-wide rules: every public name in ``src/govtree`` has a caller,
-every lazy tree is a slotted state that steps itself, and every
-``NamedTuple`` record is equal only to records of its own type."""
+"""Package-wide rules: every public name in ``src/govtree`` has a caller
+and every import a reader, every lazy tree is a slotted state that steps
+itself, every ``NamedTuple`` record is equal only to records of its own
+type, and ``program.compile_ast`` is the one builder of a ``CapMorphism``."""
 
 import ast
 import importlib
@@ -26,10 +27,6 @@ KEEP = {
     "category.interp_tensor_distribute_check": "a monoidal law in tests/test_category.py",
     "capability.allowed_cap_set": "pending the capability campaign (ROADMAP item 9)",
     "capability.dual_guarantee_check": "pending the capability campaign (ROADMAP item 9)",
-    "capability.cap_seq_compose": "capability-indexed composition of hand-built morphisms, "
-                                  "checked in tests/test_capability.py",
-    "capability.cap_branch": "capability-indexed composition of hand-built morphisms, "
-                             "checked in tests/test_capability.py",
     "program.state_key": "the machine-state key that tables of check results will read "
                          "(ROADMAP items 5 and 11)",
 }
@@ -120,8 +117,9 @@ def test_no_two_classes_declare_the_same_fields():
     assert [names for names in by_fields.values() if len(names) > 1] == []
 
 
-# category's combinators, which the cap_* constructors wrap: hand-built
-# morphisms and the monoidal-law checks use them, program files do not.
+# Hand-built morphism builders by name: category's combinators, which the
+# monoidal-law checks use, and the names an effectful primitive or a cap_*
+# constructor beside compile_ast would take. Program files name none of them.
 COMBINATORS = {"code", "reason", "memory", "call", "seq_compose", "tensor", "branch"}
 
 
@@ -189,3 +187,75 @@ def test_every_record_is_an_own_type_named_tuple():
             plain_equal.append(f"{c.__module__}.{c.__qualname__}")
     assert len(records) > len(SIGNATURE) and plain_equal == []
     assert [t.__name__ for t in (*SIGNATURE, Answer) if t not in records] == []
+
+
+def _builds_cap_morphism(call):
+    """The call names ``CapMorphism`` as its callee, the callee's owner or
+    its first argument: ``CapMorphism(...)``, ``CapMorphism._make(...)``,
+    ``_new(CapMorphism, ...)``, ``tuple.__new__(CapMorphism, ...)``."""
+    func = call.func
+    named = [func, func.value] if isinstance(func, ast.Attribute) else [func]
+    named += call.args[:1]
+    return any(isinstance(n, ast.Name) and n.id == "CapMorphism" for n in named)
+
+
+def test_a_cap_morphism_is_built_only_by_compile_ast():
+    # The bound is stated once: compile_ast unions its primitives'
+    # PRIMITIVES rows, and no other code pairs a morphism with a bound.
+    inside, outside = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        builder = {id(node) for top in tree.body
+                   if path.stem == "program" and isinstance(top, ast.FunctionDef)
+                   and top.name == "compile_ast" for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _builds_cap_morphism(node):
+                (inside if id(node) in builder else outside).append(
+                    f"{path.stem} line {node.lineno}")
+    assert inside and outside == []
+
+
+def _names_read(tree, annotations=False):
+    """Every name ``tree`` reads; with ``annotations``, also the names in
+    its string constants, each parsed as an expression."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif annotations and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from _names_read(ast.parse(node.value, mode="eval"), annotations)
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    # No linter runs here, so this is the unused-import rule: a name a
+    # module imports is read in its code or in a string annotation. The
+    # package's re-exports (its ``__all__``) and ``__future__`` are exempt.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}  # bound name -> line
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    read = set(_names_read(tree))
+    for annotation in filter(None, _annotations(tree)):
+        read.update(_names_read(annotation, annotations=True))
+    exported = {
+        item.value for node in tree.body if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for item in node.value.elts
+    }
+    unread = sorted(f"line {line}: {name}" for name, line in imported.items()
+                    if name not in read | exported)
+    assert unread == []

@@ -16,13 +16,11 @@ from govtree import reference
 from govtree.capability import (
     CapMorphism,
     cap_empty,
-    cap_seq_compose,
     cap_singleton,
-    cap_tensor,
     dual_guarantee_check,
     within_caps_check,
 )
-from govtree.category import register_tree_steps
+from govtree.category import register_tree_steps, seq_compose
 from govtree.directives import Capability, ResponseSampler, mock_handler
 from govtree.gen import gen_expr, gen_input, gen_policy, gen_program_ast, gen_register_ast
 from govtree.governance import PERMISSIVE, govern, interpret_governed
@@ -854,14 +852,18 @@ def test_cap_composition_of_compiled_programs_carries_the_oracle_bound():
         left, right = gen_program_ast(rng, max_depth=3), gen_program_ast(rng, max_depth=3)
         third = gen_program_ast(rng, max_depth=3)
         f, g, h = compile_ast(left), compile_ast(right), compile_ast(third)
-        seq = cap_seq_compose(f, g)
-        par = cap_tensor(f, g)
+        pair = {"kind": "seq", "steps": [left, right]}
+        seq = compile_ast(pair)
+        par = compile_ast({"kind": "tensor", "left": left, "right": right})
         assert seq.caps == _oracle_ast_caps({"kind": "seq", "steps": [left, right]})
         assert par.caps == _oracle_ast_caps({"kind": "tensor", "left": left, "right": right})
         # n-ary composition is the left-nested binary one: same bound, same tree
-        flat, nested = cap_seq_compose(f, g, h), cap_seq_compose(seq, h)
+        flat = compile_ast({"kind": "seq", "steps": [left, right, third]})
+        nested = compile_ast({"kind": "seq", "steps": [pair, third]})
         assert flat.caps == nested.caps == _oracle_ast_caps(
             {"kind": "seq", "steps": [left, right, third]}
         )
         a = gen_input(rng)
-        assert eutt_bounded(flat(a), nested(a), 256, SAMPLER).is_holds, i
+        flat_m = seq_compose(f.morph, g.morph, h.morph)
+        nested_m = seq_compose(seq_compose(f.morph, g.morph), h.morph)
+        assert eutt_bounded(flat_m(a), nested_m(a), 256, SAMPLER).is_holds, i
