@@ -1,4 +1,4 @@
-"""The seeded campaign loop, and the conformance harness for operators.
+"""Campaigns, the conformance harness for operators, and the monoidal laws.
 
 An operator is anything that turns a base handler into a governed
 handler. The three axioms are checked statistically over seeded random
@@ -26,6 +26,10 @@ list every failing trial with its witness. ``CampaignReport`` is the one
 report over several summaries (``run_conformance``,
 ``boundary.run_coterminous``); a single campaign returns its
 ``CheckSummary``.
+
+The monoidal laws compare paths of program nodes, compiled by
+``compile_ast`` and run on the machine that runs program files; each
+structural morphism, such as ``BRAIDING``, is one ``code`` node.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import random
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable
 
 from .directives import (
     Handler,
@@ -48,6 +52,7 @@ from .directives import (
 from .governance import (
     PERMISSIVE,
     Gov,
+    GovernancePolicy,
     GovernedHandler,
     Io,
     _resume,
@@ -59,11 +64,13 @@ from .governance import (
     interpret_ungoverned,
     rewrap,
 )
-from .itree import BoundedVerdict, Fuel, Vis, _new, fails, holds, ret, unknown
+from .itree import (
+    BoundedVerdict, Fuel, Vis, _new, combine_verdicts, fails, holds, ret, run_pure, unknown,
+)
 from .trace import IoEntry
 from .gen import gen_directive, gen_input, gen_program_ast, gen_register_program, gen_trace_event
 from .ledger import Ledger, _substitute, ledger_valid
-from .category import register_machine
+from .category import _check_whole_run, register_machine
 from .program import compile_ast
 
 
@@ -386,3 +393,91 @@ def tamper_check(ledger: Ledger, mutations: int, seed: int) -> CheckSummary:
         return holds() if ok else fails((f"entry {idx} substituted, rejected at {bad}",))
 
     return run_campaign("tamper", "tamper", seed, mutations, trial, expect_fails=True)
+
+
+def _op(op: str, *args) -> dict:
+    return {"op": op, "args": list(args)}
+
+
+def _seq(*steps) -> dict:
+    return {"kind": "seq", "steps": list(steps)}
+
+
+def _tensor(left: dict, right: dict) -> dict:
+    return {"kind": "tensor", "left": left, "right": right}
+
+
+_IN, _UNIT = {"op": "input"}, {"op": "unit"}
+_FST, _SND = _op("fst", _IN), _op("snd", _IN)
+
+IDENTITY = {"kind": "code", "expr": _IN}
+ASSOCIATOR = {"kind": "code", "expr": _op("pair", _op("fst", _FST), _op("pair", _op("snd", _FST), _SND))}
+ASSOCIATOR_INV = {"kind": "code", "expr": _op("pair", _op("pair", _FST, _op("fst", _SND)), _op("snd", _SND))}
+LEFT_UNITOR = {"kind": "code", "expr": _SND}
+LEFT_UNITOR_INV = {"kind": "code", "expr": _op("pair", _UNIT, _IN)}
+RIGHT_UNITOR = {"kind": "code", "expr": _FST}
+RIGHT_UNITOR_INV = {"kind": "code", "expr": _op("pair", _IN, _UNIT)}
+BRAIDING = {"kind": "code", "expr": _op("pair", _SND, _FST)}
+
+
+def _compare_paths(
+    path1: Callable, path2: Callable, samples: Iterable, fuel: Fuel, label: str
+) -> BoundedVerdict:
+    def compare(s):
+        ok1, v1 = run_pure(path1(s), fuel)
+        ok2, v2 = run_pure(path2(s), fuel)
+        if not ok1 or not ok2:
+            return unknown(f"{label}: {v1 if not ok1 else v2}")
+        if v1 != v2:
+            return fails((f"{label} diverges on {s!r}: {v1!r} != {v2!r}",))
+        return holds()
+
+    return combine_verdicts(map(compare, samples))
+
+
+def check_pentagon(samples: Iterable, fuel: Fuel = 64) -> BoundedVerdict:
+    """Both re-association routes from ((A,B),C),D agree on every sample.
+    A non-pair is its own ``fst`` and ``snd``, and ``tensor`` duplicates it."""
+    path1 = compile_ast(_seq(ASSOCIATOR, ASSOCIATOR))
+    path2 = compile_ast(_seq(_tensor(ASSOCIATOR, IDENTITY), ASSOCIATOR, _tensor(IDENTITY, ASSOCIATOR)))
+    return _compare_paths(path1, path2, samples, fuel, "pentagon")
+
+
+def check_triangle(samples: Iterable, fuel: Fuel = 64) -> BoundedVerdict:
+    """Re-associating past the unit agrees with dropping it directly.
+    A non-pair is its own ``fst`` and ``snd``, and ``tensor`` duplicates it."""
+    path1 = compile_ast(_seq(ASSOCIATOR, _tensor(IDENTITY, LEFT_UNITOR)))
+    path2 = compile_ast(_tensor(RIGHT_UNITOR, IDENTITY))
+    return _compare_paths(path1, path2, samples, fuel, "triangle")
+
+
+def check_hexagon(samples: Iterable, fuel: Fuel = 64) -> BoundedVerdict:
+    """The two braiding routes around the associator agree.
+    A non-pair is its own ``fst`` and ``snd``, and ``tensor`` duplicates it."""
+    path1 = compile_ast(_seq(ASSOCIATOR, BRAIDING, ASSOCIATOR))
+    path2 = compile_ast(_seq(_tensor(BRAIDING, IDENTITY), ASSOCIATOR, _tensor(IDENTITY, BRAIDING)))
+    return _compare_paths(path1, path2, samples, fuel, "hexagon")
+
+
+def interp_tensor_distribute_check(
+    f: dict,
+    g: dict,
+    handler: Handler,
+    inputs: Iterable,
+    fuel: Fuel,
+    policy: GovernancePolicy = PERMISSIVE,
+) -> BoundedVerdict:
+    """Interpretation distributes over ``tensor``: on each input, the
+    governed run of ``tensor(f, g)``, for program nodes ``f`` and ``g``,
+    ends with the pair of ``f``'s value on its ``fst`` (``RIGHT_UNITOR``)
+    and ``g``'s on its ``snd`` (``LEFT_UNITOR``), and its trace is their
+    traces concatenated. A non-pair is both halves, as ``tensor`` has it."""
+    left, right = compile_ast(_seq(RIGHT_UNITOR, f)), compile_ast(_seq(LEFT_UNITOR, g))
+    both = compile_ast(_tensor(f, g))
+
+    def check(p):
+        return _check_whole_run(
+            left(p), lambda _b: right(p), both(p), lambda b, d: (b, d), policy, handler, fuel
+        )
+
+    return combine_verdicts(map(check, inputs))

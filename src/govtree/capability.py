@@ -61,10 +61,10 @@ from .itree import (
     skip_taus,
     unknown,
 )
-from .category import Morphism
 from .trace import well_governed
 
 CapSet = frozenset
+Morphism = Callable[[Any], ITree]  # an input value to its directive tree
 
 NO_CAPS = frozenset()
 # The bounds of the three effectful primitives: the capability each one's
@@ -259,7 +259,9 @@ def dual_guarantee_check(
     gh = govern(handler)
 
     def guaranteed(a):
-        tree = cm.morph(a)  # trees are immutable, so all three walks share one
+        # Only the root's first node is shared: each walk rebuilds the states
+        # below it, so a driven root retains nothing. One search: ROADMAP item 3.
+        tree = cm.morph(a)
         v1 = within_caps_check(cm.caps, tree, fuel, sampler)
         if v1.is_fails:
             return fails((f"capability bound violated on {a!r}",) + v1.witness)

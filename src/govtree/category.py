@@ -1,25 +1,14 @@
-"""Morphism combinators: composition, the structural morphisms, coherence.
+"""Governed interpretation over bind, and the register machine.
 
-A morphism is any function from an input value to a directive tree.
-Identity is ``ret``, ``code`` lifts a pure function, and sequential
-composition is monadic bind. ``tensor`` runs two morphisms on the halves
-of a pair, left side first (sequential-independent, not concurrent).
-The combinators take arbitrary morphisms, a compiled program included:
-program files build their morphisms, effectful primitives and bounds
-alike, in ``program.compile_ast``.
-
-The structural morphisms (associator, unitors, braiding) are all pure
-tuple rearrangements, so the pentagon, triangle, and hexagon coherence
-checks reduce to comparing concrete values on sampled tuples.
 ``check_trace_of_bind`` checks that governed interpretation distributes
-over bind, and ``interp_tensor_distribute_check`` applies it to ``tensor``.
+over bind; ``algebra``'s tensor check shares its ``_check_whole_run``.
 
-The register machine at the bottom of the module is the Turing-complete
-core used to demonstrate that unbounded computation stays inside
-governance: programs of instruction tuples spelt as in a program file,
-checked only by ``RegisterProgram``, translate, fuel-unrolled, into
-directive trees logging each executed step as an observability directive.
-Their oracle, ``reference.register_steps``, shares no code with them.
+The register machine is the Turing-complete core used to demonstrate
+that unbounded computation stays inside governance: programs of
+instruction tuples spelt as in a program file, checked only by
+``RegisterProgram``, translate, fuel-unrolled, into directive trees
+logging each executed step as an observability directive. Their oracle,
+``reference.register_steps``, shares no code with them.
 
 A translated machine is a memoized lazy list: each forced state holds its
 one successor, so every path, check and call of ``register_machine``'s
@@ -36,15 +25,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .directives import (
-    Handler,
     Observability,
     ResponseSampler,
     _UNIT,
     mock_handler,
 )
 from .governance import (
-    PERMISSIVE,
-    GovernancePolicy,
     drive,
     gov_safe_check,
     govern,
@@ -52,7 +38,6 @@ from .governance import (
 )
 from .itree import (
     BoundedVerdict,
-    Fuel,
     ITree,
     Ret,
     Vis,
@@ -62,111 +47,15 @@ from .itree import (
     combine_verdicts,
     fails,
     holds,
-    ret,
-    run_pure,
     unknown,
 )
 from .reference import register_steps
 
-Morphism = Callable[[Any], ITree]
 
-identity: Morphism = ret
-
-
-def code(f: Callable[[Any], Any]) -> Morphism:
-    """Pure computation: ``code(f)(a)`` is ``ret(f(a))``; no events."""
-    return lambda a: ret(f(a))
-
-
-def seq_compose(f: Morphism, *gs: Morphism) -> Morphism:
-    """``f`` then each of ``gs`` in order: every step is bound onto the
-    one queue of the tree ``f`` starts, so n steps run in O(n)."""
-
-    def morph(a):
-        t = f(a)
-        for g in gs:
-            t = bind(t, g)
-        return t
-
-    return morph
-
-
-def _as_pair(p):
-    return p if type(p) is tuple and len(p) == 2 else (p, p)
-
-
-def tensor(f: Morphism, g: Morphism) -> Morphism:
-    """Independent composition on pairs: f's tree runs to completion,
-    then g's, then the results are paired."""
-
-    def morph(p):
-        a, c = _as_pair(p)
-        return bind(f(a), lambda b: bind(g(c), lambda d: ret((b, d))))
-
-    return morph
-
-
-# Structural morphisms. All pure; inverses compose to identity.
-
-associator: Morphism = code(lambda p: (p[0][0], (p[0][1], p[1])))
-associator_inv: Morphism = code(lambda p: ((p[0], p[1][0]), p[1][1]))
-left_unitor: Morphism = code(lambda p: p[1])
-left_unitor_inv: Morphism = code(lambda a: (None, a))
-right_unitor: Morphism = code(lambda p: p[0])
-right_unitor_inv: Morphism = code(lambda a: (a, None))
-braiding: Morphism = code(lambda p: (p[1], p[0]))
-
-
-def _compare_paths(
-    path1: Morphism, path2: Morphism, samples: Iterable, fuel: Fuel, label: str
-) -> BoundedVerdict:
-    def compare(s):
-        ok1, v1 = run_pure(path1(s), fuel)
-        ok2, v2 = run_pure(path2(s), fuel)
-        if not ok1 or not ok2:
-            return unknown(f"{label}: {v1 if not ok1 else v2}")
-        if v1 != v2:
-            return fails((f"{label} diverges on {s!r}: {v1!r} != {v2!r}",))
-        return holds()
-
-    return combine_verdicts(map(compare, samples))
-
-
-def check_pentagon(samples: Iterable, fuel: Fuel = 64) -> BoundedVerdict:
-    """Both re-association routes from ((A,B),C),D agree on every sample."""
-    path1 = seq_compose(associator, associator)
-    path2 = seq_compose(
-        seq_compose(tensor(associator, identity), associator),
-        tensor(identity, associator),
-    )
-    return _compare_paths(path1, path2, samples, fuel, "pentagon")
-
-
-def check_triangle(samples: Iterable, fuel: Fuel = 64) -> BoundedVerdict:
-    """Re-associating past the unit agrees with dropping it directly."""
-    path1 = seq_compose(associator, tensor(identity, left_unitor))
-    path2 = tensor(right_unitor, identity)
-    return _compare_paths(path1, path2, samples, fuel, "triangle")
-
-
-def check_hexagon(samples: Iterable, fuel: Fuel = 64) -> BoundedVerdict:
-    """The two braiding routes around the associator agree."""
-    path1 = seq_compose(seq_compose(associator, braiding), associator)
-    path2 = seq_compose(
-        seq_compose(tensor(braiding, identity), associator),
-        tensor(identity, braiding),
-    )
-    return _compare_paths(path1, path2, samples, fuel, "hexagon")
-
-
-def check_trace_of_bind(t, k, policy, handler, fuel: int) -> BoundedVerdict:
-    """Check that interpretation distributes over sequential composition.
-
-    Runs ``t``, then ``k(value)``, then ``bind(t, k)``, all under the same
-    policy and handler. The bind run must end with the second run's value,
-    and its trace must equal the concatenation element-wise. Unknown if
-    any run does not complete within fuel.
-    """
+def _check_whole_run(t, k, whole, join, policy, handler, fuel: int) -> BoundedVerdict:
+    """Runs ``t``, then ``k(value)``, then ``whole``, under one policy and
+    handler: ``whole`` must end with ``join`` of the two values and its trace
+    must be their traces concatenated. Unknown if any run does not complete."""
     gh = govern(handler)
     first = interpret_governed(gh, policy, t, fuel)
     if not first.completed:
@@ -174,36 +63,22 @@ def check_trace_of_bind(t, k, policy, handler, fuel: int) -> BoundedVerdict:
     second = interpret_governed(gh, policy, k(first.value), fuel)
     if not second.completed:
         return unknown("fuel-exhausted" if not second.denied else "denied")
-    whole = interpret_governed(gh, policy, bind(t, k), fuel)
-    if not whole.completed:
-        return unknown("bind run did not complete")
-    if whole.value != second.value:
-        return fails((f"value {whole.value!r} != second run's {second.value!r}",))
+    run = interpret_governed(gh, policy, whole, fuel)
+    if not run.completed:
+        return unknown("whole run did not complete")
+    value = join(first.value, second.value)
+    if run.value != value:
+        return fails((f"value {run.value!r} != the two runs' {value!r}",))
     expected = first.trace + second.trace
-    if whole.trace == expected:
+    if run.trace == expected:
         return holds()
-    return fails((f"trace {whole.trace!r} != concatenation {expected!r}",))
+    return fails((f"trace {run.trace!r} != concatenation {expected!r}",))
 
 
-def interp_tensor_distribute_check(
-    f: Morphism,
-    g: Morphism,
-    handler: Handler,
-    inputs: Iterable,
-    fuel: Fuel,
-    policy: GovernancePolicy = PERMISSIVE,
-) -> BoundedVerdict:
-    """Interpretation of ``tensor(f, g)`` equals interpreting ``f``, then
-    ``g`` with the first result paired in: values and traces both match.
-    ``tensor`` is a bind, so this is ``check_trace_of_bind`` per input."""
-
-    def check(p):
-        a, c = _as_pair(p)
-        return check_trace_of_bind(
-            f(a), lambda b: bind(g(c), lambda d: ret((b, d))), policy, handler, fuel
-        )
-
-    return combine_verdicts(map(check, inputs))
+def check_trace_of_bind(t, k, policy, handler, fuel: int) -> BoundedVerdict:
+    """Interpretation distributes over bind: ``bind(t, k)`` runs as ``t``,
+    then ``k(value)``, and ends with the second run's value."""
+    return _check_whole_run(t, k, bind(t, k), lambda b, d: d, policy, handler, fuel)
 
 
 # Register machine.
@@ -256,7 +131,7 @@ def _step_message(pc: int, regs: tuple) -> str:
     return f"pc={pc};regs={','.join(str(r) for r in regs)}"
 
 
-def register_machine(p: RegisterProgram, fuel: int) -> Morphism:
+def register_machine(p: RegisterProgram, fuel: int) -> Callable[[Any], ITree]:
     """The program as a morphism: it ignores its input and returns unit.
 
     The program is translated once, fuel-unrolled, into one directive tree

@@ -29,11 +29,11 @@ import os
 import sys
 
 from .algebra import (
-    ADVERSARIAL_OPERATORS, CheckSummary, operator_by_name, run_campaign, run_conformance,
+    ADVERSARIAL_OPERATORS, CheckSummary, check_hexagon, check_pentagon, check_triangle,
+    operator_by_name, run_campaign, run_conformance,
 )
 from .boundary import run_coterminous
 from .capability import format_caps, within_caps_check
-from .category import check_hexagon, check_pentagon, check_triangle
 from .directives import ResponseSampler, derive_rng, mock_handler
 from .gen import gen_input, gen_policy, gen_program_ast
 from .governance import gov_safe_check, govern, interpret_governed, policy_by_name
@@ -172,14 +172,12 @@ def _cmd_check(args) -> int:
 def _cmd_coherence(args) -> int:
     rng = derive_rng("coherence", args.seed)
 
-    def nested(depth):
-        if depth == 0:
-            return rng.randrange(100)
-        return (nested(depth - 1), nested(depth - 1))
+    def pair():
+        return (rng.randrange(100), rng.randrange(100))
 
-    pent = check_pentagon([(((rng.randrange(100), rng.randrange(100)), nested(1)), nested(1)) for _ in range(args.samples)])
+    pent = check_pentagon([((pair(), pair()), pair()) for _ in range(args.samples)])
     tri = check_triangle([((rng.randrange(100), None), rng.randrange(100)) for _ in range(args.samples)])
-    hexa = check_hexagon([((nested(1), rng.randrange(100)), nested(1)) for _ in range(args.samples)])
+    hexa = check_hexagon([((pair(), rng.randrange(100)), pair()) for _ in range(args.samples)])
     for name, verdict in (("pentagon", pent), ("triangle", tri), ("hexagon", hexa)):
         print(f"{name:<9} {verdict.describe()}")
     return EXIT_OK if combine_verdicts((pent, tri, hexa)).is_holds else EXIT_FAIL

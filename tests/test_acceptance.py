@@ -14,6 +14,9 @@ from govtree.algebra import (
     check_G1,
     check_G2,
     check_G3,
+    check_hexagon,
+    check_pentagon,
+    check_triangle,
     fingerprinting_operator,
     no_check_operator,
     result_mangling_operator,
@@ -35,13 +38,7 @@ from govtree.capability import (
     within_caps_check,
     TrustLevel,
 )
-from govtree.category import (
-    check_hexagon,
-    check_pentagon,
-    check_register_agreement,
-    check_triangle,
-    enumerate_register_programs,
-)
+from govtree.category import check_register_agreement, enumerate_register_programs
 from govtree.cli import diff_campaign
 from govtree.directives import (
     Capability,

@@ -27,7 +27,6 @@ from govtree.capability import (
     trust_min,
     within_caps_check,
 )
-from govtree.category import seq_compose
 from govtree.directives import (
     Capability,
     FileOp,
@@ -134,7 +133,7 @@ def test_within_caps_weakening():
     for _ in range(50):
         small = frozenset(c for c in members if rng.random() < 0.3)
         big = small | frozenset(c for c in members if rng.random() < 0.3)
-        tree = seq_compose(reason_m().morph, memory_m().morph)(1)
+        tree = seq(REASON, MEMORY)(1)
         v_small = within_caps_check(small, tree, 200, SAMPLER)
         v_big = within_caps_check(big, tree, 200, SAMPLER)
         if v_small.is_holds:
@@ -142,7 +141,7 @@ def test_within_caps_weakening():
 
 
 def test_within_full_any_tree():
-    tree = seq_compose(reason_m().morph, call_m().morph)(3)
+    tree = seq(REASON, CALL)(3)
     assert within_caps_check(cap_full(), tree, 200, SAMPLER).is_holds
 
 

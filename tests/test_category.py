@@ -1,34 +1,37 @@
-"""Combinators, structural isomorphisms, coherence, register machines."""
+"""The monoidal laws on compiled program nodes, and register machines."""
 
 import ast
 import gc
+import inspect
 import json
 import random
+import textwrap
 from pathlib import Path
 
-from govtree import category, reference
-from govtree.algebra import no_check_operator
+from govtree import category, program, reference
+from govtree.algebra import (
+    ASSOCIATOR,
+    ASSOCIATOR_INV,
+    BRAIDING,
+    IDENTITY,
+    LEFT_UNITOR,
+    LEFT_UNITOR_INV,
+    RIGHT_UNITOR,
+    RIGHT_UNITOR_INV,
+    _compare_paths,
+    check_hexagon,
+    check_pentagon,
+    check_triangle,
+    interp_tensor_distribute_check,
+    no_check_operator,
+)
 from govtree.capability import within_caps_check
 from govtree.category import (
     RegisterProgram,
-    _compare_paths,
-    associator,
-    associator_inv,
-    braiding,
-    check_hexagon,
-    check_pentagon,
     check_register_agreement,
-    check_triangle,
-    code,
     enumerate_register_programs,
-    identity,
-    interp_tensor_distribute_check,
-    left_unitor,
     register_machine,
     register_tree_steps,
-    right_unitor,
-    seq_compose,
-    tensor,
 )
 from govtree.directives import (
     Answer,
@@ -38,7 +41,7 @@ from govtree.directives import (
     mock_handler,
 )
 from govtree.governance import gov_safe_check, govern
-from govtree.itree import Ret, Vis, eutt_bounded, ret, run_pure, spin, vis
+from govtree.itree import Ret, Vis, bind, eutt_bounded, ret, run_pure, spin, vis
 from govtree.gen import gen_register_program
 from govtree.program import compile_ast
 from govtree.reference import register_steps
@@ -48,28 +51,39 @@ import pytest
 SAMPLER = ResponseSampler(seed=0)
 
 
-# Compiled program nodes: each primitive sends its input as the directive's
-# text and extracts the answer's status (an answer enters as (status, content)).
+# Program nodes: each primitive sends its input as the directive's text and
+# extracts the answer's status (an answer enters as (status, content)).
 INPUT = {"op": "input"}
 STATUS = {"op": "fst", "args": [INPUT]}
 REASON = {"kind": "reason", "model": "m", "prompt": INPUT, "extract": STATUS}
+MEMORY = {"kind": "memory", "mop": "put", "key": INPUT, "value": {"op": "str", "value": "v"},
+          "extract": STATUS}
+CALL = {"kind": "call", "machine": "calc", "payload": INPUT, "extract": STATUS}
+
+
+def arith(op, n):
+    """The code node ``op(input, n)``: ``arith("add", 1)`` is x+1."""
+    return {"kind": "code", "expr": {"op": op, "args": [INPUT, {"op": "int", "value": n}]}}
+
+
+def seq(*steps):
+    return {"kind": "seq", "steps": list(steps)}
+
+
+def tensor(left, right):
+    return {"kind": "tensor", "left": left, "right": right}
 
 
 def reason_inc():
     return compile_ast(REASON)
 
 
-def memory_put():
-    return compile_ast({"kind": "memory", "mop": "put", "key": INPUT,
-                        "value": {"op": "str", "value": "v"}, "extract": STATUS})
-
-
-def call_calc():
-    return compile_ast({"kind": "call", "machine": "calc", "payload": INPUT, "extract": STATUS})
+def run_node(node, a):
+    return run_pure(compile_ast(node)(a), 10)
 
 
 def test_code_is_pure_application():
-    assert run_pure(code(lambda x: x + 1)(4), 10) == (True, 5)
+    assert run_node(arith("add", 1), 4) == (True, 5)
 
 
 def test_reason_emits_one_llm_call():
@@ -79,72 +93,71 @@ def test_reason_emits_one_llm_call():
 
 
 def test_seq_compose_pure():
-    m = seq_compose(code(lambda x: x + 1), code(lambda x: x * 2))
+    m = compile_ast(seq(arith("add", 1), arith("mul", 2)))
     assert run_pure(m(3), 10) == (True, 8)
 
 
 def test_identity_laws():
     f = reason_inc()
-    assert eutt_bounded(seq_compose(identity, f)(5), f(5), 100, SAMPLER).is_holds
-    assert eutt_bounded(seq_compose(f, identity)(5), f(5), 100, SAMPLER).is_holds
+    assert eutt_bounded(compile_ast(seq(IDENTITY, REASON))(5), f(5), 100, SAMPLER).is_holds
+    assert eutt_bounded(compile_ast(seq(REASON, IDENTITY))(5), f(5), 100, SAMPLER).is_holds
 
 
 def test_seq_associativity_random_primitives():
-    prims = (reason_inc(), memory_put(), call_calc(), code(lambda x: x * 3))
+    # the machine's left-nested seq against a bind onto the right-nested one
+    prims = (REASON, MEMORY, CALL, arith("mul", 3))
     rng = random.Random(5)
     for _ in range(30):
         f, g, h = (rng.choice(prims) for _ in range(3))
-        lhs = seq_compose(seq_compose(f, g), h)
-        rhs = seq_compose(f, lambda b, g=g, h=h: seq_compose(g, h)(b))
+        lhs = compile_ast(seq(seq(f, g), h))
+        first, rest = compile_ast(f), compile_ast(seq(g, h))
         a = rng.randrange(100)
-        assert eutt_bounded(lhs(a), rhs(a), 300, SAMPLER).is_holds
+        assert eutt_bounded(lhs(a), bind(first(a), rest), 300, SAMPLER).is_holds
 
 
 def test_category_laws_on_random_composites():
     # identity and associativity over generated composites, depth <= 6
     from govtree.gen import gen_input, gen_program_ast
-    from govtree.program import compile_ast
 
     rng = random.Random(13)
     for i in range(60):
-        parts = [
-            compile_ast(gen_program_ast(rng, max_depth=2, max_directives=2))
-            for _ in range(3)
-        ]
-        f, g, h = parts
+        f, g, h = (gen_program_ast(rng, max_depth=2, max_directives=2) for _ in range(3))
         a = gen_input(rng)
         assert eutt_bounded(
-            seq_compose(identity, f)(a), f(a), 2000, SAMPLER
+            compile_ast(seq(IDENTITY, f))(a), compile_ast(f)(a), 2000, SAMPLER
         ).is_holds
         assert eutt_bounded(
-            seq_compose(f, identity)(a), f(a), 2000, SAMPLER
+            compile_ast(seq(f, IDENTITY))(a), compile_ast(f)(a), 2000, SAMPLER
         ).is_holds
-        lhs = seq_compose(seq_compose(f, g), h)
-        rhs = seq_compose(f, lambda b, g=g, h=h: seq_compose(g, h)(b))
-        assert eutt_bounded(lhs(a), rhs(a), 2000, SAMPLER).is_holds, i
+        lhs = compile_ast(seq(seq(f, g), h))(a)
+        rhs = bind(compile_ast(f)(a), compile_ast(seq(g, h)))
+        assert eutt_bounded(lhs, rhs, 2000, SAMPLER).is_holds, i
 
 
 def test_tensor_of_identities_is_identity():
     p = (3, "x")
-    assert eutt_bounded(tensor(identity, identity)(p), identity(p), 50, SAMPLER).is_holds
+    lhs = compile_ast(tensor(IDENTITY, IDENTITY))(p)
+    assert eutt_bounded(lhs, compile_ast(IDENTITY)(p), 50, SAMPLER).is_holds
 
 
 def test_tensor_pure_fragment_closed():
-    f, g = (lambda a: a + 1), (lambda c: c * 2)
-    lhs = tensor(code(f), code(g))
-    rhs = code(lambda p: (f(p[0]), g(p[1])))
+    lhs = compile_ast(tensor(arith("add", 1), arith("mul", 2)))
+    halves = [{"op": "fst", "args": [INPUT]}, {"op": "snd", "args": [INPUT]}]
+    rhs = compile_ast({"kind": "code", "expr": {"op": "pair", "args": [
+        {"op": "add", "args": [halves[0], {"op": "int", "value": 1}]},
+        {"op": "mul", "args": [halves[1], {"op": "int", "value": 2}]}]}})
     assert eutt_bounded(lhs((3, 4)), rhs((3, 4)), 50, SAMPLER).is_holds
 
 
 def test_tensor_runs_left_then_right():
-    m = tensor(reason_inc(), call_calc())
+    m = compile_ast(tensor(REASON, CALL))
     node = m((1, 2)).step()
     assert node.event == LLMCall("m", "1")
 
 
 def test_tensor_composites_are_governed():
     gh = govern(mock_handler(0))
-    tree = gh.transform(tensor(reason_inc(), call_calc())((1, 2)))
+    tree = gh.transform(compile_ast(tensor(REASON, CALL))((1, 2)))
     assert gov_safe_check(tree, False, 1000, SAMPLER).is_holds
 
 
@@ -160,25 +173,23 @@ def test_branch_picks_one_arm():
 
 
 def test_structural_morphisms():
-    assert run_pure(associator(((1, 2), 3)), 10) == (True, (1, (2, 3)))
-    assert run_pure(left_unitor((None, 7)), 10) == (True, 7)
-    assert run_pure(right_unitor((7, None)), 10) == (True, 7)
-    assert run_pure(braiding((1, 2)), 10) == (True, (2, 1))
+    assert run_node(ASSOCIATOR, ((1, 2), 3)) == (True, (1, (2, 3)))
+    assert run_node(LEFT_UNITOR, (None, 7)) == (True, 7)
+    assert run_node(RIGHT_UNITOR, (7, None)) == (True, 7)
+    assert run_node(BRAIDING, (1, 2)) == (True, (2, 1))
 
 
 def test_structural_round_trips():
-    from govtree.category import left_unitor_inv, right_unitor_inv
-
     rng = random.Random(1)
     for _ in range(50):
         p = ((rng.randrange(9), rng.randrange(9)), rng.randrange(9))
-        assert run_pure(seq_compose(associator, associator_inv)(p), 10) == (True, p)
-        assert run_pure(seq_compose(associator_inv, associator)((p[1], p)), 10) == (True, (p[1], p))
+        assert run_node(seq(ASSOCIATOR, ASSOCIATOR_INV), p) == (True, p)
+        assert run_node(seq(ASSOCIATOR_INV, ASSOCIATOR), (p[1], p)) == (True, (p[1], p))
         pair = (rng.randrange(9), rng.randrange(9))
-        assert run_pure(seq_compose(braiding, braiding)(pair), 10) == (True, pair)
+        assert run_node(seq(BRAIDING, BRAIDING), pair) == (True, pair)
         a = rng.randrange(9)
-        assert run_pure(seq_compose(left_unitor_inv, left_unitor)(a), 10) == (True, a)
-        assert run_pure(seq_compose(right_unitor_inv, right_unitor)(a), 10) == (True, a)
+        assert run_node(seq(LEFT_UNITOR_INV, LEFT_UNITOR), a) == (True, a)
+        assert run_node(seq(RIGHT_UNITOR_INV, RIGHT_UNITOR), a) == (True, a)
 
 
 def _pent_samples(n, seed=0):
@@ -189,47 +200,61 @@ def _pent_samples(n, seed=0):
     ]
 
 
+def _hex_samples(n, seed=2):
+    rng = random.Random(seed)
+    return [((rng.randrange(100), rng.randrange(100)), rng.randrange(100)) for _ in range(n)]
+
+
 def test_pentagon():
     assert check_pentagon(_pent_samples(200)).is_holds
     # the expected value, worked out by hand for one concrete tuple
-    path1 = seq_compose(associator, associator)
+    path1 = compile_ast(seq(ASSOCIATOR, ASSOCIATOR))
     assert run_pure(path1((((1, 2), 3), 4)), 20) == (True, (1, (2, (3, 4))))
 
 
 def test_triangle():
     samples = [((a, None), b) for a in range(10) for b in range(10)]
     assert check_triangle(samples).is_holds
-    path2 = tensor(right_unitor, identity)
+    path2 = compile_ast(tensor(RIGHT_UNITOR, IDENTITY))
     assert run_pure(path2(((5, None), 6)), 20) == (True, (5, 6))
 
 
 def test_hexagon_with_direct_oracle():
-    rng = random.Random(2)
-    samples = [((rng.randrange(100), rng.randrange(100)), rng.randrange(100)) for _ in range(100)]
+    samples = _hex_samples(100)
     assert check_hexagon(samples).is_holds
     # oracle: both routes send ((a,b),c) to (b,(c,a))
-    path1 = seq_compose(seq_compose(associator, braiding), associator)
+    path1 = compile_ast(seq(seq(ASSOCIATOR, BRAIDING), ASSOCIATOR))
     for (a, b), c in samples:
         assert run_pure(path1(((a, b), c)), 20) == (True, (b, (c, a)))
+
+
+def test_coherence_runs_on_the_program_machine(monkeypatch):
+    # The laws run on the machine that runs program files: one whose tensor
+    # pairs its two results the wrong way round fails the pentagon and the
+    # hexagon, whose paths tensor different sides.
+    source = textwrap.dedent(inspect.getsource(program._Machine.step))
+    pair = "value, stack = (stack[0], value), stack[1]"
+    assert source.count(pair) == 1
+    scope = dict(vars(program))
+    exec(source.replace(pair, "value, stack = (value, stack[0]), stack[1]"), scope)
+    monkeypatch.setattr(program._Machine, "step", scope["step"])
+    assert check_pentagon(_pent_samples(200)).is_fails
+    assert check_hexagon(_hex_samples(100)).is_fails
 
 
 def test_interp_tensor_distribute():
     h = mock_handler(4)
     inputs = [(a, a + 1) for a in range(20)]
-    assert interp_tensor_distribute_check(
-        code(lambda x: x), code(lambda x: x), h, inputs, 10000
-    ).is_holds
-    assert interp_tensor_distribute_check(
-        reason_inc(), call_calc(), h, inputs, 10000
-    ).is_holds
+    assert interp_tensor_distribute_check(IDENTITY, IDENTITY, h, inputs, 10000).is_holds
+    assert interp_tensor_distribute_check(REASON, CALL, h, inputs, 10000).is_holds
 
 
 def test_interp_tensor_distribute_campaign():
     rng = random.Random(8)
-    prims = (reason_inc, memory_put, call_calc, lambda: code(lambda x: x * 2))
+    prims = (REASON, MEMORY, CALL, arith("mul", 2))
     for i in range(500):
-        f = rng.choice(prims)()
-        g = rng.choice(prims)()
+        f = rng.choice(prims)
+        g = rng.choice(prims)
         v = interp_tensor_distribute_check(
             f, g, mock_handler(i), [(rng.randrange(50), rng.randrange(50))], 10000
         )
@@ -238,13 +263,13 @@ def test_interp_tensor_distribute_campaign():
 
 def test_interp_tensor_distribute_reports_a_failure_after_an_unknown():
     # input 0 never gets its answer; input 1's answers change on every
-    # call, so the bind run's value is not the second run's
+    # call, so the tensor run's value is not the two runs' pair
     statuses = iter(range(100, 200))
 
     def h(d):
         return spin() if d.prompt == "0" else ret(Answer(next(statuses), "c"))
 
-    v = interp_tensor_distribute_check(reason_inc(), reason_inc(), h, [(0, 0), (1, 1)], 100)
+    v = interp_tensor_distribute_check(REASON, REASON, h, [(0, 0), (1, 1)], 100)
     assert v.is_fails, v.describe()
 
 

@@ -203,9 +203,10 @@ def test_check_reports_are_pinned(capsys, name, mode, expected):
 
 
 def test_coherence_command(capsys):
-    assert run_cli("coherence", "--samples", "50") == EXIT_OK
-    out = capsys.readouterr().out
-    assert out.count("holds") == 3
+    # byte for byte, at the default sample count and at 50
+    for argv in ((), ("--samples", "50")):
+        assert run_cli("coherence", *argv) == EXIT_OK
+        assert capsys.readouterr().out == "pentagon  holds\ntriangle  holds\nhexagon   holds\n"
 
 
 def test_conformance_bundled_passes(capsys):

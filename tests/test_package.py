@@ -21,10 +21,10 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("
 KEEP = {
     "itree.eutt_bounded": "the oracle of the bind-law tests",
     "itree.tau": "a tree constructor, beside ret and vis",
-    "category.associator_inv": "a structural inverse the monoidal-law tests check",
-    "category.left_unitor_inv": "a structural inverse the monoidal-law tests check",
-    "category.right_unitor_inv": "a structural inverse the monoidal-law tests check",
-    "category.interp_tensor_distribute_check": "a monoidal law in tests/test_category.py",
+    "algebra.ASSOCIATOR_INV": "a structural inverse the monoidal-law tests check",
+    "algebra.LEFT_UNITOR_INV": "a structural inverse the monoidal-law tests check",
+    "algebra.RIGHT_UNITOR_INV": "a structural inverse the monoidal-law tests check",
+    "algebra.interp_tensor_distribute_check": "a monoidal law in tests/test_category.py",
     "capability.allowed_cap_set": "pending the capability campaign (ROADMAP item 9)",
     "capability.dual_guarantee_check": "pending the capability campaign (ROADMAP item 9)",
     "program.state_key": "the machine-state key that tables of check results will read "
@@ -117,10 +117,10 @@ def test_no_two_classes_declare_the_same_fields():
     assert [names for names in by_fields.values() if len(names) > 1] == []
 
 
-# Hand-built morphism builders by name: category's combinators, which the
-# monoidal-law checks use, and the names an effectful primitive or a cap_*
-# constructor beside compile_ast would take. Program files name none of them.
-COMBINATORS = {"code", "reason", "memory", "call", "seq_compose", "tensor", "branch"}
+# What program.py may take from category: the register machine and its
+# limit. Program files compile to the one machine, so program.py names no
+# other builder there, and no cap_* constructor beside compile_ast.
+FROM_CATEGORY = {"MAX_REGISTERS", "RegisterProgram", "register_machine"}
 
 
 def test_program_files_compile_only_to_the_machine():
@@ -132,8 +132,8 @@ def test_program_files_compile_only_to_the_machine():
                 module = node.module or alias.name
                 imported[alias.asname or alias.name] = (module, alias.name)
 
-    def combinator(module, name):
-        return (module == "category" and name in COMBINATORS) or (
+    def foreign(module, name):
+        return (module == "category" and name not in FROM_CATEGORY) or (
             module == "capability" and name.startswith("cap_"))
 
     named = []
@@ -144,10 +144,10 @@ def test_program_files_compile_only_to_the_machine():
             target = (imported.get(node.value.id, (None, node.value.id))[1], node.attr)
         else:
             continue
-        if combinator(*target):
+        if foreign(*target):
             named.append(f"line {node.lineno}: {'.'.join(target)}")
     named += [f"import {module}.{name}" for module, name in imported.values()
-              if combinator(module, name)]
+              if foreign(module, name)]
     assert named == []
 
 

@@ -20,7 +20,7 @@ from govtree.capability import (
     dual_guarantee_check,
     within_caps_check,
 )
-from govtree.category import register_tree_steps, seq_compose
+from govtree.category import register_tree_steps
 from govtree.directives import Capability, ResponseSampler, mock_handler
 from govtree.gen import gen_expr, gen_input, gen_policy, gen_program_ast, gen_register_ast
 from govtree.governance import PERMISSIVE, govern, interpret_governed
@@ -851,7 +851,6 @@ def test_cap_composition_of_compiled_programs_carries_the_oracle_bound():
     for i in range(300):
         left, right = gen_program_ast(rng, max_depth=3), gen_program_ast(rng, max_depth=3)
         third = gen_program_ast(rng, max_depth=3)
-        f, g, h = compile_ast(left), compile_ast(right), compile_ast(third)
         pair = {"kind": "seq", "steps": [left, right]}
         seq = compile_ast(pair)
         par = compile_ast({"kind": "tensor", "left": left, "right": right})
@@ -864,6 +863,4 @@ def test_cap_composition_of_compiled_programs_carries_the_oracle_bound():
             {"kind": "seq", "steps": [left, right, third]}
         )
         a = gen_input(rng)
-        flat_m = seq_compose(f.morph, g.morph, h.morph)
-        nested_m = seq_compose(seq_compose(f.morph, g.morph), h.morph)
-        assert eutt_bounded(flat_m(a), nested_m(a), 256, SAMPLER).is_holds, i
+        assert eutt_bounded(flat.morph(a), nested.morph(a), 256, SAMPLER).is_holds, i
