@@ -29,7 +29,12 @@ report over several summaries (``run_conformance``,
 
 The monoidal laws compare paths of program nodes, compiled by
 ``compile_ast`` and run on the machine that runs program files; each
-structural morphism, such as ``BRAIDING``, is one ``code`` node.
+structural morphism, such as ``BRAIDING``, is one ``code`` node. The
+composition laws do the same: ``check_trace_of_bind`` (governed
+interpretation distributes over ``seq``) and ``check_bind_within_caps``
+(capability bounds compose under ``seq``) build their composite as the
+``seq`` of two program nodes, and ``interp_tensor_distribute_check``
+shares the trace comparison with the first for ``tensor``.
 """
 
 from __future__ import annotations
@@ -70,7 +75,8 @@ from .itree import (
 from .trace import IoEntry
 from .gen import gen_directive, gen_input, gen_program_ast, gen_register_program, gen_trace_event
 from .ledger import Ledger, _substitute, ledger_valid
-from .category import _check_whole_run, register_machine
+from .capability import format_caps, sample_returns, within_caps_check
+from .category import register_machine
 from .program import compile_ast
 
 
@@ -457,6 +463,65 @@ def check_hexagon(samples: Iterable, fuel: Fuel = 64) -> BoundedVerdict:
     path1 = compile_ast(_seq(ASSOCIATOR, BRAIDING, ASSOCIATOR))
     path2 = compile_ast(_seq(_tensor(BRAIDING, IDENTITY), ASSOCIATOR, _tensor(IDENTITY, BRAIDING)))
     return _compare_paths(path1, path2, samples, fuel, "hexagon")
+
+
+def _check_whole_run(t, k, whole, join, policy, handler, fuel: Fuel) -> BoundedVerdict:
+    """Runs ``t``, then ``k(value)``, then ``whole``, under one policy and
+    handler: ``whole`` must end with ``join`` of the two values and its trace
+    must be their traces concatenated. Unknown if any run does not complete."""
+    gh = govern(handler)
+    first = interpret_governed(gh, policy, t, fuel)
+    if not first.completed:
+        return unknown("fuel-exhausted" if not first.denied else "denied")
+    second = interpret_governed(gh, policy, k(first.value), fuel)
+    if not second.completed:
+        return unknown("fuel-exhausted" if not second.denied else "denied")
+    run = interpret_governed(gh, policy, whole, fuel)
+    if not run.completed:
+        return unknown("whole run did not complete")
+    value = join(first.value, second.value)
+    if run.value != value:
+        return fails((f"value {run.value!r} != the two runs' {value!r}",))
+    expected = first.trace + second.trace
+    if run.trace == expected:
+        return holds()
+    return fails((f"trace {run.trace!r} != concatenation {expected!r}",))
+
+
+def check_trace_of_bind(
+    f: dict, g: dict, x, policy: GovernancePolicy, handler: Handler, fuel: Fuel
+) -> BoundedVerdict:
+    """Interpretation distributes over sequencing: the governed run of
+    ``seq(f, g)`` on ``x``, for program nodes ``f`` and ``g``, runs as
+    ``f`` on ``x`` and then ``g`` on its value, and ends with ``g``'s value."""
+    first, second = compile_ast(f), compile_ast(g)
+    both = compile_ast(_seq(f, g))
+    return _check_whole_run(first(x), second, both(x), lambda b, d: d, policy, handler, fuel)
+
+
+def check_bind_within_caps(
+    f: dict, g: dict, x, fuel: Fuel, sampler: ResponseSampler
+) -> BoundedVerdict:
+    """Capability bounds compose under sequencing: for program nodes ``f``
+    and ``g``, the bound of ``seq(f, g)`` is the union of theirs, and if
+    ``f`` on ``x`` stays within its bound and ``g`` within its own on each
+    of ``f``'s sampled returns, the composite on ``x`` stays within the
+    union. Unknown if a precondition does not hold."""
+    first, second = compile_ast(f), compile_ast(g)
+    both = compile_ast(_seq(f, g))
+    union = first.caps | second.caps
+    if both.caps != union:
+        return fails((f"seq bound {format_caps(both.caps)} != union {format_caps(union)}",))
+    t = first(x)
+    if not within_caps_check(first.caps, t, fuel, sampler).is_holds:
+        return unknown("precondition on the first component did not hold")
+    pre_g = combine_verdicts(
+        within_caps_check(second.caps, second(r), fuel, sampler)
+        for r in sample_returns(t, fuel, sampler)
+    )
+    if not pre_g.is_holds:
+        return unknown("precondition on the second component did not hold")
+    return within_caps_check(both.caps, both(x), fuel, sampler)
 
 
 def interp_tensor_distribute_check(

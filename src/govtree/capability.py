@@ -20,7 +20,9 @@ and ``call`` (``LLM_CAPS``, ``MEMORY_CAPS``, ``CALL_CAPS``) and none for
 ``principality_check`` brute-forces every strict subset of the bound to
 show the bound is tight, and ``dual_guarantee_check`` confirms that
 staying within the bound and passing governance safety hold at the same
-time.
+time. That bounds compose under a program ``seq`` is checked by
+``algebra.check_bind_within_caps``, which compiles its composite: this
+module cannot, as ``program`` imports it.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .itree import (
     Fuel,
     ITree,
     Ret,
-    bind,
     combine_verdicts,
     explore,
     fails,
@@ -144,29 +145,6 @@ def sample_returns(t: ITree, fuel: Fuel, sampler: ResponseSampler) -> list:
 
     explore(t, fuel, expand)
     return found
-
-
-def check_bind_within_caps(
-    t: ITree,
-    k: Callable[[Any], ITree],
-    caps1: CapSet,
-    caps2: CapSet,
-    fuel: Fuel,
-    sampler: ResponseSampler,
-) -> BoundedVerdict:
-    """Capability bounds compose under bind: if ``t`` stays within caps1
-    and every continuation within caps2, the bind stays within the union.
-    Weakening into the union needs no walk of its own: the precondition
-    puts ``t`` within caps1, and ``within_caps_check`` is monotone in its
-    set."""
-    if not within_caps_check(caps1, t, fuel, sampler).is_holds:
-        return unknown("precondition on the first component did not hold")
-    pre_k = combine_verdicts(
-        within_caps_check(caps2, k(r), fuel, sampler) for r in sample_returns(t, fuel, sampler)
-    )
-    if not pre_k.is_holds:
-        return unknown("precondition on the continuation did not hold")
-    return within_caps_check(cap_union(caps1, caps2), bind(t, k), fuel, sampler)
 
 
 def no_ambient_effects_check(

@@ -1,11 +1,7 @@
-"""Governed interpretation over bind, and the register machine.
+"""The register machine, the Turing-complete core used to demonstrate
+that unbounded computation stays inside governance.
 
-``check_trace_of_bind`` checks that governed interpretation distributes
-over bind; ``algebra``'s tensor check shares its ``_check_whole_run``.
-
-The register machine is the Turing-complete core used to demonstrate
-that unbounded computation stays inside governance: programs of
-instruction tuples spelt as in a program file, checked only by
+Programs of instruction tuples spelt as in a program file, checked only by
 ``RegisterProgram``, translate, fuel-unrolled, into directive trees
 logging each executed step as an observability directive. Their oracle,
 ``reference.register_steps``, shares no code with them.
@@ -30,12 +26,7 @@ from .directives import (
     _UNIT,
     mock_handler,
 )
-from .governance import (
-    drive,
-    gov_safe_check,
-    govern,
-    interpret_governed,
-)
+from .governance import drive, gov_safe_check, govern
 from .itree import (
     BoundedVerdict,
     ITree,
@@ -43,45 +34,10 @@ from .itree import (
     Vis,
     _new,
     _tree,
-    bind,
     combine_verdicts,
     fails,
-    holds,
-    unknown,
 )
 from .reference import register_steps
-
-
-def _check_whole_run(t, k, whole, join, policy, handler, fuel: int) -> BoundedVerdict:
-    """Runs ``t``, then ``k(value)``, then ``whole``, under one policy and
-    handler: ``whole`` must end with ``join`` of the two values and its trace
-    must be their traces concatenated. Unknown if any run does not complete."""
-    gh = govern(handler)
-    first = interpret_governed(gh, policy, t, fuel)
-    if not first.completed:
-        return unknown("fuel-exhausted" if not first.denied else "denied")
-    second = interpret_governed(gh, policy, k(first.value), fuel)
-    if not second.completed:
-        return unknown("fuel-exhausted" if not second.denied else "denied")
-    run = interpret_governed(gh, policy, whole, fuel)
-    if not run.completed:
-        return unknown("whole run did not complete")
-    value = join(first.value, second.value)
-    if run.value != value:
-        return fails((f"value {run.value!r} != the two runs' {value!r}",))
-    expected = first.trace + second.trace
-    if run.trace == expected:
-        return holds()
-    return fails((f"trace {run.trace!r} != concatenation {expected!r}",))
-
-
-def check_trace_of_bind(t, k, policy, handler, fuel: int) -> BoundedVerdict:
-    """Interpretation distributes over bind: ``bind(t, k)`` runs as ``t``,
-    then ``k(value)``, and ends with the second run's value."""
-    return _check_whole_run(t, k, bind(t, k), lambda b, d: d, policy, handler, fuel)
-
-
-# Register machine.
 
 MAX_REGISTERS = 64  # each step writes every register into its message
 _SHAPES = {"inc": 2, "decjz": 3, "halt": 1}  # opcode: instruction length

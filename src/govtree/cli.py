@@ -9,8 +9,9 @@ given ``--handler-seed``, and each command that draws values given
 
 Exit codes: 0 success / value produced, 1 verification or suite failure,
 2 governance denial, 3 fuel exhausted, 64 usage error (bad arguments,
-negative counts, a non-integer ``GOVTREE_SEED``, a ``--trace-out`` and a
-``--ledger-out`` that are one file), 65 input error
+negative counts, a trial or sample count of 0, a non-integer
+``GOVTREE_SEED``, a ``--trace-out`` and a ``--ledger-out`` that are one
+file), 65 input error
 (unreadable, non-UTF-8 or malformed program file, a program string
 holding an unpaired surrogate such as a ``\\ud800`` escape, unknown
 policy or a ``tags:`` policy tag that names no directive variant, a
@@ -227,6 +228,13 @@ def non_negative_int(text: str) -> int:
     return n
 
 
+def positive_int(text: str) -> int:
+    n = non_negative_int(text)
+    if n == 0:  # a campaign of no trials checks nothing
+        raise argparse.ArgumentTypeError("must be at least 1: 0")
+    return n
+
+
 def _add_common(p, fuel_default=DEFAULT_FUEL):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--fuel", type=non_negative_int, default=fuel_default)
@@ -273,24 +281,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=_cmd_check)
 
     p_coh = sub.add_parser("coherence", help="pentagon/triangle/hexagon checks")
-    p_coh.add_argument("--samples", type=non_negative_int, default=1000)
+    p_coh.add_argument("--samples", type=positive_int, default=1000)
     p_coh.add_argument("--seed", type=int, default=None)
     p_coh.set_defaults(func=_cmd_coherence)
 
     p_conf = sub.add_parser("conformance", help="axiom conformance for an operator")
     p_conf.add_argument("--operator", choices=("bundled", *ADVERSARIAL_OPERATORS),
                         default="bundled")
-    p_conf.add_argument("--trials", type=non_negative_int, default=200)
+    p_conf.add_argument("--trials", type=positive_int, default=200)
     _add_common(p_conf, fuel_default=4096)
     p_conf.set_defaults(func=_cmd_conformance)
 
     p_bound = sub.add_parser("boundary", help="coterminous boundary campaign")
-    p_bound.add_argument("--trials", type=non_negative_int, default=200)
+    p_bound.add_argument("--trials", type=positive_int, default=200)
     _add_common(p_bound, fuel_default=4096)
     p_bound.set_defaults(func=_cmd_boundary)
 
     p_diff = sub.add_parser("diff", help="differential test against the reference interpreter")
-    p_diff.add_argument("--trials", type=non_negative_int, default=1000)
+    p_diff.add_argument("--trials", type=positive_int, default=1000)
     _add_common(p_diff)
     p_diff.set_defaults(func=_cmd_diff)
 

@@ -25,10 +25,10 @@ three-valued ``BoundedVerdict``:
 Every bounded checker is a per-node rule run by :func:`explore`, one
 depth-first search with an explicit stack.
 
-:func:`bind` keeps a queue of continuations on one node instead of
-nesting a node per bind (the type-aligned sequence of "Reflection
-without Remorse", van der Ploeg & Kiselyov 2014), so a left-nested chain
-of binds steps in linear time at constant stack depth.
+:func:`bind` is one node over a source tree and one continuation, so a
+left-nested chain of n binds steps n frames deep. Programs compose on
+the program machine, where a ``seq`` of n steps runs in a row at
+constant stack depth; a long pipeline is written as a ``seq``.
 
 The one place we go beyond plain bounded unfolding is the canonical
 divergent tree built by :func:`spin`: it is a self-referential Tau loop,
@@ -112,9 +112,9 @@ def spin() -> ITree:
     """The canonical divergent tree: an infinite stream of Tau steps.
 
     The returned tree is its own child, so tau-skipping loops can detect
-    it by identity (see ``skip_taus``). ``bind(spin(), k)`` wraps it in
-    fresh nodes and is *not* detectable; bounded checks on it stay
-    ``unknown``, which is the honest answer.
+    it by identity (see ``skip_taus``). ``bind(spin(), k)`` steps to a
+    fresh bind node over the spin at every Tau and is *not* detectable;
+    bounded checks on it stay ``unknown``, which is the honest answer.
     """
     t = _tree(ITree)
     t._node = _new(Tau, (t,))
@@ -122,73 +122,40 @@ def spin() -> ITree:
 
 
 class _Bind(ITree):
-    """An unforced bind: a source tree and a queue of continuations.
+    """An unforced bind: a source tree and its continuation."""
 
-    The queue is a continuation or a pair ``(left, right)`` of queues,
-    applied left to right. A bind node's source is never itself an
-    unforced bind node (see ``_attach``), so stepping is one loop.
-    """
-
-    __slots__ = ("_src", "_ks")
+    __slots__ = ("_src", "_k")
 
     def step(self):
         node = self._node
         if node is None:
-            node = _step_bind(self._src, self._ks)
+            node, k = self._src.step(), self._k
+            if type(node) is Ret:
+                node = k(node.value).step()
+            elif type(node) is Tau:
+                node = _new(Tau, (bind(node.rest, k),))
+            else:
+                cont = node.cont
+                node = _new(Vis, (node.event, lambda x: bind(cont(x), k)))
             self._node = node
-            self._src = self._ks = None
+            self._src = self._k = None
         return node
-
-
-def _attach(t: ITree, ks) -> ITree:
-    """``t`` followed by the queue ``ks``. An unforced bind node gets the
-    queue appended to its own rather than a new layer around it."""
-    if type(t) is _Bind and t._node is None:
-        t, ks = t._src, (t._ks, ks)
-    b = _tree(_Bind)
-    b._node = None
-    b._src = t
-    b._ks = ks
-    return b
-
-
-def _step_bind(t: ITree, ks):
-    """The head node of ``t`` followed by the queue ``ks``.
-
-    Ret heads feed the next continuation in a loop; a continuation that
-    returns an unforced bind node has its queue spliced in front of the
-    rest. At a Tau or Vis head the remaining queue is re-attached; once
-    the queue is empty the head is the inner tree's own node.
-    """
-    while True:
-        node = t.step()
-        if ks is None:
-            return node
-        if type(node) is Tau:
-            return _new(Tau, (_attach(node.rest, ks),))
-        if type(node) is Vis:
-            cont = node.cont
-            return _new(Vis, (node.event, lambda x: _attach(cont(x), ks)))
-        while type(ks) is tuple and type(ks[0]) is tuple:  # rotate left
-            (a, b), c = ks
-            ks = (a, (b, c))
-        k, ks = ks if type(ks) is tuple else (ks, None)
-        t = k(node.value)
-        if type(t) is _Bind and t._node is None:
-            t, ks = t._src, (t._ks if ks is None else (t._ks, ks))
 
 
 def bind(t: ITree, k: Callable[[Any], ITree]) -> ITree:
     """Sequence ``t`` with ``k``; the monadic bind.
 
     ``bind(ret(x), k)`` steps directly to ``k(x)``'s head (no extra Tau),
-    so the left unit law is definitional, not merely up-to-tau.
-    Binds re-associate: ``bind(bind(t, f), g)`` is one node over ``t``
-    with the queue ``f, g``, so a left-nested chain steps in amortized
-    constant time per node at constant stack depth, and yields the same
-    node sequence as the nested form.
+    so the left unit law is definitional, not merely up-to-tau, and a
+    ``spin`` reached that way is still detected. Each bind is one node
+    over its source, so a left-nested chain of n binds,
+    ``bind(...bind(bind(t, f1), f2)..., fn)``, steps n frames deep; a long
+    pipeline is written as a program ``seq``, which the machine runs at
+    constant stack depth.
     """
-    return _attach(t, k)
+    b = _tree(_Bind)
+    b._node, b._src, b._k = None, t, k
+    return b
 
 
 def skip_taus(t: ITree, fuel: Fuel) -> "tuple[Any, Fuel, bool]":

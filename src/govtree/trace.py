@@ -12,7 +12,9 @@ the predicate the linear shadow of the tree-level safety check, which
 re-requires approval after every effect.
 
 Trace file format: one entry per line, UTF-8, LF endings.
-``GOV <stage> <pass|fail>`` or ``IO <canonical-directive>``.
+``GOV <stage> <pass|fail>`` or ``IO <canonical-directive>``. As with a
+ledger, a trace has one text: it is empty or ends in LF, and no line is
+empty, so ``parse_trace`` reads only what ``format_trace`` writes.
 """
 
 from __future__ import annotations
@@ -64,10 +66,9 @@ def format_trace(trace: Iterable[TraceEvent]) -> str:
 
 
 def parse_trace(text: str) -> Trace:
+    lines = text.split("\n")
     events: list[TraceEvent] = []
-    for line_no, line in enumerate(text.split("\n"), 1):
-        if not line:
-            continue
+    for line_no, line in enumerate(lines[:-1], 1):
         if line.startswith("GOV "):
             stage, _, verdict = line[4:].rpartition(" ")
             if verdict not in ("pass", "fail") or not stage:
@@ -76,5 +77,7 @@ def parse_trace(text: str) -> Trace:
         elif line.startswith("IO "):
             events.append(IoEntry(line[3:]))
         else:
-            raise ValueError(f"line {line_no}: unknown trace entry")
+            raise ValueError(f"line {line_no}: {'unknown trace entry' if line else 'empty line'}")
+    if lines[-1]:
+        raise ValueError(f"line {len(lines)}: no LF at the end of the file")
     return tuple(events)

@@ -14,9 +14,11 @@ from govtree.algebra import (
     check_G1,
     check_G2,
     check_G3,
+    check_bind_within_caps,
     check_hexagon,
     check_pentagon,
     check_triangle,
+    check_trace_of_bind,
     fingerprinting_operator,
     no_check_operator,
     result_mangling_operator,
@@ -29,7 +31,6 @@ from govtree.capability import (
     cap_singleton,
     cap_subset,
     cap_union,
-    check_bind_within_caps,
     no_ambient_effects_check,
     principality_check,
     trust_le,
@@ -52,7 +53,6 @@ from govtree.governance import PERMISSIVE, bare_io, gov_safe_check, govern, inte
 from govtree.itree import ret, vis
 from govtree.ledger import ledger_valid, trace_to_ledger
 from govtree.program import compile_ast
-from govtree.category import check_trace_of_bind
 from govtree.gen import gen_input, gen_program_ast
 
 SAMPLER = ResponseSampler(seed=0)
@@ -167,9 +167,7 @@ def test_criterion_06_caps_composition_and_principality():
     for i in range(5000):
         (fa, f), (ga, g) = rng.choice(prims), rng.choice(prims)
         if i % 2 == 0:
-            v = check_bind_within_caps(
-                f.morph(rng.randrange(100)), g.morph, f.caps, g.caps, 300, SAMPLER
-            )
+            v = check_bind_within_caps(fa, ga, rng.randrange(100), 300, SAMPLER)
         else:
             cm = compile_ast({"kind": "tensor", "left": fa, "right": ga})
             v = within_caps_check(
@@ -216,11 +214,10 @@ def test_criterion_08_trace_and_ledger():
     ok = True
     for i in range(1000):
         rng = random.Random(i)
-        t = compile_ast(gen_program_ast(rng, max_depth=3, max_directives=3))(gen_input(rng))
+        f_ast = gen_program_ast(rng, max_depth=3, max_directives=3)
+        x = gen_input(rng)
         k_ast = gen_program_ast(rng, max_depth=2, max_directives=2)
-        v = check_trace_of_bind(
-            t, lambda x, a=k_ast: compile_ast(a)(x), PERMISSIVE, mock_handler(i), 100_000
-        )
+        v = check_trace_of_bind(f_ast, k_ast, x, PERMISSIVE, mock_handler(i), 100_000)
         ok = ok and v.is_holds
     rng = random.Random(SEED)
     for _ in range(1000):

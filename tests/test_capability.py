@@ -7,6 +7,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given
 
+from govtree.algebra import check_bind_within_caps
 from govtree.capability import (
     CapMorphism,
     TrustLevel,
@@ -16,7 +17,6 @@ from govtree.capability import (
     cap_singleton,
     cap_subset,
     cap_union,
-    check_bind_within_caps,
     dual_guarantee_check,
     format_caps,
     no_ambient_effects_check,
@@ -151,32 +151,21 @@ def test_sample_returns_collects_values():
 
 
 def test_bind_within_caps_pure():
-    v = check_bind_within_caps(
-        ret(1), lambda x: ret(x + 1), cap_empty(), cap_empty(), 100, SAMPLER
-    )
+    v = check_bind_within_caps(code_ast(), code_ast("add", 1), 1, 100, SAMPLER)
     assert v.is_holds
 
 
 def test_bind_within_caps_reason_then_call():
-    v = check_bind_within_caps(
-        reason_m().morph(1),
-        call_m().morph,
-        cap_singleton(Capability.LLM_REASON),
-        cap_singleton(Capability.MACHINE_CALL),
-        200,
-        SAMPLER,
-    )
+    v = check_bind_within_caps(REASON, CALL, 1, 200, SAMPLER)
     assert v.is_holds
 
 
 def test_bind_within_caps_campaign():
     rng = random.Random(4)
-    makers = (reason_m, memory_m, call_m, lambda: compile_ast(code_ast("add", 1)))
+    nodes = (REASON, MEMORY, CALL, code_ast("add", 1))
     for i in range(300):
-        f, g = rng.choice(makers)(), rng.choice(makers)()
-        v = check_bind_within_caps(
-            f.morph(rng.randrange(50)), g.morph, f.caps, g.caps, 300, SAMPLER
-        )
+        f, g = rng.choice(nodes), rng.choice(nodes)
+        v = check_bind_within_caps(f, g, rng.randrange(50), 300, SAMPLER)
         assert v.is_holds, (i, v.describe())
 
 

@@ -672,6 +672,26 @@ def test_negative_count_is_a_usage_error(capsys, command, option):
     assert "must not be negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, option", [
+    ("coherence", "--samples"),
+    ("conformance", "--trials"),
+    ("boundary", "--trials"),
+    ("diff", "--trials"),
+])
+def test_zero_count_is_a_usage_error(capsys, command, option):
+    # a campaign of no trials would pass having checked nothing
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, option, "0")
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].endswith(f"argument {option}: must be at least 1: 0")
+    assert captured.out == ""
+
+
+def test_zero_fuel_is_legal():
+    assert run_cli("diff", "--trials", "1", "--seed", "0", "--fuel", "0") == EXIT_OK
+
+
 def test_usage_error_has_its_own_exit_code():
     result = run_module("check", str(PROGRAMS / "pure.json"), "--mode", "bogus")
     assert result.returncode == EXIT_USAGE

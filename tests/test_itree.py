@@ -4,6 +4,10 @@ The monad-law tests use two routes on purpose: a brute-force path
 enumeration that walks both trees node by node, and the fuel-bounded
 equivalence checker. The enumeration is the oracle; it shares no code
 with eutt_bounded.
+
+A bind is one node over its source, so a left-nested chain of binds
+steps one frame per bind. The constant-stack tests run long pipelines
+as a program ``seq`` on the program machine instead.
 """
 
 import sys
@@ -13,6 +17,8 @@ from dataclasses import dataclass
 import hypothesis.strategies as st
 from hypothesis import given
 
+from govtree.directives import mock_handler
+from govtree.governance import PERMISSIVE, govern, interpret_governed
 from govtree.itree import (
     Ret,
     Tau,
@@ -240,15 +246,15 @@ def drive_events(t, fuel):
         t = node.cont(0)
 
 
-def test_left_nested_bind_chain_drives_at_constant_stack_depth():
-    n = 20_000
-    t = ret(0)
-    for _ in range(n):
-        t = bind(t, lambda x: vis(Evt(x), lambda a: ret(x + 1)))
+def test_governed_seq_of_reason_steps_runs_at_constant_stack_depth():
+    # a long pipeline composes on the machine, not as a chain of binds
+    step = {"kind": "reason", "model": "m", "prompt": {"op": "input"},
+            "extract": {"op": "fst", "args": [{"op": "input"}]}}
+    tree = compile_ast({"kind": "seq", "steps": [step] * 20_000})(0)
     with shallow_stack():
-        value, events = drive_events(t, 10)
-    assert value == n
-    assert events == [Evt(i) for i in range(n)]
+        out = interpret_governed(govern(mock_handler(0)), PERMISSIVE, tree, 100_000)
+    assert out.completed
+    assert len(out.trace) == 40_000
 
 
 def test_seq_of_code_steps_runs_at_constant_stack_depth():

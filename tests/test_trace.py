@@ -4,20 +4,20 @@ import random
 from unittest.mock import ANY
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
 from govtree.directives import (
     DIRECTIVE_TYPES,
     FileOp,
     LLMCall,
-    CallMachine,
     encode_directive,
     mock_handler,
 )
 from govtree.gen import gen_trace
 from govtree.governance import DENYING, PERMISSIVE, govern, interpret_governed
 from govtree.itree import Ret, ret, vis
-from govtree.category import check_trace_of_bind
+from govtree.algebra import check_trace_of_bind
 from govtree.trace import (
     GovEntry,
     IoEntry,
@@ -25,6 +25,9 @@ from govtree.trace import (
     parse_trace,
     well_governed,
 )
+
+INPUT = {"op": "input"}
+STATUS = {"op": "fst", "args": [INPUT]}  # an answer enters as (status, content)
 
 
 def test_empty_trace_is_well_governed():
@@ -115,8 +118,6 @@ def test_entries_equal_only_entries_of_their_own_type():
 
 
 def test_entries_hash_repr_and_immutability():
-    import pytest
-
     g, io = GovEntry("LLMCall", True), IoEntry("DBOp{query=q}")
     assert hash(g) == hash(("LLMCall", True)) and hash(io) == hash(("DBOp{query=q}",))
     assert len({g, GovEntry("LLMCall", True), io, IoEntry("DBOp{query=q}")}) == 2
@@ -132,28 +133,28 @@ def test_entries_hash_repr_and_immutability():
 
 
 def test_trace_of_bind_pure():
-    v = check_trace_of_bind(ret(1), lambda x: ret(x + 1), PERMISSIVE, mock_handler(0), 100)
+    f = {"kind": "code", "expr": INPUT}
+    g = {"kind": "code", "expr": {"op": "add", "args": [INPUT, {"op": "int", "value": 1}]}}
+    v = check_trace_of_bind(f, g, 1, PERMISSIVE, mock_handler(0), 100)
     assert v.is_holds
 
 
 def test_trace_of_bind_two_calls():
-    t = vis(LLMCall("m", "p"), lambda x: ret(x.status))
-    k = lambda s: vis(CallMachine("calc", str(s)), lambda x: ret(x.status))
-    v = check_trace_of_bind(t, k, PERMISSIVE, mock_handler(1), 1000)
+    f = {"kind": "reason", "model": "m", "prompt": {"op": "str", "value": "p"}, "extract": STATUS}
+    g = {"kind": "call", "machine": "calc", "payload": INPUT, "extract": STATUS}
+    v = check_trace_of_bind(f, g, None, PERMISSIVE, mock_handler(1), 1000)
     assert v.is_holds
 
 
 def test_trace_of_bind_campaign():
     from govtree.gen import gen_input, gen_program_ast
-    from govtree.program import compile_ast
 
     for i in range(200):
         rng = random.Random(i)
-        t = compile_ast(gen_program_ast(rng, max_depth=3, max_directives=3))(gen_input(rng))
+        f_ast = gen_program_ast(rng, max_depth=3, max_directives=3)
+        x = gen_input(rng)
         k_ast = gen_program_ast(rng, max_depth=2, max_directives=2)
-        v = check_trace_of_bind(
-            t, lambda x, a=k_ast: compile_ast(a)(x), PERMISSIVE, mock_handler(i), 100000
-        )
+        v = check_trace_of_bind(f_ast, k_ast, x, PERMISSIVE, mock_handler(i), 100000)
         assert v.is_holds, (i, v.describe())
 
 
@@ -209,9 +210,22 @@ def test_format_parse_round_trip_over_unicode(trace):
 
 
 def test_parse_rejects_garbage():
-    import pytest
-
     with pytest.raises(ValueError):
         parse_trace("WHAT is this\n")
     with pytest.raises(ValueError):
         parse_trace("GOV stage maybe\n")
+
+
+@pytest.mark.parametrize("text, error", [
+    ("\n", "line 1: empty line"),
+    ("\n\n", "line 1: empty line"),
+    ("GOV LLMCall pass\n\nIO LLMCall{model=m,prompt=p}\n", "line 2: empty line"),
+    ("GOV LLMCall pass", "line 1: no LF at the end of the file"),
+    ("GOV LLMCall pass\nIO LLMCall{model=m,prompt=p}", "line 2: no LF at the end of the file"),
+], ids=["lf", "two-lfs", "inner-empty-line", "no-lf", "no-final-lf"])
+def test_parse_reads_only_what_format_writes(text, error):
+    # one text per trace, as for a ledger: empty, or LF-terminated with no empty line
+    with pytest.raises(ValueError) as exc:
+        parse_trace(text)
+    assert str(exc.value) == error
+    assert parse_trace("") == ()
