@@ -76,7 +76,6 @@ from .trace import IoEntry
 from .gen import gen_directive, gen_input, gen_program_ast, gen_register_program, gen_trace_event
 from .ledger import Ledger, _substitute, ledger_valid
 from .capability import format_caps, sample_returns, within_caps_check
-from .category import register_machine
 from .program import compile_ast
 
 
@@ -334,10 +333,11 @@ def check_derived(
 
     def convergence(rng, i):
         # Safety again, over fuel-unrolled register programs.
-        program = gen_register_program(rng)
+        listing = gen_register_program(rng)
         gh = op.transform(mock_handler(rng.randrange(2**32)))
-        tree = register_machine(program, rng.randrange(1, 16))(None)
-        return gov_safe_check(gh.transform(tree), False, fuel, sampler)
+        node = {"kind": "register_machine", "registers": 2,
+                "fuel": rng.randrange(1, 16), "program": listing}
+        return gov_safe_check(gh.transform(compile_ast(node)(None)), False, fuel, sampler)
 
     def subsumption_pos(rng, i):
         # Content-filtering handlers are still governed.

@@ -13,10 +13,11 @@ capability, and the middle levels keep exactly what they declared.
 
 A ``CapMorphism`` is a morphism paired with its capability bound;
 calling one applies its morphism. ``program.compile_ast`` builds every
-one: the bound of a program body is the union of the bounds of its
-effectful primitives, one capability each for ``reason``, ``memory``
-and ``call`` (``LLM_CAPS``, ``MEMORY_CAPS``, ``CALL_CAPS``) and none for
-``code``, however ``seq``, ``tensor`` and ``branch`` combine them.
+one: the bound of a program body is the set of capabilities that
+``directives.SIGNATURE`` gives its effectful primitives' directives, one
+each for ``reason``, ``memory`` and ``call`` and none for ``code`` and
+``register_machine``, however ``seq``, ``tensor`` and ``branch`` combine
+them.
 ``principality_check`` brute-forces every strict subset of the bound to
 show the bound is tight, and ``dual_guarantee_check`` confirms that
 staying within the bound and passing governance safety hold at the same
@@ -32,12 +33,8 @@ from enum import Enum
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .directives import (
-    SIGNATURE,
-    CallMachine,
     Capability,
     Handler,
-    LLMCall,
-    MemoryOp,
     ResponseSampler,
     capability_for_directive,
     directive_tag,
@@ -67,16 +64,9 @@ from .trace import well_governed
 CapSet = frozenset
 Morphism = Callable[[Any], ITree]  # an input value to its directive tree
 
-NO_CAPS = frozenset()
-# The bounds of the three effectful primitives: the capability each one's
-# directive requires.
-LLM_CAPS = frozenset((SIGNATURE[LLMCall][1],))
-MEMORY_CAPS = frozenset((SIGNATURE[MemoryOp][1],))
-CALL_CAPS = frozenset((SIGNATURE[CallMachine][1],))
-
 
 def cap_empty() -> CapSet:
-    return NO_CAPS
+    return frozenset()
 
 
 def cap_singleton(c: Capability) -> CapSet:

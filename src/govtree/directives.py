@@ -7,8 +7,8 @@ order, it maps each variant to the name of its answer (None for a unit
 answer) and to the one capability it requires (None for the bookkeeping
 ``RecordStep`` and ``Observability``). Every named answer is an ``Answer``
 record, built like them, whose content starts with that name, lowercased. ``DIRECTIVE_TYPES``, ``DirectiveEvent``, ``ANSWER_TYPES`` and
-``capability_for_directive`` are read off it, as are the primitive bounds
-in ``capability`` and ``boundary.EFFECTFUL_VARIANTS``.
+``capability_for_directive`` are read off it, as are the bounds that
+``program.compile_ast`` builds and ``boundary.EFFECTFUL_VARIANTS``.
 
 This module also owns the canonical textual encoding used by traces,
 ledger entries, and mock and sampled answers: ``TAG{field=value,...}``

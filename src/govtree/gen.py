@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 
-from .category import RegisterProgram
 from .directives import (
     DIRECTIVE_TYPES,
     DirectiveEvent,
@@ -38,7 +37,7 @@ _NASTY = ("a,b", "x=y", "p{q}", "tail}", "line\nbreak", "back\\slash")
 
 EFFECTFUL_KINDS = tuple(PRIMITIVES)
 _DIRECTIVE_KINDS = EFFECTFUL_KINDS + ("register_machine",)
-PROGRAM_TAGS = (*(row[1].__name__ for row in PRIMITIVES.values()), "Observability")
+PROGRAM_TAGS = (*(row[0].__name__ for row in PRIMITIVES.values()), "Observability")
 
 
 def gen_word(rng: random.Random, nasty_fraction: float = 0.0) -> str:
@@ -94,19 +93,16 @@ def _gen_effectful(rng: random.Random, kind: str | None = None) -> dict:
     kind = kind or rng.choice(EFFECTFUL_KINDS)
     if kind not in PRIMITIVES:
         raise ValueError(f"not an effectful kind: {kind!r}")
-    _, _, name, exprs = PRIMITIVES[kind]
+    _, name, exprs = PRIMITIVES[kind]
     return {"kind": kind, name: rng.choice(_STR_CHOICES[kind]),
             **{f: gen_expr(rng, 1) for f in exprs}, "extract": _gen_extract(rng)}
 
 
 def gen_register_ast(rng: random.Random, max_len: int = 6, max_fuel: int = 12) -> dict:
-    p = gen_register_program(rng, max_len)
-    return {
-        "kind": "register_machine",
-        "registers": p.registers,
-        "fuel": rng.randrange(1, max_fuel + 1),
-        "program": [list(ins) for ins in p.instructions],
-    }
+    """A two-register ``register_machine`` node: its listing, then its fuel."""
+    listing = gen_register_program(rng, max_len)
+    return {"kind": "register_machine", "registers": 2,
+            "fuel": rng.randrange(1, max_fuel + 1), "program": listing}
 
 
 def gen_program_ast(
@@ -183,20 +179,19 @@ def _has_directive(ast: dict) -> bool:
     return ast.get("kind") in _DIRECTIVE_KINDS or any(map(_has_directive, _children(ast)))
 
 
-def gen_register_program(
-    rng: random.Random, max_len: int = 8, registers: int = 2
-) -> RegisterProgram:
+def gen_register_program(rng: random.Random, max_len: int = 8) -> list:
+    """A two-register instruction listing, as a ``register_machine`` node spells it."""
     n = rng.randrange(1, max_len + 1)
     instructions = []
     for _ in range(n):
         roll = rng.random()
         if roll < 0.45:
-            instructions.append(("inc", rng.randrange(registers)))
+            instructions.append(["inc", rng.randrange(2)])
         elif roll < 0.85:
-            instructions.append(("decjz", rng.randrange(registers), rng.randrange(n)))
+            instructions.append(["decjz", rng.randrange(2), rng.randrange(n)])
         else:
-            instructions.append(("halt",))
-    return RegisterProgram(tuple(instructions), registers)
+            instructions.append(["halt"])
+    return instructions
 
 
 def gen_policy(rng: random.Random) -> GovernancePolicy:

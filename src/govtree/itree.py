@@ -74,7 +74,7 @@ class ITree:
     subclass that keeps its state in ``__slots__`` and has its own
     ``step``, which builds the node when first observed, memoizes it in
     ``_node`` and releases the state: ``_Bind`` here, ``program._Machine``,
-    ``governance._Image`` and ``category._State``.
+    ``governance._Image`` and ``program._Register``.
     """
 
     __slots__ = ("_node",)

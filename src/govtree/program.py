@@ -16,7 +16,7 @@ exactly when it compiles. One depth-first walk checks each node and its
 expressions, refusing the first malformed part with a ``ProgramError``,
 and appends its instructions to one flat tuple for one defunctionalized
 machine (Reynolds 1972), whose states ``state_key`` names. The bound is
-the union of the bounds in its primitives' ``PRIMITIVES`` rows; the
+the union of its directives' capabilities in ``directives.SIGNATURE``; the
 result is a ``CapMorphism``. ``parse_program`` compiles the body once and the
 ``Program`` it returns keeps the result; a ``Program`` built directly
 compiles on its first ``compile()`` or ``caps()``. A document nested
@@ -44,6 +44,17 @@ types go through fixed coercions:
 A directive answer enters its extract expression as the pair
 ``(status, content)``.
 
+A ``register_machine`` node is checked by ``_parse_register``, every
+instruction's shape before any operand, which also translates it, once
+per compile, into a fuel-unrolled chain of register states that the
+machine's ``_ENTER`` instruction embeds. The chain is a memoized lazy
+list: each forced state holds its one successor, so every path, check
+and run of the compiled body walks the same nodes and each step is
+computed once. The cost is that a forced chain lives as long as the
+compiled body; the node's own ``fuel`` bounds its length, and a caller's
+fuel bounds how much of it is forced. Its oracle,
+``reference.register_steps``, shares no code with it.
+
 The machine is the production pipeline; the independent evaluator in
 ``reference`` shares none of its evaluation code.
 """
@@ -56,9 +67,8 @@ from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .capability import CALL_CAPS, LLM_CAPS, MEMORY_CAPS, NO_CAPS, CapMorphism, CapSet
-from .category import MAX_REGISTERS, RegisterProgram, register_machine
-from .directives import CallMachine, LLMCall, MemoryOp
+from .capability import CapMorphism, CapSet
+from .directives import SIGNATURE, CallMachine, LLMCall, MemoryOp, Observability
 from .itree import ITree, Ret, Vis, _new, _tree
 
 
@@ -179,7 +189,14 @@ def _require_str(node: dict, key: str) -> str:
     return v if v.isascii() else _valid_text(v, f"{node.get('kind')} {key!r}")
 
 
-def _parse_register(node: dict) -> "tuple[RegisterProgram, int]":
+MAX_REGISTERS = 64  # each step writes every register into its message
+_SHAPES = {"inc": 2, "decjz": 3, "halt": 1}  # opcode: instruction length
+
+
+def _parse_register(node: dict) -> ITree:
+    """Check a ``register_machine`` node, every shape before any operand, and
+    translate it: the unforced chain from all-zero registers, whose
+    instructions are tuples copied from the node's lists."""
     registers = node.get("registers")
     fuel = node.get("fuel")
     listing = node.get("program")
@@ -191,25 +208,84 @@ def _parse_register(node: dict) -> "tuple[RegisterProgram, int]":
         raise ProgramError("register_machine needs a non-negative fuel")
     if not isinstance(listing, list):
         raise ProgramError("register_machine needs an instruction list")
-    try:
-        program = RegisterProgram(listing, registers)
-    except ValueError as e:
-        raise ProgramError(str(e)) from None
-    return program, fuel
+    for ins in listing:
+        if not isinstance(ins, (list, tuple)) or not ins:
+            raise ProgramError(f"malformed instruction {ins!r}")
+        if type(ins[0]) is not str or _SHAPES.get(ins[0]) != len(ins):
+            raise ProgramError(f"unknown instruction {ins!r}")
+    for i, ins in enumerate(listing):
+        if len(ins) > 1:
+            # not isinstance: True is an int to Python, not a register
+            if any(type(x) is not int for x in ins[1:]):
+                raise ProgramError(f"instruction {i}: operands must be integers")
+            if not 0 <= ins[1] < registers:
+                raise ProgramError(f"instruction {i}: register out of range")
+            if len(ins) == 3 and not 0 <= ins[2] < len(listing):
+                raise ProgramError(f"instruction {i}: jump target out of range")
+    return _register(tuple(map(tuple, listing)), fuel, 0, (0,) * registers)
 
 
-# kind: (capability bound, directive type, string field, expression fields
-# in the directive's order); a node has these fields and ``extract``
+def _step(ins: tuple, pc: int, regs: tuple) -> "tuple[int, tuple] | None":
+    """One executed instruction; None means halt."""
+    name = ins[0]
+    if name == "halt":
+        return None
+    r = ins[1]
+    if name == "inc":
+        return pc + 1, regs[:r] + (regs[r] + 1,) + regs[r + 1:]
+    if regs[r] == 0:
+        return ins[2], regs
+    return pc + 1, regs[:r] + (regs[r] - 1,) + regs[r + 1:]
+
+
+def _register(code: tuple, fuel: int, pc: int, regs: tuple) -> ITree:
+    """The unforced register state ``(pc, regs)`` with ``fuel`` steps left."""
+    t = _tree(_Register)
+    t._node, t._code, t._fuel, t._pc, t._regs = None, code, fuel, pc, regs
+    return t
+
+
+class _Register(ITree):
+    """A register state. Forced, it executes one instruction, emitting one
+    observability directive of the program counter and the post-step
+    registers, and releases the instructions and registers; halt, running
+    past the end or running out of fuel return unit. Every answer resumes
+    the one successor, so the state is its predecessor's continuation:
+    called with any answer, it returns itself. A forced chain holds no
+    closure per step."""
+
+    __slots__ = ("_code", "_fuel", "_pc", "_regs")
+
+    def __call__(self, _x):
+        return self
+
+    def step(self):
+        node = self._node
+        if node is None:
+            code, fuel, pc, regs = self._code, self._fuel, self._pc, self._regs
+            self._code = self._regs = None
+            outcome = _step(code[pc], pc, regs) if fuel > 0 and 0 <= pc < len(code) else None
+            if outcome is None:
+                node = _new(Ret, (None,))
+            else:
+                next_pc, regs = outcome
+                d = _new(Observability, (f"pc={pc};regs={','.join(map(str, regs))}",))
+                node = _new(Vis, (d, _register(code, fuel - 1, next_pc, regs)))
+            self._node = node
+        return node
+
+
+# kind: (directive type, string field, expression fields in the
+# directive's order); a node has these fields and ``extract``
 PRIMITIVES = {
-    "reason": (LLM_CAPS, LLMCall, "model", ("prompt",)),
-    "memory": (MEMORY_CAPS, MemoryOp, "mop", ("key", "value")),
-    "call": (CALL_CAPS, CallMachine, "machine", ("payload",)),
+    "reason": (LLMCall, "model", ("prompt",)),
+    "memory": (MemoryOp, "mop", ("key", "value")),
+    "call": (CallMachine, "machine", ("payload",)),
 }
 
 
 # Opcodes, an instruction's first item; jumps store target - 1, as ``pc += 1`` follows.
 (_CODE, _EFFECT, _EXTRACT, _SPLIT, _SWAP, _PAIR, _TEST, _JUMP, _ENTER, _MACHINE, _RET) = range(11)
-_BOUNDS = {row[1]: row[0] for row in PRIMITIVES.values()}  # directive type: its row's bound
 
 
 def _state(code: tuple, pc: int, stack, value, _answer=None) -> ITree:
@@ -290,7 +366,7 @@ def _emit(node, code: list, table: dict) -> None:
     if kind == "code":
         code.append((_CODE, compile_expr(node.get("expr"), table)))
     elif type(kind) is str and kind in PRIMITIVES:
-        _, directive, name, exprs = PRIMITIVES[kind]
+        directive, name, exprs = PRIMITIVES[kind]
         s = _require_str(node, name)
         code.append((_EFFECT, directive, s, *[compile_expr(node.get(e), table) for e in exprs]))
         extract = (_EXTRACT, compile_expr(node.get("extract"), table))
@@ -317,7 +393,7 @@ def _emit(node, code: list, table: dict) -> None:
         _emit(node.get("else"), code, table)
         code[jump] = (_JUMP, len(code) - 1)
     elif kind == "register_machine":
-        code.append((_ENTER, register_machine(*_parse_register(node))(None)))
+        code.append((_ENTER, _parse_register(node)))
         code.append((_MACHINE,))
     else:
         raise ProgramError(f"unknown node kind {kind!r}")
@@ -328,7 +404,7 @@ def compile_ast(node) -> CapMorphism:
     code and bound; the morphism starts the machine on its input."""
     code = [object()]  # the body's identity, which state keys hold
     _emit(node, code, {})
-    caps = NO_CAPS.union(*[_BOUNDS[ins[1]] for ins in code[1:] if ins[0] == _EFFECT])
+    caps = frozenset([SIGNATURE[ins[1]][1] for ins in code[1:] if ins[0] == _EFFECT])
     code.append((_RET,))
     return _new(CapMorphism, (partial(_state, tuple(code), 1, None), caps))
 

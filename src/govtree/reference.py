@@ -11,8 +11,9 @@ It does share the *environment* with the tree pipeline: the directive
 records and their tags, the canonical encoding, seeded mock answers, and
 policy objects. Those define what is being interpreted, not how.
 
-``register_steps`` is also the oracle for ``category``'s register
-translation, so nothing here is imported from ``category`` either.
+``register_steps`` is also the oracle for ``program``'s register
+translation, which ``boundary.check_register_agreement`` compares with
+it, so nothing here is imported from ``boundary`` either.
 
 The ``bug`` parameter deliberately miscomputes in one of a few known
 ways. It is the harness's self-test hook: a differential campaign against

@@ -24,7 +24,12 @@ from govtree.algebra import (
     result_mangling_operator,
     tamper_check,
 )
-from govtree.boundary import EFFECTFUL_VARIANTS, run_coterminous
+from govtree.boundary import (
+    EFFECTFUL_VARIANTS,
+    check_register_agreement,
+    enumerate_register_programs,
+    run_coterminous,
+)
 from govtree.capability import (
     cap_empty,
     cap_full,
@@ -39,7 +44,6 @@ from govtree.capability import (
     within_caps_check,
     TrustLevel,
 )
-from govtree.category import check_register_agreement, enumerate_register_programs
 from govtree.cli import diff_campaign
 from govtree.directives import (
     Capability,
@@ -275,8 +279,8 @@ def test_criterion_10_boundary_and_register_machines():
     t0 = time.time()
     boundary = run_coterminous(1000, 4096, SAMPLER, SEED)
     ok = boundary.passed
-    programs = enumerate_register_programs(5)
-    agreement = check_register_agreement(programs, 50, SAMPLER)
+    programs = enumerate_register_programs(5, 50)
+    agreement = check_register_agreement(programs, SAMPLER)
     ok = ok and not agreement.is_fails
     elapsed = time.time() - t0
     report(

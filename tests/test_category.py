@@ -1,4 +1,5 @@
-"""The monoidal laws on compiled program nodes, and register machines."""
+"""The monoidal laws on compiled program nodes, and ``register_machine``
+nodes: their translation in ``program`` against the oracle in ``reference``."""
 
 import ast
 import gc
@@ -8,7 +9,7 @@ import random
 import textwrap
 from pathlib import Path
 
-from govtree import category, program, reference
+from govtree import program, reference
 from govtree.algebra import (
     ASSOCIATOR,
     ASSOCIATOR_INV,
@@ -25,14 +26,12 @@ from govtree.algebra import (
     interp_tensor_distribute_check,
     no_check_operator,
 )
-from govtree.capability import within_caps_check
-from govtree.category import (
-    RegisterProgram,
+from govtree.boundary import (
     check_register_agreement,
     enumerate_register_programs,
-    register_machine,
     register_tree_steps,
 )
+from govtree.capability import within_caps_check
 from govtree.directives import (
     Answer,
     LLMCall,
@@ -43,7 +42,7 @@ from govtree.directives import (
 from govtree.governance import gov_safe_check, govern
 from govtree.itree import Ret, Vis, bind, eutt_bounded, ret, run_pure, spin, vis
 from govtree.gen import gen_register_program
-from govtree.program import compile_ast
+from govtree.program import Program, compile_ast, parse_program, serialize_program
 from govtree.reference import register_steps
 
 import pytest
@@ -72,6 +71,12 @@ def seq(*steps):
 
 def tensor(left, right):
     return {"kind": "tensor", "left": left, "right": right}
+
+
+def machine(listing, registers, fuel):
+    """The ``register_machine`` node of ``listing``."""
+    return {"kind": "register_machine", "registers": registers, "fuel": fuel,
+            "program": listing}
 
 
 def reason_inc():
@@ -284,38 +289,38 @@ def test_compare_paths_reports_a_failure_after_an_unknown():
 
 def test_register_program_validation():
     with pytest.raises(ValueError):
-        RegisterProgram((("inc", 2),), 2)
+        compile_ast(machine([["inc", 2]], 2, 0))
     with pytest.raises(ValueError):
-        RegisterProgram((("decjz", 0, 5),), 1)
+        compile_ast(machine([["decjz", 0, 5]], 1, 0))
 
 
 def test_translate_empty_program():
-    assert run_pure(register_machine(RegisterProgram((), 2), 10)(None), 10) == (True, None)
+    assert run_pure(compile_ast(machine([], 2, 10))(None), 10) == (True, None)
 
 
 def test_translate_two_increments():
-    p = RegisterProgram((("inc", 0), ("inc", 0)), 1)
-    steps = register_tree_steps(register_machine(p, 50)(None), 500)
+    p = machine([["inc", 0], ["inc", 0]], 1, 50)
+    steps = register_tree_steps(compile_ast(p)(None), 500)
     # the final observability event shows r0=2
     assert steps == ["pc=0;regs=1", "pc=1;regs=2"]
-    ref_steps = list(register_steps(p.instructions, 1, 50))
+    ref_steps = list(register_steps(p["program"], 1, 50))
     assert ref_steps == steps and ref_steps[-1] == "pc=1;regs=2"
 
 
 def test_translate_loop_respects_fuel():
-    p = RegisterProgram((("inc", 0), ("decjz", 1, 0)), 2)  # infinite loop
-    steps = register_tree_steps(register_machine(p, 10)(None), 500)
+    p = machine([["inc", 0], ["decjz", 1, 0]], 2, 10)  # infinite loop
+    steps = register_tree_steps(compile_ast(p)(None), 500)
     assert steps is not None and len(steps) == 10
 
 
 def test_decjz_jump_and_decrement():
     # transfer r0 (=2) into r1, using r2 as the always-zero jump register
-    p = RegisterProgram(
-        (("inc", 0), ("inc", 0), ("decjz", 0, 6), ("inc", 1), ("decjz", 2, 2), ("halt",), ("halt",)),
-        3,
+    p = machine(
+        [["inc", 0], ["inc", 0], ["decjz", 0, 6], ["inc", 1], ["decjz", 2, 2], ["halt"], ["halt"]],
+        3, 50,
     )
-    ref_steps = list(register_steps(p.instructions, 3, 50))
-    assert register_tree_steps(register_machine(p, 50)(None), 500) == ref_steps == [
+    ref_steps = list(register_steps(p["program"], 3, 50))
+    assert register_tree_steps(compile_ast(p)(None), 500) == ref_steps == [
         "pc=0;regs=1,0,0", "pc=1;regs=2,0,0", "pc=2;regs=1,0,0", "pc=3;regs=1,1,0",
         "pc=4;regs=1,1,0", "pc=2;regs=0,1,0", "pc=3;regs=0,2,0", "pc=4;regs=0,2,0",
         "pc=2;regs=0,2,0",
@@ -326,13 +331,25 @@ def test_decjz_jump_and_decrement():
 
 def test_register_agreement_random_programs():
     rng = random.Random(9)
-    programs = [gen_register_program(rng, max_len=12) for _ in range(300)]
-    assert check_register_agreement(programs, 50, SAMPLER).is_holds
+    programs = [machine(gen_register_program(rng, max_len=12), 2, 50) for _ in range(300)]
+    assert check_register_agreement(programs, SAMPLER).is_holds
 
 
 def test_register_agreement_exhaustive_small():
-    programs = list(enumerate_register_programs(3))
-    assert check_register_agreement(programs, 50, SAMPLER).is_holds
+    programs = list(enumerate_register_programs(3, 50))
+    assert check_register_agreement(programs, SAMPLER).is_holds
+
+
+def test_enumerated_register_nodes_are_program_bodies():
+    # each node round-trips through a program file's text and, compiled
+    # from the parsed body, emits the oracle's steps exactly
+    nodes = list(enumerate_register_programs(3, 50))
+    assert len(nodes) == 5 + 7**2 + 7**3
+    for node in nodes:
+        parsed = parse_program(serialize_program(Program(None, node)))
+        assert parsed.body == node
+        want = list(register_steps(node["program"], node["registers"], node["fuel"]))
+        assert register_tree_steps(parsed.compile()(None), 4 * 50 + 8) == want, node
 
 
 @pytest.fixture
@@ -344,19 +361,21 @@ def wrong_step(monkeypatch):
             return ins[2], regs
         return step(ins, pc, regs)
 
-    step = category._step
-    monkeypatch.setattr(category, "_step", wrong)
+    step = program._step
+    monkeypatch.setattr(program, "_step", wrong)
 
 
 def test_register_agreement_fails_on_a_wrong_step(wrong_step):
-    programs = list(enumerate_register_programs(3))
-    assert check_register_agreement(programs, 50, SAMPLER).is_fails
+    programs = list(enumerate_register_programs(3, 50))
+    assert check_register_agreement(programs, SAMPLER).is_fails
 
 
 def test_register_mismatch_names_its_step_and_a_replayable_node(wrong_step):
-    p = RegisterProgram([["inc", 0], ["decjz", 0, 0], ["halt"]], 1)
-    assert p.instructions == (("inc", 0), ("decjz", 0, 0), ("halt",))  # lists stored as tuples
-    v = check_register_agreement([p], 50, SAMPLER)
+    p = machine([["inc", 0], ["decjz", 0, 0], ["halt"]], 1, 50)
+    chain = program._parse_register(p)  # lists copied as tuples
+    assert chain._code == (("inc", 0), ("decjz", 0, 0), ("halt",))
+    assert all(type(ins) is list for ins in p["program"])
+    v = check_register_agreement([p], SAMPLER)
     node = ('{"kind": "register_machine", "registers": 1, "fuel": 50, '
             '"program": [["inc", 0], ["decjz", 0, 0], ["halt"]]}')
     assert v.witness == (f"register trace mismatch at step 1 for {node}",)
@@ -375,25 +394,26 @@ def test_register_oracle_imports_nothing_from_the_translation():
             names |= {n.module or ""} | {f"{n.module or ''}.{a.name}" for a in n.names}
         elif isinstance(n, ast.Import):
             names |= {a.name for a in n.names}
-    assert not {name.rsplit(".", 1)[-1] for name in names} & {"category", "program"}, names
+    assert not {name.rsplit(".", 1)[-1] for name in names} & {"boundary", "program"}, names
 
 
 def test_translated_programs_are_governed():
     gh = govern(mock_handler(0))
     rng = random.Random(3)
     for _ in range(50):
-        p = gen_register_program(rng)
-        tree = gh.transform(register_machine(p, 20)(None))
+        p = machine(gen_register_program(rng), 2, 20)
+        tree = gh.transform(compile_ast(p)(None))
         assert gov_safe_check(tree, False, 4096, SAMPLER).is_holds
 
 
 def test_register_machine_translates_once():
-    m = register_machine(RegisterProgram((("inc", 0), ("decjz", 1, 0)), 2), 10)
-    assert m(0) is m("x")
+    # every input's run reaches the one chain compiled with the node
+    m = compile_ast(machine([["inc", 0], ["decjz", 1, 0]], 2, 10))
+    assert m(0).step() is m("x").step()
 
 
 def test_forced_register_state_has_one_successor():
-    node = register_machine(RegisterProgram((("inc", 0), ("decjz", 1, 0)), 2), 10)(None).step()
+    node = compile_ast(machine([["inc", 0], ["decjz", 1, 0]], 2, 10))(None).step()
     assert type(node) is Vis and node.cont(None) is node.cont(None)
 
 
@@ -401,12 +421,12 @@ def test_a_forced_register_chain_retains_three_objects_per_state():
     # each forced state keeps itself, its Vis node and its directive, and
     # lets go of the instructions and registers it was built from
     fuel = 4000
-    p = RegisterProgram((("inc", 0), ("decjz", 1, 0)), 2)
+    p = machine([["inc", 0], ["decjz", 1, 0]], 2, fuel)
     gc.collect()
     gc.disable()
     try:
         before = len(gc.get_objects())
-        root = register_machine(p, fuel)(None)
+        root = program._parse_register(p)  # the bare chain
         assert len(register_tree_steps(root, 4 * fuel)) == fuel
         retained = len(gc.get_objects()) - before
     finally:
@@ -423,8 +443,8 @@ def test_checks_share_one_unrolled_machine(monkeypatch):
     # every sampled path after the reason step, in each of the three checks,
     # reaches the one compiled machine: each of its steps is computed once
     calls = []
-    step = category._step
-    monkeypatch.setattr(category, "_step", lambda *a: calls.append(1) or step(*a))
+    step = program._step
+    monkeypatch.setattr(program, "_step", lambda *a: calls.append(1) or step(*a))
     machine = {"kind": "register_machine", "registers": 2, "fuel": 10,
                "program": [["inc", 0], ["decjz", 1, 0]]}
     reason_step = {"kind": "reason", "model": "m", "prompt": {"op": "input"},

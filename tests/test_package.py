@@ -19,6 +19,8 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("
 
 # Public names whose only callers are tests, each with the reason it stays.
 KEEP = {
+    "itree.bind": "the functor check of ROADMAP item 22 and the oracle side of the "
+                  "bind-law tests",
     "itree.eutt_bounded": "the oracle of the bind-law tests",
     "itree.tau": "a tree constructor, beside ret and vis",
     "algebra.ASSOCIATOR_INV": "a structural inverse the monoidal-law tests check",
@@ -33,7 +35,7 @@ KEEP = {
 
 
 def _top_level_definitions(tree):
-    """Public name -> line span of the statement that defines it."""
+    """Name, public or private -> line span of the statement that defines it."""
     spans = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -46,8 +48,7 @@ def _top_level_definitions(tree):
             continue
         start = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
         for name in names:
-            if not name.startswith("_"):
-                spans[name] = range(start, node.end_lineno + 1)
+            spans[name] = range(start, node.end_lineno + 1)
     return spans
 
 
@@ -61,25 +62,43 @@ def _name_tokens(path):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_public_name_has_a_caller_outside_tests(module):
+    # A use is a root when it is in another file under src/govtree,
+    # perfbench or scripts, in the acceptance criteria's imports, or in the
+    # module's own code outside any definition. A use inside one of the
+    # module's own definitions counts only once that definition is reached
+    # from a root, so definitions that only call each other are uncalled.
     source = PACKAGE / f"{module}.py"
     spans = _top_level_definitions(ast.parse(source.read_text(encoding="utf-8")))
-    used = set()
+    owners = {}  # line -> the names whose definition holds it
+    for name, span in spans.items():
+        for line in span:
+            owners.setdefault(line, []).append(name)
+    roots, uses = set(), {name: set() for name in spans}
     for directory in ("src/govtree", "perfbench", "scripts"):
         for path in (ROOT / directory).glob("*.py"):
             if path == PACKAGE / "__init__.py":  # a re-export is not a caller
                 continue
-            own = path == source
-            used.update(name for name, line in _name_tokens(path)
-                        if not (own and name in spans and line in spans[name]))
+            for name, line in _name_tokens(path):
+                if path != source or line not in owners:
+                    roots.add(name)
+                else:
+                    for owner in owners[line]:
+                        uses[owner].add(name)
     acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
-    named_by_criteria = {
+    roots |= {
         alias.name for node in ast.walk(acceptance)
         if isinstance(node, ast.ImportFrom) and node.module == f"govtree.{module}"
         for alias in node.names
     }
+    reached, pending = set(), sorted(roots & set(spans))
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            pending += uses[name] & set(spans)
     assert {key.partition(".")[0] for key in KEEP} <= set(MODULES)
     kept = {key.partition(".")[2] for key in KEEP if key.partition(".")[0] == module}
-    uncalled = set(spans) - used - named_by_criteria
+    uncalled = {name for name in spans if not name.startswith("_")} - reached
     assert sorted(kept - uncalled) == []  # each kept name exists and still lacks a caller
     assert sorted(uncalled - kept) == []
 
@@ -117,10 +136,8 @@ def test_no_two_classes_declare_the_same_fields():
     assert [names for names in by_fields.values() if len(names) > 1] == []
 
 
-# What program.py may take from category: the register machine and its
-# limit. Program files compile to the one machine, so program.py names no
-# other builder there, and no cap_* constructor beside compile_ast.
-FROM_CATEGORY = {"MAX_REGISTERS", "RegisterProgram", "register_machine"}
+# Program files compile to the one machine, so program.py names no
+# cap_* constructor beside compile_ast.
 
 
 def test_program_files_compile_only_to_the_machine():
@@ -133,8 +150,7 @@ def test_program_files_compile_only_to_the_machine():
                 imported[alias.asname or alias.name] = (module, alias.name)
 
     def foreign(module, name):
-        return (module == "category" and name not in FROM_CATEGORY) or (
-            module == "capability" and name.startswith("cap_"))
+        return module == "capability" and name.startswith("cap_")
 
     named = []
     for node in ast.walk(tree):
@@ -200,8 +216,8 @@ def _builds_cap_morphism(call):
 
 
 def test_a_cap_morphism_is_built_only_by_compile_ast():
-    # The bound is stated once: compile_ast unions its primitives'
-    # PRIMITIVES rows, and no other code pairs a morphism with a bound.
+    # The bound is stated once: compile_ast reads its directives'
+    # capabilities from SIGNATURE, and no other code pairs a morphism with a bound.
     inside, outside = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 
 import govtree.program
 from govtree import reference
+from govtree.boundary import register_tree_steps
 from govtree.capability import (
     CapMorphism,
     cap_empty,
@@ -20,7 +21,6 @@ from govtree.capability import (
     dual_guarantee_check,
     within_caps_check,
 )
-from govtree.category import register_tree_steps
 from govtree.directives import Capability, ResponseSampler, mock_handler
 from govtree.gen import gen_expr, gen_input, gen_policy, gen_program_ast, gen_register_ast
 from govtree.governance import PERMISSIVE, govern, interpret_governed
